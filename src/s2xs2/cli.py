@@ -185,7 +185,7 @@ def _cmd_sigma_table(args) -> int:
         rhs = 4.0 * ellipse_perimeter(math.sin(theta) ** 2, math.cos(theta) ** 2)
         rel = abs(lhs - rhs) / abs(rhs)
         worst = max(worst, rel)
-        lines.append(f"{theta!r},{lhs!r},{rhs!r},{rel!r}")
+        lines.append(f"{float(theta)!r},{lhs!r},{rhs!r},{rel!r}")
     _emit("\n".join(lines), args.output)
     return 0 if worst < 1e-6 else 1
 

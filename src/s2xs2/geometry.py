@@ -209,9 +209,18 @@ def subspace_angle(V, W) -> float:
         raise ValueError("p + q exceeds the ambient dimension")
     _check_orthonormal(rv, "V")
     _check_orthonormal(rw, "W")
-    M = np.concatenate([rv, rw], axis=0)
-    det = float(np.linalg.det(M @ M.T))
-    return float(np.sqrt(min(max(det, 0.0), 1.0)))
+    return float(wedge_norm(np.concatenate([rv, rw], axis=0)))
+
+
+def wedge_norm(rows):
+    """||r1 ^ ... ^ rk|| for each stack of k rows in a (..., k, d) array.
+
+    The square root of the Gram determinant, clipped to [0, 1]; for
+    orthonormal pairs of planes it is the wedge-norm angle of subspace_angle.
+    """
+    rows = np.asarray(rows, dtype=float)
+    det = np.linalg.det(rows @ np.swapaxes(rows, -1, -2))
+    return np.sqrt(np.clip(det, 0.0, 1.0))
 
 
 def apply_structure(structure: str, x: ProductPoint, v: TangentVector) -> TangentVector:
@@ -231,27 +240,20 @@ def kahler_angle(plane: TangentPlane, structure: str) -> float:
     beta = arccos |<J t1, t2>| for any orthonormal basis {t1, t2}; the value
     is independent of the basis choice and of orientation.
     """
-    t1, t2 = plane.basis
-    jt1 = apply_structure(structure, plane.point, t1)
-    c = abs(float(np.dot(jt1.ambient, t2.ambient)))
-    return float(np.arccos(min(c, 1.0)))
+    return float(np.arccos(min(abs(structure_pairing(plane, structure)), 1.0)))
 
 
 def structure_pairing(plane: TangentPlane, structure: str) -> float:
     """Signed pairing <J t1, t2> of the oriented plane with a structure."""
     t1, t2 = plane.basis
-    jt1 = apply_structure(structure, plane.point, t1)
-    return float(np.dot(jt1.ambient, t2.ambient))
+    return float(structure_pairing_batch(structure, plane.point.ambient, t1.ambient, t2.ambient))
 
 
 def symplectic_form(x: ProductPoint, u: TangentVector, v: TangentVector) -> float:
     """Sum of unit-sphere area forms evaluated on two tangent vectors at x."""
     check_tangent(x, u)
     check_tangent(x, v)
-    return float(
-        np.dot(x.first.coords, np.cross(u.first, v.first))
-        + np.dot(x.second.coords, np.cross(u.second, v.second))
-    )
+    return float(omega_batch(x.ambient, u.ambient, v.ambient))
 
 
 def orthonormalize(rows, cond_limit=1e6):
@@ -354,7 +356,7 @@ def normal_plane(x: ProductPoint, plane: TangentPlane) -> TangentPlane:
 
 
 # ---------------------------------------------------------------------------
-# batched variants on raw (n, 6) arrays, used by the surface and counting code
+# batch kernels on raw (n, 6) arrays; structure_pairing and symplectic_form are views
 # ---------------------------------------------------------------------------
 
 def orthonormal_pairs(du, dv, min_sin=1e-12):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoaxialCircles, GridUnstable, NonTransversalSample
-from .geometry import ProductPoint, orthonormal_pairs, subspace_angle
+from .geometry import ProductPoint, orthonormal_pairs, wedge_norm
 from .rotations import GroupElement
 from .surfaces import TWO_PI, Circle, GraphSurface, ProductTorusSurface
 
@@ -53,32 +53,32 @@ class IntersectionResult:
 # analytic circle pair counting
 # ---------------------------------------------------------------------------
 
-def _circle_pair_data(c1: Circle, c2: Circle):
-    gamma = float(np.dot(c1.axis, c2.axis))
-    if abs(gamma) > 1.0 - COAXIAL_TOL:
-        # parallel axes: coincident planes have no point count; distinct
-        # parallel planes meet the sphere in disjoint circles
-        sign = 1.0 if gamma > 0 else -1.0
-        if abs(c2.offset - sign * c1.offset) <= SAME_PLANE_TOL:
-            raise CoaxialCircles(f"coincident circle planes (gamma = {gamma!r})")
-        return gamma, -math.inf
-    disc = 1.0 - (c1.offset ** 2 + c2.offset ** 2 - 2.0 * c1.offset * c2.offset * gamma) / (1.0 - gamma ** 2)
-    return gamma, disc
+def _circle_pairs(cn: Circle, axes, offset):
+    """The circle cn against the circles {x : <a, x> = offset} for the unit rows a of axes.
+
+    Returns (gamma, disc, coaxial) per row: gamma = <cn.axis, a>; disc is
+    positive, zero or negative for two, one or no intersection points (-inf
+    for parallel axes, whose distinct planes meet the sphere in disjoint
+    circles); coaxial flags coincident planes, which have no point count.
+    """
+    gamma = axes @ cn.axis
+    parallel = np.abs(gamma) > 1.0 - COAXIAL_TOL
+    coaxial = parallel & (np.abs(offset - np.sign(gamma) * cn.offset) <= SAME_PLANE_TOL)
+    safe = np.where(parallel, 0.0, gamma)
+    disc = 1.0 - (cn.offset ** 2 + offset ** 2 - 2.0 * cn.offset * offset * safe) / (1.0 - safe ** 2)
+    return gamma, np.where(parallel, -np.inf, disc), coaxial
 
 
 def circle_circle_count(c1: Circle, c2: Circle) -> int:
     """0, 1 or 2 intersection points of two circles on the unit sphere."""
-    _, disc = _circle_pair_data(c1, c2)
-    if disc > 0.0:
-        return 2
-    if disc == 0.0:
-        return 1
-    return 0
+    return len(circle_circle_points(c1, c2))
 
 
 def circle_circle_points(c1: Circle, c2: Circle):
     """The intersection points (possibly empty) as unit 3-vectors."""
-    gamma, disc = _circle_pair_data(c1, c2)
+    (gamma,), (disc,), (coaxial,) = _circle_pairs(c1, c2.axis[None, :], c2.offset)
+    if coaxial:
+        raise CoaxialCircles(f"coincident circle planes (gamma = {float(gamma)!r})")
     if disc < 0.0:
         return []
     denom = 1.0 - gamma ** 2
@@ -91,17 +91,14 @@ def circle_circle_points(c1: Circle, c2: Circle):
     return [base + out_of_plane, base - out_of_plane]
 
 
-def _circle_tangent(circle_axis, point):
-    t = np.cross(circle_axis, point)
-    return t / np.linalg.norm(t)
-
-
-def _factor_tangent_rows(axis1, axis2, p, q):
-    z = np.zeros(3)
-    return np.stack([
-        np.concatenate([_circle_tangent(axis1, p), z]),
-        np.concatenate([z, _circle_tangent(axis2, q)]),
-    ])
+def _circle_tangent_rows(a1, a2, p, q):
+    """Unit tangents at the points (p, q) of the circles about the axes a1 and
+    a2, one per factor, as (k, 2, 6) rows; degenerate where p or q lies on its axis."""
+    rows = np.zeros(p.shape[:-1] + (2, 6))
+    rows[:, 0, :3] = np.cross(a1, p)
+    rows[:, 1, 3:] = np.cross(a2, q)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows / np.where(norms > 0, norms, 1.0), np.any(norms < 1e-12, axis=(1, 2))
 
 
 def count_product_product(n_surface: ProductTorusSurface, g: GroupElement,
@@ -109,18 +106,14 @@ def count_product_product(n_surface: ProductTorusSurface, g: GroupElement,
     """Closed-form count for two product tori: the factor counts multiply."""
     moved1 = l_surface.circle1.transform(g.first)
     moved2 = l_surface.circle2.transform(g.second)
-    pts1 = circle_circle_points(n_surface.circle1, moved1)
-    pts2 = circle_circle_points(n_surface.circle2, moved2)
-    points = []
-    min_trans = 1.0
-    for p in pts1:
-        for q in pts2:
-            x = ProductPoint.from_ambient(np.concatenate([p, q]))
-            tn = _factor_tangent_rows(n_surface.circle1.axis, n_surface.circle2.axis, p, q)
-            tl = _factor_tangent_rows(moved1.axis, moved2.axis, p, q)
-            min_trans = min(min_trans, subspace_angle(tn, tl))
-            points.append(x)
-    return IntersectionResult(len(points), tuple(points), min_trans)
+    x = np.array([np.concatenate([p, q])
+                  for p in circle_circle_points(n_surface.circle1, moved1)
+                  for q in circle_circle_points(n_surface.circle2, moved2)]).reshape(-1, 6)
+    tn, _ = _circle_tangent_rows(n_surface.circle1.axis, n_surface.circle2.axis, x[:, :3], x[:, 3:])
+    tl, _ = _circle_tangent_rows(moved1.axis, moved2.axis, x[:, :3], x[:, 3:])
+    trans = wedge_norm(np.concatenate([tn, tl], axis=1))
+    points = tuple(ProductPoint.from_ambient(row) for row in x)
+    return IntersectionResult(len(points), points, float(trans.min(initial=1.0)))
 
 
 def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
@@ -134,15 +127,9 @@ def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
     coaxial = np.zeros(r1.shape[0], dtype=bool)
     for cn, cl, rot in ((n_surface.circle1, l_surface.circle1, r1),
                         (n_surface.circle2, l_surface.circle2, r2)):
-        axes = rot @ cl.axis
-        gamma = axes @ cn.axis
-        parallel = np.abs(gamma) > 1.0 - COAXIAL_TOL
-        same_plane = parallel & (np.abs(cl.offset - np.sign(gamma) * cn.offset) <= SAME_PLANE_TOL)
+        _, disc, same_plane = _circle_pairs(cn, rot @ cl.axis, cl.offset)
+        counts *= np.where(disc > 0.0, 2, np.where(disc == 0.0, 1, 0))
         coaxial |= same_plane
-        safe = np.where(parallel, 0.0, gamma)
-        disc = 1.0 - (cn.offset ** 2 + cl.offset ** 2 - 2.0 * cn.offset * cl.offset * safe) / (1.0 - safe ** 2)
-        disc = np.where(parallel, -np.inf, disc)
-        counts = counts * np.where(disc > 0, 2, np.where(disc == 0.0, 1, 0))
     return counts, coaxial
 
 
@@ -400,24 +387,9 @@ class _CountingProblem:
         """Wedge angle between the N tangent plane and the moved-L tangent plane."""
         du, dv = self.n_surface.partials(chart_index, U, V)
         t1, t2, bad = orthonormal_pairs(du, dv)
-        p = pts[:, :3]
-        q = pts[:, 3:]
-        l1 = np.cross(a1, p)
-        l2 = np.cross(a2, q)
-        n1 = np.linalg.norm(l1, axis=-1, keepdims=True)
-        n2 = np.linalg.norm(l2, axis=-1, keepdims=True)
-        degenerate = (n1[:, 0] < 1e-12) | (n2[:, 0] < 1e-12) | bad
-        l1 = l1 / np.where(n1 > 0, n1, 1.0)
-        l2 = l2 / np.where(n2 > 0, n2, 1.0)
-        zeros = np.zeros_like(l1)
-        rows = np.stack([
-            t1, t2,
-            np.concatenate([l1, zeros], axis=-1),
-            np.concatenate([zeros, l2], axis=-1),
-        ], axis=1)  # (k, 4, 6)
-        gram = rows @ np.transpose(rows, (0, 2, 1))
-        sigma = np.sqrt(np.clip(np.linalg.det(gram), 0.0, 1.0))
-        return np.where(degenerate, 0.0, sigma)
+        tl, degenerate = _circle_tangent_rows(a1, a2, pts[:, :3], pts[:, 3:])
+        sigma = wedge_norm(np.concatenate([np.stack([t1, t2], axis=1), tl], axis=1))
+        return np.where(degenerate | bad, 0.0, sigma)
 
 
 def count_surface_product(n_surface, g: GroupElement, l_surface: ProductTorusSurface,

@@ -125,11 +125,11 @@ class GroupElement:
         return GroupElement(self.first * other.first, self.second * other.second)
 
 
-def _uniform_blocks(seed: int, start: int, count: int, width: int):
-    """width uniforms per index, width divisible by 4, at absolute stream positions."""
+def _uniform_blocks(seed: int, start: int, count: int):
+    """Four uniforms per index (one Philox block) at absolute stream positions."""
     bg = np.random.Philox(key=int(seed))
-    bg.advance(int(start) * (width // 4))
-    return np.random.Generator(bg).random((count, width))
+    bg.advance(int(start))
+    return np.random.Generator(bg).random((count, 4))
 
 
 def _box_muller(u):
@@ -143,7 +143,7 @@ def _box_muller(u):
 
 def haar_quaternions(seed: int, start: int, count: int):
     """(count, 4) unit quaternions for stream indices start..start+count."""
-    z = _box_muller(_uniform_blocks(seed, start, count, 4))
+    z = _box_muller(_uniform_blocks(seed, start, count))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
@@ -154,9 +154,7 @@ def haar_matrices(seed: int, start: int, count: int):
 
 def group_quaternions(seed: int, start: int, count: int):
     """Two (count, 4) quaternion arrays for group-element stream indices."""
-    z = _box_muller(_uniform_blocks(seed, start, count, 8).reshape(count * 2, 4))
-    q = z / np.linalg.norm(z, axis=-1, keepdims=True)
-    q = q.reshape(count, 2, 4)
+    q = haar_quaternions(seed, 2 * start, 2 * count).reshape(count, 2, 4)
     return q[:, 0, :], q[:, 1, :]
 
 
@@ -176,31 +174,25 @@ def group_element_at(seed: int, index: int) -> GroupElement:
 
 
 class HaarStream:
-    """Sequential view over a counter-based sample stream."""
+    """Sequential cursor over a counter-based sample stream."""
 
     def __init__(self, seed: int, start: int = 0):
         self.seed = int(seed)
         self.cursor = int(start)
 
-    def rotation(self) -> Rotation:
-        r = rotation_at(self.seed, self.cursor)
-        self.cursor += 1
-        return r
-
-    def group_element(self) -> GroupElement:
-        g = group_element_at(self.seed, self.cursor)
-        self.cursor += 1
-        return g
-
 
 def sample_haar_rotation(stream: HaarStream) -> Rotation:
     """Next Haar-uniform rotation from the stream."""
-    return stream.rotation()
+    r = rotation_at(stream.seed, stream.cursor)
+    stream.cursor += 1
+    return r
 
 
 def sample_group_element(stream: HaarStream) -> GroupElement:
     """Next pair of independent Haar rotations from the stream."""
-    return stream.group_element()
+    g = group_element_at(stream.seed, stream.cursor)
+    stream.cursor += 1
+    return g
 
 
 def apply(g: GroupElement, x: ProductPoint) -> ProductPoint:

@@ -77,36 +77,19 @@ class EllipseSemiaxes:
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
-    """Arc length of x^2/a^2 + y^2/b^2 = 1 via the AGM form of the complete
-    elliptic integral of the second kind.
+    """Arc length of x^2/a^2 + y^2/b^2 = 1: the scalar view of ellipse_perimeter_batch.
 
     Continuous in (a, b) including the degenerate cases: a circle of radius r
     gives 2 pi r, a segment (one axis zero) gives 4 times the other axis.
     """
     if a < 0 or b < 0:
         raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
-    big, small = (a, b) if a >= b else (b, a)
-    if big < 1e-300:
-        return 0.0
-    if small / big < DEGENERATE_AXIS:
-        # AGM loses accuracy here; the limit is exact
-        return 4.0 * big
-    m = 1.0 - (small / big) ** 2
-    x, y, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    S = 0.5 * c * c
-    p = 1.0
-    for _ in range(64):
-        x, y, c = 0.5 * (x + y), math.sqrt(x * y), 0.5 * (x - y)
-        S += p * c * c
-        p *= 2.0
-        if c < 1e-18:
-            break
-    K = math.pi / (2.0 * x)
-    return 4.0 * big * K * (1.0 - S)
+    return float(ellipse_perimeter_batch(a, b))
 
 
 def ellipse_perimeter_batch(a, b):
-    """Vectorized AGM perimeter for equal-shape arrays of semiaxes."""
+    """Arc length for equal-shape arrays of semiaxes via the AGM form of the
+    complete elliptic integral of the second kind."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a < 0) or np.any(b < 0):
@@ -114,6 +97,7 @@ def ellipse_perimeter_batch(a, b):
     big = np.maximum(a, b)
     small = np.minimum(a, b)
     safe_big = np.where(big > 0, big, 1.0)
+    # the AGM loses accuracy for a near-segment; the limit there is exact
     degenerate = small / safe_big < DEGENERATE_AXIS
     m = 1.0 - (np.where(degenerate, 0.0, small) / safe_big) ** 2
     x = np.ones_like(m)

@@ -31,9 +31,9 @@ from .intersections import _CountingProblem, counts_product_batch
 from .rotations import VOL_G, group_matrices
 from .sigma import CellInvariants, ellipse_perimeter_batch, sigma_general
 from .surfaces import (
-    GraphSurface,
     MeshSurface,
     ProductTorusSurface,
+    _default_grid,
     great_torus,
     lagrangian_defect,
     surface_quadrature,
@@ -45,6 +45,8 @@ DISCARD_LIMIT = 0.01
 Z_SCORE = 3.0
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
+ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
+CONTOUR_BATCH = 64        # samples per contour-counter call
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,7 @@ def _mean_stderr(counts):
 
 
 def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, seed: int,
-                      grid: int = 128, batch: int = 64,
-                      force_contour: bool = False) -> MonteCarloEstimate:
+                      grid: int = 128, force_contour: bool = False) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[count(N, g L)] over Haar-distributed g.
 
     Product-torus N uses the closed-form factor counts; everything else goes
@@ -123,32 +124,30 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     analytic = isinstance(n_surface, ProductTorusSurface) and not force_contour
     problem = None if analytic else _CountingProblem(n_surface, l_surface, grid)
 
-    counts = []
+    kept = []
+    accepted = 0
     discards = 0
     cursor = 0
-    while len(counts) < samples:
-        todo = min(batch, samples - len(counts))
+    while accepted < samples:
+        # never draw past the samples still needed, so the estimate and the
+        # discard count depend only on the stream, not on the chunk size
+        todo = min(ANALYTIC_CHUNK if analytic else CONTOUR_BATCH, samples - accepted)
         r1, r2 = group_matrices(seed, cursor, todo)
         cursor += todo
         if analytic:
-            vals, coaxial = counts_product_batch(n_surface, r1, r2, l_surface)
-            for c, bad in zip(vals, coaxial):
-                if bad:
-                    discards += 1
-                else:
-                    counts.append(float(c))
+            counts, bad = counts_product_batch(n_surface, r1, r2, l_surface)
         else:
-            for status, c, _, _ in problem.run_batch(r1, r2):
-                if status == "ok":
-                    counts.append(float(c))
-                else:
-                    discards += 1
+            outcomes = problem.run_batch(r1, r2)
+            counts = np.array([c for _, c, _, _ in outcomes])
+            bad = np.array([status != "ok" for status, _, _, _ in outcomes])
+        kept.append(counts[~bad])
+        accepted += kept[-1].size
+        discards += int(np.count_nonzero(bad))
         if discards > DISCARD_LIMIT * samples + 100:
             raise ExcessiveDiscards(f"{discards} discards against {samples} requested samples")
-    counts = counts[:samples]
     if discards > DISCARD_LIMIT * samples:
         raise ExcessiveDiscards(f"{discards}/{samples} samples discarded")
-    mean, stderr = _mean_stderr(counts)
+    mean, stderr = _mean_stderr(np.concatenate(kept).astype(float).tolist())
     return MonteCarloEstimate(mean, stderr, samples, discards)
 
 
@@ -184,8 +183,7 @@ def rhs_theorem6(n_surface, l_surface: ProductTorusSurface, m: int | None = None
     vol_l = volume(l_surface)
     if isinstance(n_surface, MeshSurface):
         return 4.0 * vol_l * _perimeter_integral(n_surface, n_surface.m)
-    if m is None:
-        m = 1024 if isinstance(n_surface, GraphSurface) else 64
+    m = _default_grid(n_surface, m)
     coarse = _perimeter_integral(n_surface, m)
     fine = _perimeter_integral(n_surface, 2 * m)
     if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):

@@ -81,8 +81,9 @@ class TestCommands:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "theta,sigma_quadrature,four_ellipse_perimeter,rel_err"
         assert len(lines) == 6
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(16.0, abs=1e-7)
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert rows[0][0] == 0.0
+        assert rows[0][1] == pytest.approx(16.0, abs=1e-7)
 
     def test_count_command(self, capsys):
         code, out, _ = run_cli(capsys, "count", "great-torus", "great-torus", "--seed", "7")

@@ -59,8 +59,8 @@ class TestEllipsePerimeter:
         batch = ellipse_perimeter_batch(pairs[:, 0], pairs[:, 1])
         for (a, b), got in zip(pairs, batch):
             oracle = ellipse_perimeter_quadrature(a, b)
-            assert abs(got - oracle) < 1e-10
-            assert abs(ellipse_perimeter(a, b) - oracle) < 1e-10
+            assert abs(got - oracle) < 1e-13
+            assert abs(ellipse_perimeter(a, b) - oracle) < 1e-13
 
     def test_continuity_near_degenerate(self):
         lo = ellipse_perimeter(1.0, 9.9e-9)

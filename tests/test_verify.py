@@ -6,7 +6,8 @@ import pytest
 from s2xs2.errors import NotLagrangian
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
-from s2xs2.rotations import VOL_G
+from s2xs2.intersections import _CountingProblem, counts_product_batch
+from s2xs2.rotations import VOL_G, group_matrices
 from s2xs2.surfaces import anti_diagonal, diagonal, great_torus, latitude_torus
 from s2xs2.verify import (
     kernel_rhs_general,
@@ -40,9 +41,15 @@ class TestMonteCarlo:
         assert abs(est.mean - 3.0) <= 3 * est.stderr
 
     def test_determinism_across_batch_sizes(self):
-        a = mc_expected_count(latitude_torus(0.3, 0.3), great_torus(), 2000, seed=5, batch=64)
-        b = mc_expected_count(latitude_torus(0.3, 0.3), great_torus(), 2000, seed=5, batch=17)
-        assert a == b
+        problem = _CountingProblem(anti_diagonal(), great_torus(), 128)
+        r1, r2 = group_matrices(5, 0, 64)
+        split = problem.run_batch(r1[:17], r2[:17]) + problem.run_batch(r1[17:], r2[17:])
+        assert split == problem.run_batch(r1, r2)
+        est = mc_expected_count(latitude_torus(0.3, 0.3), great_torus(), 2000, seed=5)
+        counts, coaxial = counts_product_batch(latitude_torus(0.3, 0.3), *group_matrices(5, 0, 2000),
+                                               great_torus())
+        assert not coaxial.any()
+        assert est.mean == counts.mean()
 
     def test_anti_diagonal_contour_zero_variance(self):
         est = mc_expected_count(anti_diagonal(), great_torus(), 1000, seed=3)
