@@ -20,7 +20,7 @@ import numpy as np
 from . import expressions, verify
 from .errors import S2xS2Error
 from .hamiltonian import FlowParams, deform_surface
-from .intersections import count_product_product, count_surface_product
+from .intersections import MIN_COUNT_GRID, count_product_product, count_surface_product
 from .rotations import group_element_at, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
 from .surfaces import (
@@ -111,6 +111,21 @@ def print_surface_spec(surface, mesh_path: str | None = None) -> str:
     if isinstance(surface, MeshSurface):
         return f"mesh {mesh_path}" if mesh_path else f"mesh <m={surface.m}>"
     raise UsageError(f"cannot print spec for {surface!r}")
+
+
+def _at_least(floor: int):
+    """argparse type: an integer no smaller than floor, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True, sampled=True):
+    def common(p, seeded=True, min_samples=verify.MIN_SAMPLES):
         if seeded:
             p.add_argument("--seed", type=int, default=0)
-        if sampled:
-            p.add_argument("--samples", type=int, default=10000)
+        if min_samples:
+            p.add_argument("--samples", type=_at_least(min_samples), default=10000)
         p.add_argument("--output", type=str, default=None)
+
+    def count_grid(p):
+        p.add_argument("--grid", type=_at_least(MIN_COUNT_GRID), default=MIN_COUNT_GRID)
 
     p = sub.add_parser("ellipse", help="perimeter of an ellipse with the given semiaxes")
     p.add_argument("a", type=float)
@@ -294,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("haar-stats", help="moment checks for the rotation sampler")
-    common(p)
+    common(p, min_samples=2)  # the standard errors need two samples
     p.set_defaults(func=_cmd_haar_stats)
 
     p = sub.add_parser("sigma-table", help="CSV sweep of the kernel against the ellipse form")
@@ -305,15 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="intersection count for one sampled group element")
     p.add_argument("n_spec", type=str)
     p.add_argument("l_spec", type=str)
-    common(p, sampled=False)
-    p.add_argument("--grid", type=int, default=128)
+    common(p, min_samples=None)
+    count_grid(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify-poincare", help="Monte Carlo vs kernel quadrature identity")
     p.add_argument("--surface", type=str, required=True)
     p.add_argument("--against", type=str, default="great-torus")
     common(p)
-    p.add_argument("--grid", type=int, default=128)
+    count_grid(p)
     p.add_argument("--quad-grid", type=int, default=None)
     p.add_argument("--tol-rel", type=float, default=1e-3)
     p.set_defaults(func=_cmd_verify_poincare)
@@ -322,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", type=str, required=True)
     p.add_argument("--against", type=str, default="great-torus")
     common(p)
-    p.add_argument("--grid", type=int, default=128)
+    count_grid(p)
     p.set_defaults(func=_cmd_verify_bounds)
 
     p = sub.add_parser("verify-chain", help="volume chain for a Hamiltonian deformation")
     p.add_argument("--hamiltonian", type=str, required=True)
     p.add_argument("--time", type=float, default=0.5)
     common(p)
-    p.add_argument("--grid", type=int, default=128)
+    count_grid(p)
     p.add_argument("--mesh", type=int, default=128)
     p.set_defaults(func=_cmd_verify_chain)
 

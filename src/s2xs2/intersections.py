@@ -12,6 +12,19 @@ of the f1 = 0 contour on a chart grid, sign-change detection of f2 along the
 contour segments, two-variable Newton refinement, ambient deduplication, and
 a transversality gate.  Counts are recomputed on the doubled grid and any
 disagreement is reported as GridUnstable rather than silently resolved.
+
+The counter is output sensitive.  Each chart grid is cut into blocks of
+CULL_BLOCK x CULL_BLOCK cells, and each block carries a bounding cap (unit
+centre, angular radius) of its N1 nodes and one of its N2 nodes.  Since f_i
+is linear in N_i, the cap bounds f_i over the block's nodes by an interval;
+a (sample, block) pair is evaluated only when both intervals, padded by
+CULL_MARGIN, contain zero.  The padding lies far above the rounding of the
+bound and of the node values, so a block is skipped only when every node
+value the counter would compute there has one sign for f1 or for f2, and no
+cell of it could carry the sign changes of both that a seed needs: the count
+is the one the dense grid gives.  Node values, sign tests and seed
+extraction then run over the kept blocks alone, all samples of a batch at
+once.
 """
 
 from __future__ import annotations
@@ -33,6 +46,8 @@ NEWTON_TOL = 1e-11
 RESIDUAL_ACCEPT = 1e-10
 TRANSVERSALITY_MIN = 1e-8
 MIN_COUNT_GRID = 128
+CULL_BLOCK = 8            # cells per side of a culling block
+CULL_MARGIN = 1e-6        # padding of a block's value interval, far above its rounding
 GRAPH_COUNT_BAND = math.pi / 2 + 0.1  # per-chart seed band; the two bands cover the sphere
 
 
@@ -138,7 +153,15 @@ def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
 # ---------------------------------------------------------------------------
 
 class _ChartGrid:
-    """Fixed evaluation grid of one chart at one resolution."""
+    """Node grid of one chart at one resolution, cut into blocks of cells.
+
+    Along periodic directions the wrap row/column of nodes repeats the opening
+    one, so sign bookkeeping is exact at the seam.  A block is CULL_BLOCK x
+    CULL_BLOCK cells with their boundary nodes; the last block along each
+    direction may be ragged, its node indices clamped to the grid and its
+    missing cells masked out.  Each block carries, per factor, a bounding cap
+    of its nodes.
+    """
 
     def __init__(self, surface, chart: int, m: int):
         ch = surface.charts[chart]
@@ -148,72 +171,107 @@ class _ChartGrid:
             u_lo, u_hi = ch.u_min, ch.u_max
         self.chart = ch
         self.chart_index = chart
-        self.u_nodes = np.linspace(u_lo, u_hi, m + 1)
-        self.v_nodes = np.linspace(ch.v_min, ch.v_max, m + 1)
-        U, V = np.meshgrid(self.u_nodes, self.v_nodes, indexing="ij")
+        u_nodes = np.linspace(u_lo, u_hi, m + 1)
+        v_nodes = np.linspace(ch.v_min, ch.v_max, m + 1)
+        U, V = np.meshgrid(u_nodes, v_nodes, indexing="ij")
         pts = surface.points(chart, U, V)
-        self.p1 = pts[..., :3].reshape(-1, 3)
-        self.p2 = pts[..., 3:].reshape(-1, 3)
-        self.shape = U.shape
+        if ch.periodic_u:
+            pts[-1, :] = pts[0, :]
+        if ch.periodic_v:
+            pts[:, -1] = pts[:, 0]
+        span = np.arange(0, m, CULL_BLOCK)[:, None] + np.arange(CULL_BLOCK + 1)
+        side = np.minimum(span, m)                 # node indices along one block side
+        cells = span[:, :-1] < m                   # real cells along one block side
+        bu, bv = np.divmod(np.arange(len(span) ** 2), len(span))   # block row, column
+        block = pts[side[bu][:, :, None], side[bv][:, None, :]]
+        self.p1 = block[..., :3]                          # (blocks, B+1, B+1, 3)
+        self.p2 = block[..., 3:]
+        self.u = u_nodes[side[bu]]                        # (blocks, B+1)
+        self.v = v_nodes[side[bv]]
+        self.cells = cells[bu][:, :, None] & cells[bv][:, None, :]   # (blocks, B, B)
+        self.cap1 = _bounding_cap(self.p1)
+        self.cap2 = _bounding_cap(self.p2)
 
-    def residuals(self, a1, a2, c1, c2):
-        """f1, f2 on the grid for a batch of rotated axes; shapes (S, nu, nv).
 
-        Along periodic directions the wrap row/column is overwritten with the
-        opening one so sign bookkeeping is exact at the seam.
-        """
-        f1 = a1 @ self.p1.T
-        f2 = a2 @ self.p2.T
-        f1 -= c1
-        f2 -= c2
-        f1 = f1.reshape((-1,) + self.shape)
-        f2 = f2.reshape((-1,) + self.shape)
-        for f in (f1, f2):
-            if self.chart.periodic_u:
-                f[:, -1, :] = f[:, 0, :]
-            if self.chart.periodic_v:
-                f[:, :, -1] = f[:, :, 0]
-        return f1, f2
+def _bounding_cap(pts):
+    """(centre, cos r, sin r) of a spherical cap about each block's middle
+    node that holds every node of the block; pts is (blocks, B+1, B+1, 3).
+    The angular radius r comes from the largest chord, which stays accurate
+    for small blocks."""
+    mid = pts.shape[1] // 2
+    centre = pts[:, mid, mid]
+    diff = pts - centre[:, None, None, :]
+    chord = np.sqrt(np.einsum("bijx,bijx->bij", diff, diff).max(axis=(1, 2)))
+    radius = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    return centre, np.cos(radius), np.sin(radius)
+
+
+def _cap_straddles(cap, axes, offset):
+    """(S, blocks) mask: offset lies in the cap interval of <x, a> for the axis rows a.
+
+    With theta the angle from the cap centre to a, a node within angle r of
+    the centre has <x, a> in [cos(min(theta + r, pi)), cos(max(theta - r, 0))].
+    The interval is padded by CULL_MARGIN, well above its worst rounding
+    (sin theta = sqrt(1 - cos^2 theta) moves by up to ~6e-8 near the poles,
+    every other term by ~1e-15), so a block left out has every node value,
+    as _node_values computes it, of one sign.
+    """
+    centre, cos_r, sin_r = cap
+    d = axes @ centre.T
+    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
+    hi = np.where(d < cos_r, d * cos_r + e * sin_r, 1.0)
+    lo = np.where(d > -cos_r, d * cos_r - e * sin_r, -1.0)
+    return (lo - CULL_MARGIN <= offset) & (offset <= hi + CULL_MARGIN)
+
+
+def _node_values(pts, axes, offset):
+    """Residuals <x, a> - offset at block nodes pts (K, B+1, B+1, 3), one axis row a per block."""
+    return np.einsum("kijx,kx->kij", pts, axes) - offset
+
+
+def _sign_change_cells(f):
+    """(K, B, B) mask of the cells whose corner values of f (K, B+1, B+1) change sign."""
+    s = f > 0.0
+    a = s[:, :-1, :-1]
+    return (s[:, 1:, :-1] != a) | (s[:, 1:, 1:] != a) | (s[:, :-1, 1:] != a)
 
 
 _EDGES = ((0, 1), (1, 2), (3, 2), (0, 3))            # ab, bc, dc, ad
 _CORNER_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))   # a, b, c, d
+_EDGE_FROM, _EDGE_TO = np.array(_EDGES).T
+_SADDLE_BD = ((0, 1), (2, 3))                         # edge pairs isolating b and d
+_SADDLE_AC = ((0, 3), (1, 2))                         # edge pairs isolating a and c
 
 
-def _cell_seeds(f1c, f2c, iu, iv, u_nodes, v_nodes):
-    """Newton seeds from one cell: marching-squares segments of f1 = 0 that
-    carry a sign change of the interpolated f2 between their endpoints."""
-    crossings = {}
-    for edge in _EDGES:
-        e0, e1 = edge
-        fa, fb = f1c[e0], f1c[e1]
-        if (fa > 0.0) == (fb > 0.0):
-            continue
-        t = fa / (fa - fb)
-        (du0, dv0), (du1, dv1) = _CORNER_OFFSETS[e0], _CORNER_OFFSETS[e1]
-        u = u_nodes[iu + du0] + t * (u_nodes[iu + du1] - u_nodes[iu + du0])
-        v = v_nodes[iv + dv0] + t * (v_nodes[iv + dv1] - v_nodes[iv + dv0])
-        crossings[edge] = (u, v, f2c[e0] + t * (f2c[e1] - f2c[e0]))
-    if len(crossings) == 2:
-        segments = [tuple(crossings.values())]
-    elif len(crossings) == 4:
-        # saddle: pair edges so each segment isolates one corner; the sign of
-        # the cell-center average against corner a picks the topology
-        if (f1c.mean() > 0.0) == (f1c[0] > 0.0):
-            pairing = (((0, 1), (1, 2)), ((3, 2), (0, 3)))  # isolate b and d
-        else:
-            pairing = (((0, 1), (0, 3)), ((1, 2), (3, 2)))  # isolate a and c
-        segments = [(crossings[e0], crossings[e1]) for e0, e1 in pairing]
-    else:
-        return []
-    seeds = []
-    for s0, s1 in segments:
-        g0, g1 = s0[2], s1[2]
-        if (g0 > 0.0) == (g1 > 0.0):
-            continue
-        t = g0 / (g0 - g1)
-        seeds.append((s0[0] + t * (s1[0] - s0[0]), s0[1] + t * (s1[1] - s0[1])))
-    return seeds
+def _cell_seeds(f1c, f2c, cu, cv):
+    """Newton seeds from cells: marching-squares segments of f1 = 0 that carry
+    a sign change of the interpolated f2 between their endpoints.
+
+    Each row is one cell with a sign change of f1: corner values f1c, f2c and
+    corner parameters cu, cv, all (A, 4) in corner order a, b, c, d.
+    Returns (cell row, u, v) arrays with one entry per seed.
+    """
+    fa, fb = f1c[:, _EDGE_FROM], f1c[:, _EDGE_TO]
+    crossed = (fa > 0.0) != (fb > 0.0)
+    t = fa / np.where(crossed, fa - fb, 1.0)
+    eu = cu[:, _EDGE_FROM] + t * (cu[:, _EDGE_TO] - cu[:, _EDGE_FROM])
+    ev = cv[:, _EDGE_FROM] + t * (cv[:, _EDGE_TO] - cv[:, _EDGE_FROM])
+    eg = f2c[:, _EDGE_FROM] + t * (f2c[:, _EDGE_TO] - f2c[:, _EDGE_FROM])
+    # two crossed edges make one segment; at a saddle all four are crossed and
+    # the sign of the cell-centre average against corner a picks the pairing
+    saddle = crossed.all(axis=1)
+    isolate_bd = (f1c.sum(axis=1) > 0.0) == (f1c[:, 0] > 0.0)
+    ends = np.where(isolate_bd[:, None, None], _SADDLE_BD, _SADDLE_AC)
+    ends[~saddle, 0] = np.stack([np.argmax(crossed, axis=1),
+                                 3 - np.argmax(crossed[:, ::-1], axis=1)], axis=1)[~saddle]
+    live = np.stack([np.ones_like(saddle), saddle], axis=1)
+    g = eg[np.arange(len(eg))[:, None, None], ends]
+    cell, seg = np.nonzero(live & ((g[..., 0] > 0.0) != (g[..., 1] > 0.0)))
+    e0, e1 = ends[cell, seg, 0], ends[cell, seg, 1]
+    g0, g1 = g[cell, seg, 0], g[cell, seg, 1]
+    t = g0 / (g0 - g1)
+    u0, v0 = eu[cell, e0], ev[cell, e0]
+    return cell, u0 + t * (eu[cell, e1] - u0), v0 + t * (ev[cell, e1] - v0)
 
 
 def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2,
@@ -337,39 +395,31 @@ class _CountingProblem:
         quality = [[] for _ in range(S)]
         failed = np.zeros(S, dtype=bool)
         for grid in grids:
-            f1, f2 = grid.residuals(a1, a2, c1, c2)
-            nu, nv = grid.shape[0] - 1, grid.shape[1] - 1
-            s1 = f1 > 0.0
-            s2 = f2 > 0.0
-            act1 = np.zeros((S, nu, nv), dtype=bool)
-            act2 = np.zeros_like(act1)
-            for di, dj in _CORNER_OFFSETS[1:]:
-                act1 |= s1[:, di:nu + di, dj:nv + dj] != s1[:, :nu, :nv]
-                act2 |= s2[:, di:nu + di, dj:nv + dj] != s2[:, :nu, :nv]
-            seeds_u, seeds_v, seed_sample = [], [], []
-            for s, iu, iv in zip(*np.nonzero(act1 & act2)):
-                cf1 = np.array([f1[s, iu + di, iv + dj] for di, dj in _CORNER_OFFSETS])
-                cf2 = np.array([f2[s, iu + di, iv + dj] for di, dj in _CORNER_OFFSETS])
-                for u, v in _cell_seeds(cf1, cf2, iu, iv, grid.u_nodes, grid.v_nodes):
-                    seeds_u.append(u)
-                    seeds_v.append(v)
-                    seed_sample.append(s)
-            if not seeds_u:
+            # only (sample, block) pairs whose caps reach both circles can hold
+            # a cell where both residuals change sign
+            ks, kb = np.nonzero(_cap_straddles(grid.cap1, a1, c1) & _cap_straddles(grid.cap2, a2, c2))
+            f1 = _node_values(grid.p1[kb], a1[ks], c1)
+            f2 = _node_values(grid.p2[kb], a2[ks], c2)
+            k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])
+            corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
+            cell, seeds_u, seeds_v = _cell_seeds(
+                corners(f1), corners(f2),
+                np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
+                np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
+            )
+            if not cell.size:
                 continue
-            sidx = np.array(seed_sample, dtype=int)
+            sidx = ks[k[cell]]
             U, V, converged, smin = _newton_refine(
                 self.n_surface, grid.chart_index, grid.chart,
-                np.array(seeds_u), np.array(seeds_v), a1[sidx], a2[sidx], c1, c2,
+                seeds_u, seeds_v, a1[sidx], a2[sidx], c1, c2,
             )
             pts = self.n_surface.points(grid.chart_index, U, V)
             trans = self._transversality(grid.chart_index, U, V, pts, a1[sidx], a2[sidx])
-            for k in range(U.shape[0]):
-                s = sidx[k]
-                if not converged[k]:
-                    failed[s] = True
-                    continue
-                roots[s].append(pts[k])
-                quality[s].append((float(smin[k]), float(trans[k])))
+            failed[sidx[~converged]] = True
+            for r in np.nonzero(converged)[0]:
+                roots[sidx[r]].append(pts[r])
+                quality[sidx[r]].append((float(smin[r]), float(trans[r])))
         out = []
         for s in range(S):
             if failed[s]:

@@ -47,6 +47,7 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
 ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
 CONTOUR_BATCH = 64        # samples per contour-counter call
+MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     """
     if not isinstance(l_surface, ProductTorusSurface):
         raise ValueError("L must be a product torus")
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     analytic = isinstance(n_surface, ProductTorusSurface) and not force_contour
     problem = None if analytic else _CountingProblem(n_surface, l_surface, grid)
 

@@ -146,6 +146,43 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
 
+    def test_usage_error_too_few_verify_samples(self, capsys):
+        code, out, err = run_cli(capsys, "verify-poincare", "--surface", "great-torus",
+                                 "--samples", "500")
+        assert code == 2
+        assert out == ""
+        assert "--samples: must be at least 1000, got 500" in err
+
+    def test_usage_error_count_grid_below_floor(self, capsys):
+        code, out, err = run_cli(capsys, "count", "anti-diagonal", "great-torus", "--grid", "64")
+        assert code == 2
+        assert out == ""
+        assert "--grid: must be at least 128, got 64" in err
+
+    def test_usage_error_negative_haar_samples(self, capsys):
+        code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
+        assert code == 2
+        assert out == ""
+        assert "--samples: must be at least 2, got -5" in err
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_usage_error_haar_stats_needs_two_samples(self, capsys, samples):
+        code, out, err = run_cli(capsys, "haar-stats", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "NaN" not in err
+        assert f"--samples: must be at least 2, got {samples}" in err
+
+    def test_haar_stats_two_samples_is_strict_json(self, capsys):
+        code, out, _ = run_cli(capsys, "haar-stats", "--samples", "2", "--seed", "1")
+        assert code in (0, 1)
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+
+    def test_usage_error_non_integer_samples(self, capsys):
+        code, _, err = run_cli(capsys, "haar-stats", "--samples", "many")
+        assert code == 2
+        assert "invalid int value: 'many'" in err
+
     def test_byte_identical_reports_for_fixed_seed(self, capsys, tmp_path):
         argv = ["verify-poincare", "--surface", "latitude-torus 0.5 0.5",
                 "--samples", "1000", "--seed", "21"]

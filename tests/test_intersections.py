@@ -1,11 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s2xs2.errors import CoaxialCircles
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
+    _CORNER_OFFSETS,
+    _EDGES,
+    _cap_straddles,
+    _cell_seeds,
+    _ChartGrid,
+    _CountingProblem,
+    _node_values,
     circle_circle_count,
     circle_circle_points,
     count_product_product,
@@ -13,7 +23,14 @@ from s2xs2.intersections import (
     counts_product_batch,
 )
 from s2xs2.rotations import GroupElement, Rotation, group_element_at, group_matrices
-from s2xs2.surfaces import Circle, ProductTorusSurface, anti_diagonal, great_torus, latitude_torus
+from s2xs2.surfaces import (
+    Circle,
+    GraphSurface,
+    ProductTorusSurface,
+    anti_diagonal,
+    great_torus,
+    latitude_torus,
+)
 
 
 def bisection_circle_count(c1: Circle, c2: Circle, n=4096):
@@ -154,3 +171,142 @@ class TestContourCounter:
             direct = count_product_product(n, g, l).count
             moved = count_product_product(n.transform(g.inverse()), GroupElement.identity(), l)
             assert moved.count == direct
+
+    def test_ragged_blocks_agree_with_analytic_on_product_tori(self):
+        # 130 is not a multiple of the block size: the last block of each
+        # direction is ragged at both levels (130 and 260)
+        n = latitude_torus(-0.35, 0.45)
+        l = latitude_torus(0.15, -0.2)
+        for k in range(20):
+            g = group_element_at(131, k)
+            assert count_surface_product(n, g, l, grid=130).count == count_product_product(n, g, l).count
+
+    @pytest.mark.parametrize("antipodal", [False, True])
+    @pytest.mark.parametrize("l_surface", [great_torus(), latitude_torus(0.3, -0.5)],
+                             ids=["great", "latitude"])
+    def test_graphs_match_circle_oracle(self, antipodal, l_surface):
+        """N = {(z, Mz)} meets g L where z lies on g1 C1 and on M^T g2 C2, so
+        every accepted count must equal that circle-circle count."""
+        checked = silent = flagged = 0
+        for graph in range(2):
+            rot = group_element_at(8800 + graph, 0).first
+            n_surface = GraphSurface(rot, antipodal=antipodal)
+            problem = _CountingProblem(n_surface, l_surface, 128)
+            r1, r2 = group_matrices(8810 + graph, 0, 256)
+            outcomes = [o for start in range(0, 256, 64)
+                        for o in problem.run_batch(r1[start:start + 64], r2[start:start + 64])]
+            c1, c2 = l_surface.circle1, l_surface.circle2
+            for k, (status, count, _, _) in enumerate(outcomes):
+                moved1 = Circle(r1[k] @ c1.axis, c1.offset)
+                pulled2 = Circle(n_surface.map_matrix.T @ (r2[k] @ c2.axis), c2.offset)
+                try:
+                    oracle = circle_circle_count(moved1, pulled2)
+                except CoaxialCircles:
+                    oracle = None
+                checked += 1
+                if status != "ok" or oracle is None:
+                    flagged += 1
+                elif count != oracle:
+                    silent += 1
+        assert checked == 512
+        assert silent == 0
+        assert flagged <= 0.01 * checked
+
+
+def reference_cell_seeds(f1c, f2c, cu, cv):
+    """The per-cell loop the vectorized seed extraction replaced: one cell's
+    marching-squares segments of f1 = 0 with a sign change of f2 along them."""
+    crossings = {}
+    for e0, e1 in _EDGES:
+        fa, fb = f1c[e0], f1c[e1]
+        if (fa > 0.0) == (fb > 0.0):
+            continue
+        t = fa / (fa - fb)
+        crossings[(e0, e1)] = (cu[e0] + t * (cu[e1] - cu[e0]), cv[e0] + t * (cv[e1] - cv[e0]),
+                               f2c[e0] + t * (f2c[e1] - f2c[e0]))
+    if len(crossings) == 2:
+        segments = [tuple(crossings.values())]
+    elif len(crossings) == 4:
+        if (f1c.sum() > 0.0) == (f1c[0] > 0.0):
+            pairing = (((0, 1), (1, 2)), ((3, 2), (0, 3)))
+        else:
+            pairing = (((0, 1), (0, 3)), ((1, 2), (3, 2)))
+        segments = [(crossings[e0], crossings[e1]) for e0, e1 in pairing]
+    else:
+        return []
+    seeds = []
+    for s0, s1 in segments:
+        g0, g1 = s0[2], s1[2]
+        if (g0 > 0.0) != (g1 > 0.0):
+            t = g0 / (g0 - g1)
+            seeds.append((s0[0] + t * (s1[0] - s0[0]), s0[1] + t * (s1[1] - s0[1])))
+    return seeds
+
+
+class TestSeedExtraction:
+    def test_vectorized_seeds_equal_the_cell_loop(self):
+        rng = np.random.default_rng(5)
+        f1c = rng.normal(size=(4000, 4))
+        f1c[:1000] *= (1, -1, 1, -1) * np.sign(f1c[:1000])   # saddles
+        f1c = f1c[(f1c > 0).any(axis=1) & (f1c <= 0).any(axis=1)]
+        f2c = rng.normal(size=f1c.shape)
+        u0, v0 = rng.uniform(0, 6, size=(2, len(f1c)))
+        cu = u0[:, None] + 0.05 * np.array([du for du, _ in _CORNER_OFFSETS])
+        cv = v0[:, None] + 0.05 * np.array([dv for _, dv in _CORNER_OFFSETS])
+        cell, su, sv = _cell_seeds(f1c, f2c, cu, cv)
+        vectorized = sorted(zip(cell.tolist(), su.tolist(), sv.tolist()))
+        looped = sorted((a, u, v) for a in range(len(f1c))
+                        for u, v in reference_cell_seeds(f1c[a], f2c[a], cu[a], cv[a]))
+        assert len(looped) > 1000
+        assert vectorized == looped
+
+
+@functools.lru_cache(maxsize=None)
+def cull_grid(kind, chart, m):
+    surface = {"anti-diagonal": anti_diagonal(), "latitude": latitude_torus(0.3, -0.6)}[kind]
+    return _ChartGrid(surface, chart, m)
+
+
+unit_vectors = st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(lambda v: 0.1 < np.linalg.norm(v))
+
+
+class TestBlockCulling:
+    def test_blocks_tile_the_grid(self):
+        for m in (128, 130):
+            grid = cull_grid("latitude", 0, m)
+            assert grid.cells.sum() == m * m
+            shape = grid.p1.shape[:3]
+            nodes = set(zip(np.broadcast_to(grid.u[:, :, None], shape).ravel(),
+                            np.broadcast_to(grid.v[:, None, :], shape).ravel()))
+            assert len(nodes) == (m + 1) ** 2
+
+    def test_most_blocks_are_culled(self):
+        grid = cull_grid("anti-diagonal", 0, 128)
+        r1, _ = group_matrices(3, 0, 64)
+        kept = _cap_straddles(grid.cap1, r1 @ [0.0, 0.0, 1.0], 0.0)
+        assert kept.mean() < 0.35
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["anti-diagonal", "latitude"]), chart=st.integers(0, 1),
+           m=st.sampled_from([128, 130, 133]), factor=st.integers(0, 1),
+           block=st.integers(0, 10 ** 6), axis=unit_vectors,
+           toward_centre=st.floats(0.0, 1.0), offset=st.floats(-0.999, 0.999),
+           at_extreme=st.booleans(), nudge=st.floats(-1e-5, 1e-5))
+    def test_culled_blocks_have_one_sign(self, kind, chart, m, factor, block, axis,
+                                         toward_centre, offset, at_extreme, nudge):
+        grid = cull_grid(kind, chart if kind == "anti-diagonal" else 0, m)
+        b = block % len(grid.cells)
+        pts = (grid.p1, grid.p2)[factor][b:b + 1]
+        centre, cos_r, sin_r = (grid.cap1, grid.cap2)[factor]
+        cap = (centre[b:b + 1], cos_r[b:b + 1], sin_r[b:b + 1])
+        # pull the axis toward the cap centre to reach the small-angle case
+        a = (1.0 - toward_centre) * np.asarray(axis) / np.linalg.norm(axis) + toward_centre * centre[b]
+        a = (a / np.linalg.norm(a))[None, :]
+        if at_extreme:
+            # an offset beside the block's extreme node value
+            values = _node_values(pts, a, 0.0)
+            offset = float(values.max() if offset > 0 else values.min()) + nudge
+        (kept,), = _cap_straddles(cap, a, offset)
+        if not kept:
+            positive = _node_values(pts, a, offset) > 0.0
+            assert positive.all() or not positive.any()
