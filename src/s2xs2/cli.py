@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="area of a surface spec")
     p.add_argument("surface", type=str)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_at_least(1), default=None)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_volume)
 
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", type=str, default="great-torus")
     common(p)
     count_grid(p)
-    p.add_argument("--quad-grid", type=int, default=None)
+    p.add_argument("--quad-grid", type=_at_least(1), default=None)
     p.add_argument("--tol-rel", type=float, default=1e-3)
     p.set_defaults(func=_cmd_verify_poincare)
 

@@ -390,10 +390,25 @@ def structure_pairing_batch(structure, points, a, b):
     """Signed pairing <J a, b> rows for J or J' at the given base points."""
     if structure not in STRUCTURES:
         raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
-    sign = 1.0 if structure == "J" else -1.0
     points = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ja1 = np.cross(points[..., :3], a[..., :3])
-    ja2 = sign * np.cross(points[..., 3:], a[..., 3:])
-    return np.sum(ja1 * b[..., :3], axis=-1) + np.sum(ja2 * b[..., 3:], axis=-1)
+    return _cross_dot(points[..., :3], a[..., :3], b[..., :3], negate=False) \
+        + _cross_dot(points[..., 3:], a[..., 3:], b[..., 3:], negate=structure == "J'")
+
+
+def _cross_dot(p, a, b, negate):
+    """<p x a, b> (or its negative) along the last axis, by components.
+
+    The products and the order of the sum are those of np.cross followed by
+    np.sum over the last axis, which adds from +0.0, so the rows agree with
+    that form bitwise, signed zeros included, without its temporaries.
+    """
+    p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    t0 = (p1 * a2 - p2 * a1) * b[..., 0]
+    t1 = (p2 * a0 - p0 * a2) * b[..., 1]
+    t2 = (p0 * a1 - p1 * a0) * b[..., 2]
+    if negate:
+        return 0.0 - t0 - t1 - t2
+    return 0.0 + t0 + t1 + t2

@@ -12,7 +12,12 @@ Three concrete models are supported:
 
 Area quadrature is a composite rule over chart grids: node grids along
 periodic directions (trapezoidal weights, exact for the flat tori), midpoint
-grids along non-periodic ones.
+grids along non-periodic ones.  The grids are streamed in row tiles of about
+QUADRATURE_TILE nodes, so the working memory is set by the tile, not by the
+grid.  The models evaluate separably: given a column of u values and a row of
+v values they work out their trig and circle factors on the two axes and
+broadcast once, so a tile costs one transcendental per axis value, and each
+node gets the same value as in a whole-grid evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ TWO_PI = 2.0 * math.pi
 CAP_RADIUS = 0.2          # polar cap excluded from each graph chart
 RAMP_HALF_WIDTH = 0.3     # partition-of-unity ramp around the equator
 MIN_CIRCLE_RADIUS = 1e-6
+QUADRATURE_TILE = 1 << 13  # nodes per streamed quadrature tile
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,16 @@ class Chart:
         ok_u = self.periodic_u or (self.u_min <= u <= self.u_max)
         ok_v = self.periodic_v or (self.v_min <= v <= self.v_max)
         return ok_u and ok_v
+
+
+def _stack(*parts):
+    """One writable (..., k) array from k broadcastable coordinate arrays."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _join(first, second):
+    """One writable (..., 6) array from two broadcastable (..., 3) factor blocks."""
+    return np.concatenate(np.broadcast_arrays(first, second), axis=-1)
 
 
 def _smoothstep4(t):
@@ -119,19 +135,15 @@ class ProductTorusSurface:
         return (Chart(0.0, TWO_PI, 0.0, TWO_PI, True, True),)
 
     def points(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        return np.concatenate([self.circle1.points(u), self.circle2.points(v)], axis=-1)
+        return _join(self.circle1.points(u), self.circle2.points(v))
 
     def partials(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        zero = np.zeros(u.shape + (3,))
-        du = np.concatenate([self.circle1.derivatives(u), zero], axis=-1)
-        dv = np.concatenate([zero, self.circle2.derivatives(v)], axis=-1)
+        du = _join(self.circle1.derivatives(u), np.zeros(np.shape(v) + (3,)))
+        dv = _join(np.zeros(np.shape(u) + (3,)), self.circle2.derivatives(v))
         return du, dv
 
     def weights(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        return np.ones(u.shape)
+        return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def transform(self, g: GroupElement) -> "ProductTorusSurface":
         return ProductTorusSurface(self.circle1.transform(g.first), self.circle2.transform(g.second))
@@ -173,28 +185,27 @@ class GraphSurface:
 
     def _base_points(self, chart, theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
         if chart == 0:
-            return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-        return np.stack([st * np.cos(phi), -st * np.sin(phi), -ct], axis=-1)
+            return _stack(st * cp, st * sp, ct)
+        return _stack(st * cp, -st * sp, -ct)
 
     def _base_partials(self, chart, theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
         cp, sp = np.cos(phi), np.sin(phi)
         if chart == 0:
-            dth = np.stack([ct * cp, ct * sp, -st], axis=-1)
-            dph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+            dth = _stack(ct * cp, ct * sp, -st)
+            dph = _stack(-st * sp, st * cp, 0.0)
         else:
-            dth = np.stack([ct * cp, -ct * sp, st], axis=-1)
-            dph = np.stack([-st * sp, -st * cp, np.zeros_like(st)], axis=-1)
+            dth = _stack(ct * cp, -ct * sp, st)
+            dph = _stack(-st * sp, -st * cp, 0.0)
         return dth, dph
 
     def points(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         z = self._base_points(chart, u, v)
         return np.concatenate([z, z @ self.map_matrix.T], axis=-1)
 
     def partials(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         dth, dph = self._base_partials(chart, u, v)
         du = np.concatenate([dth, dth @ self.map_matrix.T], axis=-1)
         dv = np.concatenate([dph, dph @ self.map_matrix.T], axis=-1)
@@ -203,9 +214,9 @@ class GraphSurface:
     def weights(self, chart, u, v):
         # In each chart's own colatitude the blend profile is the same; the
         # two weights sum to 1 because the smoothstep satisfies s(t)+s(1-t)=1.
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         lo = math.pi / 2 - RAMP_HALF_WIDTH
-        return 1.0 - _smoothstep4((u - lo) / (2.0 * RAMP_HALF_WIDTH))
+        w = 1.0 - _smoothstep4((u - lo) / (2.0 * RAMP_HALF_WIDTH))
+        return np.broadcast_to(w, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def transform(self, g: GroupElement) -> "GraphSurface":
         rot = g.second * self.rotation * g.first.inverse()
@@ -291,8 +302,7 @@ class MeshSurface:
         return d(True), d(False)
 
     def weights(self, chart, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        return np.ones(u.shape)
+        return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def transform(self, g: GroupElement) -> "MeshSurface":
         nodes = np.empty_like(self.nodes)
@@ -372,8 +382,8 @@ def tangent_plane(surface, u: float, v: float, chart: int = 0) -> TangentPlane:
     return TangentPlane.from_ambient(x, b[0], b[1])
 
 
-def chart_sample_grid(surface, chart: int, m: int):
-    """Quadrature grid for one chart: (U, V) meshgrid arrays and the cell area.
+def chart_axes(surface, chart: int, m: int):
+    """Quadrature nodes of one chart: the u axis, the v axis and the cell area.
 
     Node grids along periodic directions, midpoint grids along bounded ones.
     """
@@ -384,33 +394,43 @@ def chart_sample_grid(surface, chart: int, m: int):
         offset = 0.0 if periodic else 0.5
         spans.append((lo + (np.arange(m) + offset) * h, h))
     (us, hu), (vs, hv) = spans
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    return U, V, hu * hv
+    return us, vs, hu * hv
 
 
 def surface_quadrature(surface, m: int):
-    """Yield per-chart quadrature data: dict with points, du, dv, measure.
+    """Yield the quadrature of each chart's m x m grid as row tiles.
 
-    'measure' is the weighted area element per sample: w * sqrt(EG - F^2) * dA.
+    A tile holds whole rows (fixed u) of one chart, about QUADRATURE_TILE
+    nodes; the tiles run through each chart's rows in order.  Each is a dict
+    of flat per-node arrays:
+
+    * 'points' (n, 6): the surface points;
+    * 'du', 'dv' (n, 6): the parameter partials;
+    * 'measure' (n,): the weighted area element w * sqrt(EG - F^2) * dA.
+
+    A node's values do not depend on the tile it falls in.
     """
+    if m < 1:
+        raise ValueError(f"quadrature grid must be at least 1, got {m}")
+    rows = max(1, QUADRATURE_TILE // m)
     for chart in range(len(surface.charts)):
-        U, V, cell = chart_sample_grid(surface, chart, m)
-        pts = surface.points(chart, U, V)
-        du, dv = surface.partials(chart, U, V)
-        E = np.einsum("...k,...k->...", du, du)
-        G = np.einsum("...k,...k->...", dv, dv)
-        F = np.einsum("...k,...k->...", du, dv)
-        dens = np.sqrt(np.maximum(E * G - F * F, 0.0))
-        w = surface.weights(chart, U, V)
-        yield {
-            "chart": chart,
-            "U": U,
-            "V": V,
-            "points": pts.reshape(-1, 6),
-            "du": du.reshape(-1, 6),
-            "dv": dv.reshape(-1, 6),
-            "measure": (w * dens * cell).reshape(-1),
-        }
+        us, vs, cell = chart_axes(surface, chart, m)
+        v = vs[None, :]
+        for start in range(0, m, rows):
+            u = us[start:start + rows, None]
+            pts = surface.points(chart, u, v)
+            du, dv = surface.partials(chart, u, v)
+            E = np.einsum("...k,...k->...", du, du)
+            G = np.einsum("...k,...k->...", dv, dv)
+            F = np.einsum("...k,...k->...", du, dv)
+            dens = np.sqrt(np.maximum(E * G - F * F, 0.0))
+            w = surface.weights(chart, u, v)
+            yield {
+                "points": pts.reshape(-1, 6),
+                "du": du.reshape(-1, 6),
+                "dv": dv.reshape(-1, 6),
+                "measure": (w * dens * cell).reshape(-1),
+            }
 
 
 def _default_grid(surface, m):
@@ -442,9 +462,10 @@ def lagrangian_defect(surface, samples: int = 1024) -> float:
         per_chart = max(4, int(math.ceil(math.sqrt(samples / len(surface.charts)))))
     worst = 0.0
     for chart in range(len(surface.charts)):
-        U, V, _ = chart_sample_grid(surface, chart, per_chart)
-        pts = surface.points(chart, U, V).reshape(-1, 6)
-        du, dv = surface.partials(chart, U, V)
+        us, vs, _ = chart_axes(surface, chart, per_chart)
+        u, v = us[:, None], vs[None, :]
+        pts = surface.points(chart, u, v).reshape(-1, 6)
+        du, dv = surface.partials(chart, u, v)
         t1, t2, bad = orthonormal_pairs(du.reshape(-1, 6), dv.reshape(-1, 6))
         vals = np.abs(omega_batch(pts, t1, t2))
         if np.any(~bad):

@@ -159,6 +159,19 @@ class TestExitCodes:
         assert out == ""
         assert "--grid: must be at least 128, got 64" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("volume", "anti-diagonal", "--grid", "0"), "--grid", "0"),
+        (("volume", "anti-diagonal", "--grid", "-4"), "--grid", "-4"),
+        (("verify-poincare", "--surface", "anti-diagonal", "--samples", "1000",
+          "--quad-grid", "0"), "--quad-grid", "0"),
+    ])
+    def test_usage_error_quadrature_grid_below_one(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"{flag}: must be at least 1, got {value}" in err
+
     def test_usage_error_negative_haar_samples(self, capsys):
         code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
         assert code == 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     projector,
@@ -22,6 +25,7 @@ from s2xs2.geometry import (
     orthonormalize,
     plane_from_invariants,
     rotate_tangent_about_factors,
+    structure_pairing_batch,
     subspace_angle,
     symplectic_form,
     tangent_frame,
@@ -139,6 +143,27 @@ class TestKahlerAngle:
                 assert both == is_split, (t1, t2)
                 hits += both
         assert hits == 4  # (t1, t2) in {0, pi/2, pi}^2 with |t1 -+ t2| = pi/2
+
+
+def np_cross_pairing(structure, points, a, b):
+    """<J a, b> through np.cross: the form the batch kernel replaced, kept as its reference."""
+    sign = 1.0 if structure == "J" else -1.0
+    ja1 = np.cross(points[..., :3], a[..., :3])
+    ja2 = sign * np.cross(points[..., 3:], a[..., 3:])
+    return np.sum(ja1 * b[..., :3], axis=-1) + np.sum(ja2 * b[..., 3:], axis=-1)
+
+
+class TestStructurePairingBatch:
+    @given(rows=st.integers(1, 40).flatmap(
+        lambda n: arrays(float, (3, n, 6), elements=st.floats(-4.0, 4.0, width=64))))
+    @example(rows=np.zeros((3, 2, 6)))
+    @example(rows=np.full((3, 2, 6), -0.0))
+    def test_components_equal_np_cross_bitwise(self, rows):
+        points, a, b = rows
+        for structure in ("J", "J'"):
+            got = structure_pairing_batch(structure, points, a, b)
+            want = np_cross_pairing(structure, points, a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSymplecticForm:

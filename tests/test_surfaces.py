@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from s2xs2 import surfaces, verify
 from s2xs2.errors import DegenerateParameterization, OutOfDomain
 from s2xs2.geometry import kahler_angle
+from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.rotations import group_element_at
 from s2xs2.surfaces import (
     Circle,
     GraphSurface,
     MeshSurface,
     anti_diagonal,
+    chart_axes,
     diagonal,
     evaluate,
     great_torus,
@@ -200,3 +204,100 @@ class TestGraphSurface:
         assert isinstance(surf, GraphSurface)
         assert surf.antipodal
         assert volume(surf, 512) == pytest.approx(8 * math.pi, rel=1e-5)
+
+
+def dense_quadrature(surface, m):
+    """The whole-chart quadrature the row tiles replaced, kept as their reference."""
+    for chart in range(len(surface.charts)):
+        us, vs, cell = chart_axes(surface, chart, m)
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        pts = surface.points(chart, U, V)
+        du, dv = surface.partials(chart, U, V)
+        E = np.einsum("...k,...k->...", du, du)
+        G = np.einsum("...k,...k->...", dv, dv)
+        F = np.einsum("...k,...k->...", du, dv)
+        dens = np.sqrt(np.maximum(E * G - F * F, 0.0))
+        w = surface.weights(chart, U, V)
+        yield {
+            "points": pts.reshape(-1, 6),
+            "du": du.reshape(-1, 6),
+            "dv": dv.reshape(-1, 6),
+            "measure": (w * dens * cell).reshape(-1),
+        }
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def flowed_mesh():
+    h = HamiltonianFunction({(0, 0, 1, 0, 0, 1): 0.3, (1, 0, 0, 0, 0, 0): 0.2})
+    return deform_surface(h, great_torus(), FlowParams(0.4, 16), m=64)
+
+
+QUADRATURE_CASES = [
+    pytest.param(anti_diagonal, 130, id="anti-diagonal"),
+    pytest.param(lambda: anti_diagonal().transform(group_element_at(12, 5)), 130, id="rotated-graph"),
+    pytest.param(lambda: latitude_torus(0.3, -0.6), 130, id="latitude-torus"),
+    pytest.param(flowed_mesh, 64, id="flowed-mesh"),
+]
+
+
+class TestTiledQuadrature:
+    # one row per tile; several rows with a ragged last tile (m = 130 and 64); one tile per chart
+    TILES = [1, 3 * 130 + 7, 10 ** 9]
+
+    @pytest.mark.parametrize("make, m", QUADRATURE_CASES)
+    def test_tiles_agree_with_the_whole_chart(self, monkeypatch, make, m):
+        surface = make()
+        reference = list(dense_quadrature(surface, m))
+        with monkeypatch.context() as patch:
+            patch.setattr(surfaces, "surface_quadrature", dense_quadrature)
+            patch.setattr(verify, "surface_quadrature", dense_quadrature)
+            vol_ref = surfaces.volume(surface, m)
+            perim_ref = verify._perimeter_integral(surface, m)
+        for tile in self.TILES:
+            monkeypatch.setattr(surfaces, "QUADRATURE_TILE", tile)
+            tiles = list(surfaces.surface_quadrature(surface, m))
+            assert sum(t["measure"].size for t in tiles) == len(surface.charts) * m * m
+            for key in ("points", "du", "dv", "measure"):
+                assert same_bits(np.concatenate([t[key] for t in tiles]),
+                                 np.concatenate([r[key] for r in reference]))
+            assert surfaces.volume(surface, m) == pytest.approx(vol_ref, rel=1e-14, abs=0.0)
+            assert verify._perimeter_integral(surface, m) == pytest.approx(perim_ref, rel=1e-14, abs=0.0)
+
+    def test_grid_below_one_is_rejected(self):
+        for m in (0, -4):
+            with pytest.raises(ValueError):
+                next(surfaces.surface_quadrature(anti_diagonal(), m))
+
+    def test_memory_is_set_by_the_tile(self):
+        verify._perimeter_integral(anti_diagonal(), 8)   # imports and caches outside the window
+        tracemalloc.start()
+        try:
+            verify._perimeter_integral(anti_diagonal(), 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-chart grids peak near 140 MB here
+        assert peak < 32 * 2 ** 20
+
+
+class TestSeparableEvaluation:
+    @pytest.mark.parametrize("surface, chart", [
+        (anti_diagonal(), 0),
+        (anti_diagonal(), 1),
+        (GraphSurface(group_element_at(3, 0).first, antipodal=False), 1),
+        (latitude_torus(0.3, -0.6).transform(group_element_at(7, 2)), 0),
+        (MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16), 0),
+    ])
+    def test_axes_evaluation_equals_the_meshgrid(self, surface, chart):
+        us, vs, _ = chart_axes(surface, chart, 37)
+        vs = vs[:29] + 0.01
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        u, v = us[:, None], vs[None, :]
+        assert same_bits(surface.points(chart, u, v), surface.points(chart, U, V))
+        for sep, dense in zip(surface.partials(chart, u, v), surface.partials(chart, U, V)):
+            assert same_bits(sep, dense)
+        assert same_bits(surface.weights(chart, u, v), surface.weights(chart, U, V))
