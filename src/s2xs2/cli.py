@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expressions, verify
 from .errors import S2xS2Error
-from .hamiltonian import FlowParams, deform_surface
+from .hamiltonian import MIN_MESH, MIN_STEPS, FlowParams, deform_surface
 from .intersections import MIN_COUNT_GRID, count_product_product, count_surface_product
 from .rotations import group_element_at, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
@@ -53,6 +53,8 @@ def _parse_axis(text: str):
         axis = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"bad axis component in {text!r}") from exc
+    if not np.isfinite(axis).all():
+        raise UsageError(f"axis must be finite, got {text!r}")
     if np.linalg.norm(axis) < 1e-12:
         raise UsageError(f"axis must be nonzero, got {text!r}")
     return axis / np.linalg.norm(axis)
@@ -126,6 +128,17 @@ def _at_least(floor: int):
         return value
 
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +273,11 @@ def _cmd_verify_chain(args) -> int:
 
 def _cmd_flow(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
-    if args.steps:
-        params = FlowParams(args.time, args.steps)
+    if args.steps is not None:
+        try:
+            params = FlowParams(args.time, args.steps)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         params = FlowParams.for_time(args.time)
     mesh = deform_surface(expr.polynomial(), great_torus(), params, m=args.mesh)
@@ -300,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_at_least(MIN_COUNT_GRID), default=MIN_COUNT_GRID)
 
     p = sub.add_parser("ellipse", help="perimeter of an ellipse with the given semiaxes")
-    p.add_argument("a", type=float)
-    p.add_argument("b", type=float)
+    p.add_argument("a", type=_finite_float)
+    p.add_argument("b", type=_finite_float)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_ellipse)
 
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     count_grid(p)
     p.add_argument("--quad-grid", type=_at_least(1), default=None)
-    p.add_argument("--tol-rel", type=float, default=1e-3)
+    p.add_argument("--tol-rel", type=_finite_float, default=1e-3)
     p.set_defaults(func=_cmd_verify_poincare)
 
     p = sub.add_parser("verify-bounds", help="two-sided intersection bounds")
@@ -345,18 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-chain", help="volume chain for a Hamiltonian deformation")
     p.add_argument("--hamiltonian", type=str, required=True)
-    p.add_argument("--time", type=float, default=0.5)
+    p.add_argument("--time", type=_finite_float, default=0.5)
     common(p)
     count_grid(p)
-    p.add_argument("--mesh", type=int, default=128)
+    p.add_argument("--mesh", type=_at_least(MIN_MESH), default=128)
     p.set_defaults(func=_cmd_verify_chain)
 
     p = sub.add_parser("flow", help="flow the great torus and write the mesh")
     p.add_argument("--hamiltonian", type=str, required=True)
-    p.add_argument("--time", type=float, default=0.5)
+    p.add_argument("--time", type=_finite_float, default=0.5)
     p.add_argument("--emit-mesh", type=str, required=True)
-    p.add_argument("--mesh", type=int, default=128)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--mesh", type=_at_least(MIN_MESH), default=128)
+    p.add_argument("--steps", type=_at_least(MIN_STEPS), default=None)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_flow)
 

@@ -24,6 +24,8 @@ from .surfaces import TWO_PI, MeshSurface, ProductTorusSurface
 
 VARIABLES = ("x1", "y1", "z1", "x2", "y2", "z2")
 MAX_DEGREE = 3
+MIN_MESH = 64   # smallest lattice deform_surface flows
+MIN_STEPS = 16  # smallest RK4 step count of a flow window
 
 
 class HamiltonianFunction:
@@ -89,8 +91,8 @@ class FlowParams:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 16:
-            raise ValueError(f"steps must be >= 16, got {self.steps}")
+        if self.steps < MIN_STEPS:
+            raise ValueError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
         if self.dt > 0.05:
             raise ValueError(f"dt = {self.dt:.4f} exceeds 0.05; increase steps")
 
@@ -100,7 +102,7 @@ class FlowParams:
 
     @classmethod
     def for_time(cls, time: float, dt_target: float = 0.01):
-        steps = max(16, int(math.ceil(abs(time) / dt_target))) if time else 16
+        steps = max(MIN_STEPS, int(math.ceil(abs(time) / dt_target))) if time else MIN_STEPS
         return cls(time, steps)
 
 
@@ -151,8 +153,8 @@ def flow_point(H: HamiltonianFunction, x: ProductPoint, params: FlowParams) -> P
 def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
                    params: FlowParams, m: int = 128) -> MeshSurface:
     """Flow every lattice node of a product torus; returns the deformed mesh."""
-    if m < 64:
-        raise ValueError(f"mesh resolution m must be >= 64, got {m}")
+    if m < MIN_MESH:
+        raise ValueError(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
     t = np.arange(m) * (TWO_PI / m)
     U, V = np.meshgrid(t, t, indexing="ij")
     nodes = surface.points(0, U, V).reshape(-1, 6)

@@ -63,6 +63,8 @@ class Rotation:
 
     def __init__(self, quaternion):
         q = np.asarray(quaternion, dtype=float).reshape(4)
+        if not np.isfinite(q).all():
+            raise ValueError(f"quaternion must be finite, got {q}")
         n = np.linalg.norm(q)
         if n < 1e-14:
             raise ValueError("zero quaternion")
@@ -78,7 +80,10 @@ class Rotation:
     @classmethod
     def from_axis_angle(cls, axis, angle):
         axis = np.asarray(axis, dtype=float).reshape(3)
-        axis = axis / np.linalg.norm(axis)
+        n = np.linalg.norm(axis)
+        if not (np.isfinite(n) and n >= 1e-14 and np.isfinite(angle)):
+            raise ValueError(f"need a finite nonzero axis and a finite angle, got {axis}, {angle}")
+        axis = axis / n
         half = 0.5 * angle
         return cls(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
 

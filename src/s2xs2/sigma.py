@@ -12,15 +12,19 @@ the averaged pairing of the rotated wedges reduces algebraically to
     |K + P cos(phi) cos(psi) + Q sin(phi) sin(psi)|
 
 for constants K, P, Q read off the basis components (see _kernel_coefficients).
-The double integral over (phi, psi) in [0, 2pi)^2 is evaluated by a
-tensor-product midpoint rule on dyadically refined grids with Richardson
-extrapolation; kinks of the absolute value are measure zero and average out.
+For fixed phi the psi-terms are R cos(psi - alpha), R = sqrt(P^2 cos^2 phi +
+Q^2 sin^2 phi), and the psi-integral is closed-form: 2 pi |K| if |K| >= R,
+else 4 sqrt(R^2 - K^2) + 4 |K| arcsin(|K| / R).  sigma_general integrates that
+over phi in [0, pi/2] (R has period pi and is even about pi/2) by adaptive
+quadrature, with the one kink sin^2 phi* = (K^2 - P^2) / (Q^2 - P^2), where
+|K| = R, as a breakpoint.  Nothing is cached; a call takes under a millisecond.
 
 For a plane pair in which the first plane is Lagrangian and the second is the
 normal plane of a product of curves, K = 0, P = cos^2, Q = sin^2, and the
 integral equals 4 times the arc length of the ellipse with semiaxes
 (sin^2, cos^2); the test suite sweeps that identity against the independent
-AGM/quadrature perimeter below.
+AGM perimeter below.  K = 0 stays on the phi-quadrature rather than being
+routed through the AGM, so that sweep keeps comparing two routes.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ from .geometry import Bivector, ProductPoint, TangentPlane, structure_pairing
 LAGRANGIAN_TOL = 1e-6
 DEGENERATE_AXIS = 1e-8
 
-_LEVELS = (512, 1024, 2048, 4096, 8192)
-_CACHE_DIGITS = 12
-_sigma_cache: dict = {}
+KERNEL_TOL = 1e-12  # relative tolerance of the kernel's phi-quadrature
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,20 @@ class CellInvariants:
         )
 
 
+def _check_semiaxes(a: float, b: float):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"semiaxes must be finite, got ({a}, {b})")
+    if a < 0 or b < 0:
+        raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
+
+
 @dataclass(frozen=True)
 class EllipseSemiaxes:
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise NegativeAxis(f"semiaxes must be nonnegative, got ({self.a}, {self.b})")
+        _check_semiaxes(self.a, self.b)
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -82,8 +90,7 @@ def ellipse_perimeter(a: float, b: float) -> float:
     Continuous in (a, b) including the degenerate cases: a circle of radius r
     gives 2 pi r, a segment (one axis zero) gives 4 times the other axis.
     """
-    if a < 0 or b < 0:
-        raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
+    _check_semiaxes(a, b)
     return float(ellipse_perimeter_batch(a, b))
 
 
@@ -117,8 +124,7 @@ def ellipse_perimeter_batch(a, b):
 
 def ellipse_perimeter_quadrature(a: float, b: float) -> float:
     """Independent cross-check: adaptive quadrature of the arc-length integral."""
-    if a < 0 or b < 0:
-        raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
+    _check_semiaxes(a, b)
 
     def speed(t):
         return math.hypot(a * math.cos(t), b * math.sin(t))
@@ -156,51 +162,37 @@ def _kernel_coefficients(inv: CellInvariants):
     return K, P, Q
 
 
-def _midpoint_level(K: float, P: float, Q: float, n: int) -> float:
-    h = 2.0 * np.pi / n
-    t = (np.arange(n) + 0.5) * h
-    cos_t, sin_t = np.cos(t), np.sin(t)
-    chunk = max(1, (1 << 22) // n)
-    parts = []
-    for i in range(0, n, chunk):
-        M = K + P * np.outer(cos_t[i:i + chunk], cos_t) + Q * np.outer(sin_t[i:i + chunk], sin_t)
-        parts.append(float(np.abs(M, out=M).sum()))
-    return math.fsum(parts) * h * h
+def _inner_integral(phi: float, K: float, P: float, Q: float) -> float:
+    """INT_0^{2 pi} |K + P cos(phi) cos(psi) + Q sin(phi) sin(psi)| d psi, in closed form."""
+    R = math.hypot(P * math.cos(phi), Q * math.sin(phi))
+    k = abs(K)
+    if k >= R:
+        return 2.0 * math.pi * k
+    # 4 w + 4 k arcsin(k / R) with w = sqrt(R^2 - k^2), written through
+    # arcsin(k / R) = pi/2 - atan2(w, k): arcsin near 1 would turn the rounding
+    # of k / R into an error of order sqrt(eps) where the branches meet
+    w = math.sqrt((R - k) * (R + k))
+    return 2.0 * math.pi * k + 4.0 * (w - k * math.atan2(w, k))
 
 
-def sigma_general(inv: CellInvariants, rel_tol: float = 1e-8,
-                  max_level: int = _LEVELS[-1]) -> float:
+def sigma_general(inv: CellInvariants) -> float:
     """Rotation-averaged angle kernel for the plane pair with the given invariants.
 
-    Tensor-product midpoint quadrature over the (phi, psi) torus, refined
-    dyadically; successive Richardson extrapolations must agree to rel_tol or
-    QuadratureNotConverged is raised.  Values lie in [0, (2 pi)^2].
+    4 times the phi-quadrature over [0, pi/2] of the closed-form psi-integral,
+    with the kink phi* as a breakpoint when it lies inside (module docstring).
+    A quadrature that misses KERNEL_TOL raises QuadratureNotConverged.  Values
+    lie in [0, (2 pi)^2].
     """
-    K, P, Q = _kernel_coefficients(inv)
-    lo, hi = sorted((abs(P), abs(Q)))
-    key = (round(abs(K), _CACHE_DIGITS), round(lo, _CACHE_DIGITS),
-           round(hi, _CACHE_DIGITS), rel_tol, max_level)
-    hit = _sigma_cache.get(key)
-    if hit is not None:
-        return hit
-
-    levels = [n for n in _LEVELS if n <= max_level]
-    if len(levels) < 3:
-        raise ValueError("max_level too small for a refinement check")
-    I_prev = _midpoint_level(K, P, Q, levels[0])
-    I_cur = _midpoint_level(K, P, Q, levels[1])
-    R_prev = (4.0 * I_cur - I_prev) / 3.0
-    for n in levels[2:]:
-        I_prev, I_cur = I_cur, _midpoint_level(K, P, Q, n)
-        R = (4.0 * I_cur - I_prev) / 3.0
-        if abs(R - R_prev) <= rel_tol * max(abs(R), 1.0):
-            _sigma_cache[key] = R
-            return R
-        R_prev = R
-    raise QuadratureNotConverged(
-        f"kernel quadrature for K={K:.6g}, P={P:.6g}, Q={Q:.6g} did not reach "
-        f"relative agreement {rel_tol:.1e} by level {levels[-1]}"
-    )
+    K, P, Q = (float(c) for c in _kernel_coefficients(inv))
+    s2 = (K * K - P * P) / (Q * Q - P * P) if P * P != Q * Q else 0.0
+    points = (math.asin(math.sqrt(s2)),) if 0.0 < s2 < 1.0 else None
+    value, _, _, *failure = integrate.quad(
+        _inner_integral, 0.0, 0.5 * math.pi, args=(K, P, Q), points=points,
+        epsabs=0.0, epsrel=KERNEL_TOL, limit=200, full_output=1)
+    if failure:
+        raise QuadratureNotConverged(
+            f"kernel quadrature for K={K:.6g}, P={P:.6g}, Q={Q:.6g} missed {KERNEL_TOL:.0e}")
+    return 4.0 * value
 
 
 def sigma_general_reference(inv: CellInvariants, n: int = 256) -> float:

@@ -83,11 +83,13 @@ class Circle:
 
     def __init__(self, axis, offset: float = 0.0):
         axis = np.asarray(axis, dtype=float).reshape(3)
+        offset = float(offset)
+        if not (np.isfinite(axis).all() and math.isfinite(offset)):
+            raise ValueError(f"circle axis and offset must be finite, got {axis}, {offset}")
         n = np.linalg.norm(axis)
         if n < 1e-14:
             raise ValueError("circle axis must be nonzero")
         axis = axis / n
-        offset = float(offset)
         if abs(offset) >= 1.0 or math.sqrt(max(0.0, 1.0 - offset * offset)) < MIN_CIRCLE_RADIUS:
             raise ValueError(f"degenerate circle: offset {offset}")
         aux = np.array([0.0, 1.0, 0.0]) if abs(axis[1]) <= 0.9 else np.array([1.0, 0.0, 0.0])
@@ -248,6 +250,8 @@ class MeshSurface:
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[0] != nodes.shape[1] or nodes.shape[2] != 6:
             raise ValueError(f"nodes must be (m, m, 6), got {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise ValueError("mesh nodes must be finite")
         n1 = np.linalg.norm(nodes[..., :3], axis=-1)
         n2 = np.linalg.norm(nodes[..., 3:], axis=-1)
         worst = max(float(np.abs(n1 - 1.0).max()), float(np.abs(n2 - 1.0).max()))

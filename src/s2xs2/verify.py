@@ -217,13 +217,13 @@ def _normal_invariant_samples(surface, m: int):
     return np.concatenate(angles, axis=0), np.concatenate(weights)
 
 
-def kernel_rhs_general(n_surface, l_surface, m: int = 16,
-                       kernel_rel_tol: float = 1e-6, kernel_max_level: int = 4096) -> float:
+def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
     """General kernel side: double surface quadrature of the angle kernel.
 
-    Works for any supported surface pair (no Lagrangian or product hypothesis);
-    the kernel is evaluated once per distinct invariant pair, so surfaces with
-    constant invariants collapse to a single evaluation.  Slow path.
+    Works for any supported surface pair (no Lagrangian or product hypothesis).
+    The kernel is evaluated once per distinct pair of invariants, so the cost
+    is the loop over those pairs, at well under a millisecond each; surfaces
+    with constant invariants collapse to a single evaluation.
     """
     ang_n, w_n = _normal_invariant_samples(n_surface, m)
     ang_l, w_l = _normal_invariant_samples(l_surface, m)
@@ -236,8 +236,7 @@ def kernel_rhs_general(n_surface, l_surface, m: int = 16,
         for (a_l, b_l), wl in zip(uniq_l, mass_l):
             inv = CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n),
                                  0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
-            total.append(wn * wl * sigma_general(inv, rel_tol=kernel_rel_tol,
-                                                 max_level=kernel_max_level))
+            total.append(wn * wl * sigma_general(inv))
     return math.fsum(total)
 
 

@@ -191,6 +191,76 @@ class TestExitCodes:
         assert code in (0, 1)
         json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
 
+    @pytest.mark.parametrize("argv", [
+        ("volume", "latitude-torus 0.2 0.3 nan,0,1 0,0,1"),
+        ("count", "latitude-torus 0.2 0.3 inf,0,1 0,0,1", "great-torus"),
+        ("verify-bounds", "--surface", "latitude-torus 0.2 0.3 nan,0,1 0,0,1", "--samples", "1000"),
+    ], ids=["volume", "count", "verify-bounds"])
+    def test_usage_error_non_finite_axis(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "axis must be finite" in err
+
+    def test_usage_error_non_finite_mesh_node(self, capsys, tmp_path):
+        from s2xs2.surfaces import great_torus, save_mesh
+
+        path = tmp_path / "nan.mesh"
+        save_mesh(MeshSurface.sample_from(great_torus(), 8), path)
+        lines = path.read_text().splitlines()
+        lines[5] = " ".join(["nan"] + lines[5].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "volume", f"mesh {path}")
+        assert code == 2
+        assert out == ""
+        assert "mesh nodes must be finite" in err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("ellipse", "nan", "1"), "a", "nan"),
+        (("ellipse", "inf", "1"), "a", "inf"),
+        (("ellipse", "1", "nan"), "b", "nan"),
+        (("verify-chain", "--hamiltonian", "0.1*z1", "--time", "nan"), "--time", "nan"),
+        (("flow", "--hamiltonian", "0.1*z1", "--time", "inf", "--emit-mesh", "/tmp/never.mesh"),
+         "--time", "inf"),
+        (("verify-poincare", "--surface", "great-torus", "--tol-rel", "nan"), "--tol-rel", "nan"),
+    ])
+    def test_usage_error_non_finite_float(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"{flag}: must be finite, got {value!r}" in err
+
+    @pytest.mark.parametrize("argv, flag, floor, value", [
+        (("verify-chain", "--hamiltonian", "0.1*z1", "--mesh", "0"), "--mesh", 64, "0"),
+        (("flow", "--hamiltonian", "0.1*z1", "--mesh", "0"), "--mesh", 64, "0"),
+        (("flow", "--hamiltonian", "0.1*z1", "--steps", "5"), "--steps", 16, "5"),
+        (("flow", "--hamiltonian", "0.1*z1", "--steps", "0"), "--steps", 16, "0"),
+    ])
+    def test_usage_error_flow_size_below_floor(self, capsys, tmp_path, argv, flag, floor, value):
+        mesh_path = tmp_path / "never.mesh"
+        code, out, err = run_cli(capsys, *argv, "--emit-mesh", str(mesh_path)) \
+            if argv[0] == "flow" else run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag}: must be at least {floor}, got {value}" in err
+        assert not mesh_path.exists()
+
+    def test_usage_error_flow_step_too_long(self, capsys, tmp_path):
+        mesh_path = tmp_path / "never.mesh"
+        code, out, err = run_cli(capsys, "flow", "--hamiltonian", "0.1*z1", "--time", "1",
+                                 "--steps", "16", "--emit-mesh", str(mesh_path))
+        assert code == 2
+        assert out == ""
+        assert "exceeds 0.05" in err
+        assert not mesh_path.exists()
+
+    def test_flow_honours_explicit_steps(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "flow", "--hamiltonian", "0.1*z1", "--time", "0.5",
+                               "--steps", "20", "--mesh", "64", "--emit-mesh", str(tmp_path / "f.mesh"))
+        assert code == 0
+        assert json.loads(out)["steps"] == 20
+
     def test_usage_error_non_integer_samples(self, capsys):
         code, _, err = run_cli(capsys, "haar-stats", "--samples", "many")
         assert code == 2

@@ -286,7 +286,7 @@ class TestBlockCulling:
         kept = _cap_straddles(grid.cap1, r1 @ [0.0, 0.0, 1.0], 0.0)
         assert kept.mean() < 0.35
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(kind=st.sampled_from(["anti-diagonal", "latitude"]), chart=st.integers(0, 1),
            m=st.sampled_from([128, 130, 133]), factor=st.integers(0, 1),
            block=st.integers(0, 10 ** 6), axis=unit_vectors,

@@ -56,6 +56,19 @@ class TestRotationType:
         back = (r.inverse() * r).apply_vec([0.3, 0.4, 0.5])
         assert np.allclose(back, [0.3, 0.4, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("axis, angle", [
+        ([0, 0, 0], 1.0), ([math.nan, 0, 1], 1.0), ([math.inf, 0, 1], 1.0),
+        ([0, 0, 1], math.nan), ([0, 0, 1], math.inf),
+    ])
+    def test_axis_angle_rejects_zero_or_non_finite(self, axis, angle):
+        with pytest.raises(ValueError):
+            Rotation.from_axis_angle(axis, angle)
+
+    @pytest.mark.parametrize("quaternion", [[math.nan, 0, 0, 0], [1, math.inf, 0, 0], [0, 0, 0, 0]])
+    def test_rejects_zero_or_non_finite_quaternion(self, quaternion):
+        with pytest.raises(ValueError):
+            Rotation(quaternion)
+
 
 class TestDeterminism:
     def test_rotation_index_addressing(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_lagrangian_plane, random_product_point
 from s2xs2.errors import NegativeAxis, NotLagrangianNormal
@@ -10,7 +12,6 @@ from s2xs2.sigma import (
     CellInvariants,
     EllipseSemiaxes,
     _kernel_coefficients,
-    _midpoint_level,
     ellipse_perimeter,
     ellipse_perimeter_batch,
     ellipse_perimeter_quadrature,
@@ -23,10 +24,49 @@ from s2xs2.sigma import (
 )
 
 FOUR_PI = 4 * math.pi
+FOUR_PI_SQ = 4 * math.pi ** 2
+
+# the first 12 draws of default_rng(1) in [0, pi]^4; the 2-D midpoint/Richardson
+# route the kernel used to take raised QuadratureNotConverged on two of them
+REGRESSION_DRAWS = np.random.default_rng(1).uniform(0, math.pi, (12, 4))
+
+angles = st.floats(-math.pi, 2 * math.pi)
 
 
 def lagrangian_invariants(theta):
     return CellInvariants(theta, theta - math.pi / 2, math.pi / 2, 0.0)
+
+
+def _midpoint_level(K, P, Q, n, m=None):
+    """Midpoint sum of |K + P cos(phi) cos(psi) + Q sin(phi) sin(psi)| on n x m torus nodes."""
+    m = n if m is None else m
+    h_phi, h_psi = 2.0 * np.pi / n, 2.0 * np.pi / m
+    phi = (np.arange(n) + 0.5) * h_phi
+    psi = (np.arange(m) + 0.5) * h_psi
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    chunk = max(1, (1 << 16) // m)  # rows per block; a block stays in cache
+    parts = []
+    for i in range(0, n, chunk):
+        rows = phi[i:i + chunk]
+        M = K + P * np.outer(np.cos(rows), cos_psi) + Q * np.outer(np.sin(rows), sin_psi)
+        parts.append(float(np.abs(M, out=M).sum()))
+    return math.fsum(parts) * h_phi * h_psi
+
+
+def richardson_reference(inv, n=2048):
+    """The 2-D route: Richardson extrapolation of the midpoint sums at n and 2n phi-nodes.
+
+    psi takes 4 more nodes than phi.  With P = +-Q (any tie theta1 = theta2 or
+    tau1 = tau2) the integrand depends on phi +- psi alone, and on a square
+    grid the sum collapses to an n-point rule across a kink that Richardson
+    cannot extrapolate: 1.1e-7 off at (1, 1, 0.5, pi/2).  An n x (n + 4) grid
+    spreads phi +- psi over lcm(n, n + 4) points and keeps 0, pi/2, pi, 3pi/2
+    on cell edges at both levels.
+    """
+    K, P, Q = _kernel_coefficients(inv)
+    coarse = _midpoint_level(K, P, Q, n, n + 4)
+    fine = _midpoint_level(K, P, Q, 2 * n, 2 * n + 8)
+    return (4.0 * fine - coarse) / 3.0
 
 
 class TestEllipsePerimeter:
@@ -53,6 +93,13 @@ class TestEllipsePerimeter:
         with pytest.raises(NegativeAxis):
             EllipseSemiaxes(1.0, -1e-9)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf)])
+    def test_non_finite_axis(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            ellipse_perimeter(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            EllipseSemiaxes(a, b)
+
     def test_agm_matches_quadrature(self):
         rng = np.random.default_rng(100)
         pairs = rng.uniform(0.0, 1.0, size=(100, 2))
@@ -76,9 +123,12 @@ class TestSigmaGeneral:
             == pytest.approx(16.0, abs=1e-8)
 
     def test_diagonal_midpoint(self):
-        # integrand |cos(phi - psi)| / 2, integral 4 pi
-        assert sigma_general(CellInvariants(math.pi / 4, -math.pi / 4, math.pi / 2, 0.0)) \
-            == pytest.approx(FOUR_PI, abs=1e-8)
+        # integrand |cos(phi - psi)| / 2, integral 4 pi; P = Q makes R constant
+        # with |K| < R, so no phi separates the branches and there is no breakpoint
+        inv = CellInvariants(math.pi / 4, -math.pi / 4, math.pi / 2, 0.0)
+        k, p, q = _kernel_coefficients(inv)
+        assert p == q and abs(k) < abs(p)
+        assert sigma_general(inv) == pytest.approx(FOUR_PI, abs=1e-14)
 
     def test_matches_ellipse_form_on_cell_interior(self):
         for theta in np.linspace(math.pi / 4, 3 * math.pi / 4, 33):
@@ -101,6 +151,42 @@ class TestSigmaGeneral:
         # both planes product-type: integrand |sin(phi) sin(psi)|, value 16
         assert sigma_general(CellInvariants(math.pi / 2, 0.0, math.pi / 2, 0.0)) \
             == pytest.approx(16.0, abs=1e-8)
+
+    @pytest.mark.parametrize("draw", range(len(REGRESSION_DRAWS)))
+    def test_generic_draws_converge(self, draw):
+        inv = CellInvariants(*REGRESSION_DRAWS[draw])
+        value = sigma_general(inv)
+        assert 0.0 <= value <= FOUR_PI_SQ
+        assert value == pytest.approx(richardson_reference(inv), rel=1e-7)
+
+    @settings(max_examples=30)
+    @given(st.builds(CellInvariants, angles, angles, angles, angles))
+    # |K|, |P| and |Q| agree to rounding, so R(phi) grazes |K| at every phi
+    @example(CellInvariants(0.0, 1.0, 1.0, 1.0))
+    def test_matches_two_dimensional_reference(self, inv):
+        value = sigma_general(inv)
+        assert 0.0 <= value <= FOUR_PI_SQ
+        assert value == pytest.approx(richardson_reference(inv), rel=1e-7)
+
+    def test_constant_sign_branch(self):
+        # |K| >= R(phi) for every phi: the integrand keeps one sign, value 4 pi^2 |K|
+        inv = CellInvariants(math.pi / 2, math.pi / 2 - 0.1, 0.05, 0.0)
+        k, p, q = _kernel_coefficients(inv)
+        assert abs(k) > max(abs(p), abs(q)) and p != q
+        assert sigma_general(inv) == pytest.approx(FOUR_PI_SQ * abs(k), rel=1e-14)
+        assert sigma_general(inv) == pytest.approx(richardson_reference(inv), rel=1e-12)
+
+    def test_kink_breakpoint(self):
+        # sin^2 phi* = 0.0379 lies inside; without the breakpoint the quadrature
+        # reports convergence 4.8e-10 off.  Frozen from a 40-digit mpmath
+        # quadrature of the closed-form psi-integral, split at phi*.
+        inv = CellInvariants(-2.341478275900152, -1.3176381689926122,
+                             -1.1259437531783743, 4.950916904879859)
+        assert sigma_general(inv) == pytest.approx(4.886461805739943961537, rel=1e-14)
+
+    def test_zero_coefficients(self):
+        assert _kernel_coefficients(CellInvariants(0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+        assert sigma_general(CellInvariants(0.0, 0.0, 0.0, 0.0)) == 0.0
 
     def test_cell_membership_flag(self):
         assert CellInvariants(math.pi / 2, 0.0, math.pi / 2, 0.0).in_cell

@@ -45,6 +45,13 @@ class TestCircle:
         with pytest.raises(ValueError):
             Circle([0, 0, 1], 1.0 - 1e-14)
 
+    @pytest.mark.parametrize("axis, offset", [
+        ([math.nan, 0, 1], 0.2), ([math.inf, 0, 1], 0.2), ([0, 0, 1], math.nan), ([0, 0, 1], -math.inf),
+    ])
+    def test_non_finite_rejected(self, axis, offset):
+        with pytest.raises(ValueError):
+            Circle(axis, offset)
+
     def test_points_on_constraint_plane(self):
         c = Circle([0.3, -0.4, 0.5], 0.37)
         s = np.linspace(0, 2 * math.pi, 50)
@@ -152,6 +159,12 @@ class TestMeshSurface:
     def test_rejects_off_sphere_nodes(self):
         nodes = np.ones((4, 4, 6))
         with pytest.raises(ValueError):
+            MeshSurface(nodes)
+
+    def test_rejects_non_finite_node(self):
+        nodes = MeshSurface.sample_from(great_torus(), 8).nodes.copy()
+        nodes[2, 5, 4] = math.nan
+        with pytest.raises(ValueError, match="finite"):
             MeshSurface(nodes)
 
     def test_interpolation_matches_nodes(self):
