@@ -262,8 +262,17 @@ def _cmd_verify_bounds(args) -> int:
     return _emit_report(report, args)
 
 
+def _flow_window(build, *args) -> FlowParams:
+    """build(*args) for the flow window, with a ValueError reported as a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_verify_chain(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
+    _flow_window(FlowParams.for_time, args.time, verify.CHAIN_DT)  # fail before any flow starts
     report = verify.verify_main_chain(
         expr.polynomial(), args.time, args.samples, args.seed,
         m=args.mesh, count_grid=args.grid,
@@ -273,13 +282,10 @@ def _cmd_verify_chain(args) -> int:
 
 def _cmd_flow(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
-    if args.steps is not None:
-        try:
-            params = FlowParams(args.time, args.steps)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    if args.steps is None:
+        params = _flow_window(FlowParams.for_time, args.time)
     else:
-        params = FlowParams.for_time(args.time)
+        params = _flow_window(FlowParams, args.time, args.steps)
     mesh = deform_surface(expr.polynomial(), great_torus(), params, m=args.mesh)
     save_mesh(mesh, args.emit_mesh)
     payload = json.dumps(

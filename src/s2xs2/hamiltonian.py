@@ -26,10 +26,47 @@ VARIABLES = ("x1", "y1", "z1", "x2", "y2", "z2")
 MAX_DEGREE = 3
 MIN_MESH = 64   # smallest lattice deform_surface flows
 MIN_STEPS = 16  # smallest RK4 step count of a flow window
+MAX_STEPS = 100_000  # largest RK4 step count of a flow window
+
+
+def _factors(exp) -> tuple[tuple[int, int], ...]:
+    """The (variable, power) pairs of a monomial, in ascending variable order."""
+    return tuple((i, e) for i, e in enumerate(exp) if e)
+
+
+def _points(X) -> np.ndarray:
+    """X as a float array of ambient points (..., 6)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0 or X.shape[-1] != 6:
+        raise ValueError(f"points must have shape (..., 6), got {X.shape}")
+    return X
+
+
+def _evaluate(table, X) -> np.ndarray | float:
+    """Sum over (c, factors) of c * prod x_i ** p, term by term in table order.
+
+    Each column of X is read where a factor needs it, and a power is taken by
+    repeated multiplication (x * x, then x * x * x), so a square-free monomial
+    rounds exactly as the product of its variables in ascending order.
+    """
+    acc = 0.0
+    for coeff, factors in table:
+        prod = None
+        for i, p in factors:
+            x = X[..., i]
+            power = x if p == 1 else x * x if p == 2 else x * x * x
+            prod = power if prod is None else prod * power
+        acc = acc + (coeff if prod is None else coeff * prod)
+    return acc
 
 
 class HamiltonianFunction:
-    """Polynomial Hamiltonian with exact term-wise gradient."""
+    """Polynomial Hamiltonian with exact term-wise gradient.
+
+    The value and each gradient component are read from tables of
+    (coefficient, factors) pairs built once, so an evaluation costs a few
+    column products per monomial whatever the array layout of the points.
+    """
 
     def __init__(self, terms: dict[tuple[int, ...], float]):
         clean = {}
@@ -42,8 +79,13 @@ class HamiltonianFunction:
             if coeff != 0.0:
                 clean[exp] = clean.get(exp, 0.0) + float(coeff)
         self.terms = {e: c for e, c in sorted(clean.items()) if c != 0.0}
-        self._exps = np.array(list(self.terms.keys()), dtype=int).reshape(-1, 6)
-        self._coeffs = np.array(list(self.terms.values()), dtype=float)
+        self._value_table = [(c, _factors(exp)) for exp, c in self.terms.items()]
+        # d/dx_j of c * x^exp is (c * exp_j) * x^(exp - e_j)
+        self._gradient_tables = [
+            [(c * exp[j], _factors(exp[:j] + (exp[j] - 1,) + exp[j + 1:]))
+             for exp, c in self.terms.items() if exp[j]]
+            for j in range(6)
+        ]
 
     @classmethod
     def zero(cls):
@@ -56,24 +98,18 @@ class HamiltonianFunction:
         return cls({tuple(exp): coeff})
 
     def value(self, X):
-        """Evaluate at ambient points; X is (..., 6)."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[:-1])
-        for exp, c in zip(self._exps, self._coeffs):
-            out += c * np.prod(X ** exp, axis=-1)
+        """Evaluate at ambient points; X is (..., 6), the result X.shape[:-1]."""
+        X = _points(X)
+        out = np.empty(X.shape[:-1])
+        out[...] = _evaluate(self._value_table, X)
         return out
 
     def gradient(self, X):
-        """Ambient gradient at points; returns an array shaped like X."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        for exp, c in zip(self._exps, self._coeffs):
-            for j in range(6):
-                if exp[j] == 0:
-                    continue
-                dexp = exp.copy()
-                dexp[j] -= 1
-                out[..., j] += c * exp[j] * np.prod(X ** dexp, axis=-1)
+        """Ambient gradient at points; returns an array shaped (and laid out) like X."""
+        X = _points(X)
+        out = np.empty_like(X)
+        for j, table in enumerate(self._gradient_tables):
+            out[..., j] = _evaluate(table, X)
         return out
 
     def __call__(self, X):
@@ -93,8 +129,10 @@ class FlowParams:
     def __post_init__(self):
         if self.steps < MIN_STEPS:
             raise ValueError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
-        if self.dt > 0.05:
-            raise ValueError(f"dt = {self.dt:.4f} exceeds 0.05; increase steps")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}; shorten the time")
+        if abs(self.dt) > 0.05:
+            raise ValueError(f"|dt| = {abs(self.dt):.4f} exceeds 0.05; increase steps")
 
     @property
     def dt(self) -> float:
@@ -106,48 +144,74 @@ class FlowParams:
         return cls(time, steps)
 
 
-def _renormalized(X):
-    X = np.array(X, dtype=float)
-    X[..., :3] /= np.linalg.norm(X[..., :3], axis=-1, keepdims=True)
-    X[..., 3:] /= np.linalg.norm(X[..., 3:], axis=-1, keepdims=True)
-    return X
+# The flow works on component-major (6, n) C-contiguous points S: row i holds
+# coordinate i of every point, so each coordinate is one contiguous vector and
+# S.T is the (n, 6) view HamiltonianFunction.gradient reads column by column.
+# Every formula keeps the operation order of its point-major (n, 6) form
+# (np.cross, np.linalg.norm), so flowed points do not depend on the layout.
+
+def _component_major(X) -> np.ndarray:
+    """A (6, n) C-contiguous copy of the checked ambient points X (..., 6)."""
+    return np.ascontiguousarray(X.reshape(-1, 6).T)
+
+
+def _renormalize(S):
+    """Scale both factors of the component-major points S back to unit length, in place."""
+    for f in (S[:3], S[3:]):
+        f /= np.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
+    return S
+
+
+def _field(H: HamiltonianFunction, S):
+    """X_H = (grad_p H x p, grad_q H x q) at component-major points S; shaped like S."""
+    G = H.gradient(S.T).T
+    out = np.empty_like(S)
+    for k in (0, 3):
+        (g0, g1, g2), (x0, x1, x2) = G[k:k + 3], S[k:k + 3]
+        out[k] = g1 * x2 - g2 * x1
+        out[k + 1] = g2 * x0 - g0 * x2
+        out[k + 2] = g0 * x1 - g1 * x0
+    return out
 
 
 def field_batch(H: HamiltonianFunction, X):
     """X_H at ambient points X of shape (..., 6)."""
-    G = H.gradient(X)
-    out = np.empty_like(np.asarray(X, dtype=float))
-    out[..., :3] = np.cross(G[..., :3], np.asarray(X)[..., :3])
-    out[..., 3:] = np.cross(G[..., 3:], np.asarray(X)[..., 3:])
-    return out
+    X = _points(X)
+    return np.ascontiguousarray(_field(H, _component_major(X)).T).reshape(X.shape)
 
 
 def hamiltonian_vector_field(H: HamiltonianFunction, x: ProductPoint) -> TangentVector:
     """The Hamiltonian field at a point; tangent by construction."""
-    v = field_batch(H, x.ambient[None, :])[0]
+    v = field_batch(H, x.ambient)
     return TangentVector(v[:3], v[3:])
 
 
 def flow_points(H: HamiltonianFunction, X, params: FlowParams):
-    """Flow a batch of ambient points for the full window; returns (..., 6)."""
-    X = _renormalized(X)
+    """Flow a batch of ambient points for the full window; returns (..., 6).
+
+    Classical RK4 with every stage renormalized to the spheres, on one
+    component-major state; one gradient evaluation per stage.
+    """
+    X = _points(X)
+    S = _renormalize(_component_major(X))
     dt = params.dt
     for _ in range(params.steps):
-        k1 = field_batch(H, X)
-        k2 = field_batch(H, _renormalized(X + (0.5 * dt) * k1))
-        k3 = field_batch(H, _renormalized(X + (0.5 * dt) * k2))
-        k4 = field_batch(H, _renormalized(X + dt * k3))
-        X_next = _renormalized(X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        moved = float(np.linalg.norm(X_next - X, axis=-1).max()) if X.size else 0.0
+        k1 = _field(H, S)
+        k2 = _field(H, _renormalize(S + (0.5 * dt) * k1))
+        k3 = _field(H, _renormalize(S + (0.5 * dt) * k2))
+        k4 = _field(H, _renormalize(S + dt * k3))
+        S_next = _renormalize(S + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        d = S_next - S
+        moved = math.sqrt(float((d * d).sum(axis=0).max())) if S.size else 0.0
         if moved > 0.5:
             raise StepSizeTooLarge(f"step displacement {moved:.3f} > 0.5; reduce dt")
-        X = X_next
-    return X
+        S = S_next
+    return np.ascontiguousarray(S.T).reshape(X.shape)
 
 
 def flow_point(H: HamiltonianFunction, x: ProductPoint, params: FlowParams) -> ProductPoint:
     """Endpoint of the integral curve of X_H starting at x."""
-    return ProductPoint.from_ambient(flow_points(H, x.ambient[None, :], params)[0])
+    return ProductPoint.from_ambient(flow_points(H, x.ambient, params))
 
 
 def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
@@ -157,18 +221,12 @@ def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
         raise ValueError(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
     t = np.arange(m) * (TWO_PI / m)
     U, V = np.meshgrid(t, t, indexing="ij")
-    nodes = surface.points(0, U, V).reshape(-1, 6)
-    flowed = flow_points(H, nodes, params)
-    return MeshSurface(flowed.reshape(m, m, 6))
+    return MeshSurface(flow_points(H, surface.points(0, U, V), params))
 
 
 def pushforward(H: HamiltonianFunction, x: ProductPoint, v: TangentVector,
                 params: FlowParams, eps: float = 1e-5) -> TangentVector:
     """Central-difference pushforward of a tangent vector under the time-t flow."""
-    X = np.stack([
-        _renormalized(x.ambient + eps * v.ambient),
-        _renormalized(x.ambient - eps * v.ambient),
-    ])
-    Y = flow_points(H, X, params)
+    Y = flow_points(H, [x.ambient + eps * v.ambient, x.ambient - eps * v.ambient], params)
     d = (Y[0] - Y[1]) / (2.0 * eps)
     return TangentVector(d[:3], d[3:])

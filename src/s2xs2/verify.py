@@ -45,6 +45,7 @@ DISCARD_LIMIT = 0.01
 Z_SCORE = 3.0
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
+CHAIN_DT = 0.0125         # target RK4 step of the deformation chain's flow
 ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
 CONTOUR_BATCH = 64        # samples per contour-counter call
 MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
@@ -316,7 +317,7 @@ def verify_prop4_bounds(n_surface, l_surface, samples: int, seed: int,
 
 def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
                       samples: int, seed: int, m: int = 128,
-                      dt_target: float = 0.0125, count_grid: int = 128,
+                      dt_target: float = CHAIN_DT, count_grid: int = 128,
                       quad_rel_tol: float = 1e-6,
                       raise_on_violation: bool = False,
                       name: str = "volume-chain") -> VerificationReport:

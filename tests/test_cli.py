@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from s2xs2.cli import UsageError, main, parse_surface_spec, print_surface_spec
+from s2xs2.hamiltonian import MAX_STEPS
 from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface
 
 
@@ -253,6 +255,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "exceeds 0.05" in err
+        assert not mesh_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("flow", "--hamiltonian", "0.1*z1", "--time", "1e6"),
+        ("flow", "--hamiltonian", "0.1*z1", "--time", "1e4", "--steps", "200000"),
+        ("verify-chain", "--hamiltonian", "0.1*z1", "--time", "1e6"),
+    ], ids=["flow-time", "flow-steps", "verify-chain-time"])
+    def test_usage_error_flow_beyond_step_cap(self, capsys, tmp_path, argv):
+        mesh_path = tmp_path / "never.mesh"
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--emit-mesh", str(mesh_path)) \
+            if argv[0] == "flow" else run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"steps must be <= {MAX_STEPS}" in err
         assert not mesh_path.exists()
 
     def test_flow_honours_explicit_steps(self, capsys, tmp_path):

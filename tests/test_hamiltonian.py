@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_product_point, random_tangent_vector
 from s2xs2.errors import DegreeTooHigh, StepSizeTooLarge
 from s2xs2.geometry import symplectic_form
 from s2xs2.hamiltonian import (
+    MAX_STEPS,
     FlowParams,
     HamiltonianFunction,
     deform_surface,
@@ -15,7 +19,7 @@ from s2xs2.hamiltonian import (
     hamiltonian_vector_field,
     pushforward,
 )
-from s2xs2.surfaces import great_torus, lagrangian_defect, volume
+from s2xs2.surfaces import TWO_PI, MeshSurface, great_torus, lagrangian_defect, volume
 
 FOUR_PI_SQ = 4 * math.pi ** 2
 
@@ -29,6 +33,84 @@ def random_points(rng, n):
     x[:, :3] /= np.linalg.norm(x[:, :3], axis=1, keepdims=True)
     x[:, 3:] /= np.linalg.norm(x[:, 3:], axis=1, keepdims=True)
     return x
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation: every monomial as np.prod(X ** exp) over all six
+# columns, and the point-major RK4 loop built on it with np.cross and
+# np.linalg.norm.  The module evaluates from derivative tables on
+# component-major columns; square-free monomials round identically.
+# ---------------------------------------------------------------------------
+
+def reference_value(H, X):
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[:-1])
+    for exp, c in H.terms.items():
+        out += c * np.prod(X ** np.array(exp), axis=-1)
+    return out
+
+
+def reference_gradient(H, X):
+    X = np.asarray(X, dtype=float)
+    out = np.zeros_like(X)
+    for exp, c in H.terms.items():
+        exp = np.array(exp)
+        for j in range(6):
+            if exp[j] == 0:
+                continue
+            dexp = exp.copy()
+            dexp[j] -= 1
+            out[..., j] += c * exp[j] * np.prod(X ** dexp, axis=-1)
+    return out
+
+
+def _reference_renormalized(X):
+    X = np.array(X, dtype=float)
+    X[..., :3] /= np.linalg.norm(X[..., :3], axis=-1, keepdims=True)
+    X[..., 3:] /= np.linalg.norm(X[..., 3:], axis=-1, keepdims=True)
+    return X
+
+
+def _reference_field(H, X):
+    G = reference_gradient(H, X)
+    out = np.empty_like(X)
+    out[..., :3] = np.cross(G[..., :3], X[..., :3])
+    out[..., 3:] = np.cross(G[..., 3:], X[..., 3:])
+    return out
+
+
+def reference_flow(H, X, params):
+    X = _reference_renormalized(X)
+    dt = params.dt
+    for _ in range(params.steps):
+        k1 = _reference_field(H, X)
+        k2 = _reference_field(H, _reference_renormalized(X + (0.5 * dt) * k1))
+        k3 = _reference_field(H, _reference_renormalized(X + (0.5 * dt) * k2))
+        k4 = _reference_field(H, _reference_renormalized(X + dt * k3))
+        X = _reference_renormalized(X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return X
+
+
+def _monomial(variables):
+    return tuple(variables.count(i) for i in range(6))
+
+
+coefficients = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: c != 0.0)
+cubic_polynomials = st.dictionaries(
+    st.lists(st.integers(0, 5), max_size=3).map(_monomial), coefficients, min_size=1, max_size=8,
+).map(HamiltonianFunction)
+# monomials none of whose partial derivatives has a squared factor: the
+# square-free ones of degree <= 3 and the pure squares x_i^2
+square_free_derivative_polynomials = st.dictionaries(
+    st.one_of(st.sets(st.integers(0, 5), max_size=3).map(lambda vs: _monomial(sorted(vs))),
+              st.integers(0, 5).map(lambda i: _monomial([i, i]))),
+    coefficients, min_size=1, max_size=8,
+).map(HamiltonianFunction)
+point_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _absolute(H):
+    return HamiltonianFunction({exp: abs(c) for exp, c in H.terms.items()})
 
 
 class TestHamiltonianFunction:
@@ -56,6 +138,32 @@ class TestHamiltonianFunction:
     def test_zero_collapses(self):
         H = HamiltonianFunction({(1, 0, 0, 0, 0, 0): 0.0})
         assert H.terms == {}
+
+    @given(cubic_polynomials, point_seeds)
+    def test_value_and_gradient_match_reference(self, H, seed):
+        X = 2.0 * np.random.default_rng(seed).normal(size=(64, 6))
+        # relative to the sum of |terms|, so cancellation in the sum does not count
+        value_scale = reference_value(_absolute(H), np.abs(X))
+        gradient_scale = reference_gradient(_absolute(H), np.abs(X))
+        assert np.all(np.abs(H.value(X) - reference_value(H, X)) <= 1e-15 * value_scale)
+        assert np.all(np.abs(H.gradient(X) - reference_gradient(H, X)) <= 1e-15 * gradient_scale)
+
+    @given(square_free_derivative_polynomials, point_seeds)
+    def test_gradient_is_bitwise_reference_without_squared_factors(self, H, seed):
+        X = np.random.default_rng(seed).normal(size=(64, 6))
+        assert H.gradient(X).tobytes() == reference_gradient(H, X).tobytes()
+
+    @pytest.mark.parametrize("method", ["value", "gradient"])
+    @pytest.mark.parametrize("shape", [(5, 7), (5, 5), (6, 1), ()])
+    def test_points_must_have_six_coordinates(self, method, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            getattr(H_MIXED, method)(np.zeros(shape))
+
+    def test_shapes_follow_the_points(self):
+        X = np.zeros((3, 4, 6))
+        assert H_MIXED.value(X).shape == (3, 4)
+        assert H_MIXED.gradient(X).shape == (3, 4, 6)
+        assert H_MIXED.value(X[0, 0]).shape == ()
 
 
 class TestVectorField:
@@ -127,6 +235,13 @@ class TestFlow:
             FlowParams(1.0, 8)       # too few steps
         with pytest.raises(ValueError):
             FlowParams(2.0, 16)      # dt too large
+        with pytest.raises(ValueError):
+            FlowParams(-2.0, 16)     # backward, |dt| too large
+        with pytest.raises(ValueError, match=f"<= {MAX_STEPS}"):
+            FlowParams(1.0, MAX_STEPS + 1)
+        with pytest.raises(ValueError, match=f"<= {MAX_STEPS}"):
+            FlowParams.for_time(1e6, 0.0125)  # 8e7 steps
+        assert FlowParams(1000.0, MAX_STEPS).steps == MAX_STEPS
         assert FlowParams.for_time(0.5).dt <= 0.01
 
 
@@ -147,6 +262,17 @@ class TestDeformSurface:
         mesh = deform_surface(H, great_torus(), FlowParams(0.5, 40), m=128)
         assert lagrangian_defect(mesh) < 1e-6
         assert volume(mesh) >= FOUR_PI_SQ - 1e-3
+
+    def test_matches_reference_rk4_bitwise(self):
+        H = HamiltonianFunction({(1, 0, 0, 1, 0, 0): 1.0, (0, 1, 0, 0, 1, 1): 0.5})  # A4's
+        params = FlowParams.for_time(0.5, 0.0125)
+        m = 64
+        mesh = deform_surface(H, great_torus(), params, m=m)
+        t = np.arange(m) * (TWO_PI / m)
+        U, V = np.meshgrid(t, t, indexing="ij")
+        nodes = great_torus().points(0, U, V).reshape(-1, 6)
+        expected = MeshSurface(reference_flow(H, nodes, params).reshape(m, m, 6))
+        assert mesh.nodes.tobytes() == expected.nodes.tobytes()
 
     def test_mesh_resolution_floor(self):
         with pytest.raises(ValueError):
