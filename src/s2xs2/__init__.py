@@ -2,7 +2,6 @@
 bounds for surfaces in the product of two unit 2-spheres."""
 
 from .errors import (
-    ChainViolation,
     CoaxialCircles,
     DegenerateParameterization,
     DegreeTooHigh,
@@ -53,13 +52,10 @@ from .rotations import (
     VOL_K,
     VOL_SO3,
     GroupElement,
-    HaarStream,
     MeasureConstants,
     Rotation,
     apply,
     apply_tangent,
-    sample_group_element,
-    sample_haar_rotation,
 )
 from .sigma import (
     CellInvariants,

@@ -108,7 +108,8 @@ def print_surface_spec(surface, mesh_path: str | None = None) -> str:
             return "great-torus"
         ax = lambda a: ",".join(repr(float(x)) for x in a)
         return f"latitude-torus {c1.offset!r} {c2.offset!r} {ax(c1.axis)} {ax(c2.axis)}"
-    if isinstance(surface, GraphSurface):
+    if isinstance(surface, GraphSurface) and surface.antipodal \
+            and np.array_equal(surface.rotation.matrix, np.eye(3)):
         return "anti-diagonal"
     if isinstance(surface, MeshSurface):
         return f"mesh {mesh_path}" if mesh_path else f"mesh <m={surface.m}>"
@@ -202,12 +203,9 @@ def _cmd_haar_stats(args) -> int:
 
 
 def _cmd_sigma_table(args) -> int:
-    k = args.theta_steps
-    if k < 2:
-        raise UsageError("--theta-steps must be at least 2")
     lines = ["theta,sigma_quadrature,four_ellipse_perimeter,rel_err"]
     worst = 0.0
-    for theta in np.linspace(0.0, math.pi / 2.0, k):
+    for theta in np.linspace(0.0, math.pi / 2.0, args.theta_steps):
         inv = CellInvariants(theta, theta - math.pi / 2.0, math.pi / 2.0, 0.0)
         lhs = sigma_general(inv)
         rhs = 4.0 * ellipse_perimeter(math.sin(theta) ** 2, math.cos(theta) ** 2)
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_haar_stats)
 
     p = sub.add_parser("sigma-table", help="CSV sweep of the kernel against the ellipse form")
-    p.add_argument("--theta-steps", type=int, default=33)
+    p.add_argument("--theta-steps", type=_at_least(2), default=33)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_sigma_table)
 

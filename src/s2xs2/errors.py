@@ -57,16 +57,6 @@ class StepSizeTooLarge(S2xS2Error):
     """A single integrator step moved a point farther than allowed."""
 
 
-class ChainViolation(S2xS2Error):
-    """The inequality chain A >= B >= C failed; carries all three values."""
-
-    def __init__(self, message, a, b, c):
-        super().__init__(message)
-        self.a = a
-        self.b = b
-        self.c = c
-
-
 class ExpressionSyntaxError(S2xS2Error):
     """Expression text failed to parse; carries byte position and expected set."""
 

@@ -256,7 +256,7 @@ def symplectic_form(x: ProductPoint, u: TangentVector, v: TangentVector) -> floa
     return float(omega_batch(x.ambient, u.ambient, v.ambient))
 
 
-def orthonormalize(rows, cond_limit=1e6):
+def orthonormalize(rows):
     """Modified Gram-Schmidt on the rows, re-orthogonalized if badly conditioned.
 
     Returns a (k, d) array with orthonormal rows spanning the same subspace.
@@ -281,7 +281,7 @@ def orthonormalize(rows, cond_limit=1e6):
         return Q, shrink
 
     Q, shrink = mgs(A / norms_in[:, None])
-    if shrink < 1.0 / cond_limit:
+    if shrink < 1e-6:  # a row lost six digits to the projections: run MGS again
         Q, _ = mgs(Q)
     return Q
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeTooHigh, StepSizeTooLarge
 from .geometry import ProductPoint, TangentVector
-from .surfaces import TWO_PI, MeshSurface, ProductTorusSurface
+from .surfaces import MeshSurface, ProductTorusSurface, lattice_points
 
 VARIABLES = ("x1", "y1", "z1", "x2", "y2", "z2")
 MAX_DEGREE = 3
@@ -139,8 +139,8 @@ class FlowParams:
         return self.time / self.steps
 
     @classmethod
-    def for_time(cls, time: float, dt_target: float = 0.01):
-        steps = max(MIN_STEPS, int(math.ceil(abs(time) / dt_target))) if time else MIN_STEPS
+    def for_time(cls, time: float, max_dt: float = 0.01):
+        steps = max(MIN_STEPS, int(math.ceil(abs(time) / max_dt))) if time else MIN_STEPS
         return cls(time, steps)
 
 
@@ -219,9 +219,7 @@ def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
     """Flow every lattice node of a product torus; returns the deformed mesh."""
     if m < MIN_MESH:
         raise ValueError(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
-    t = np.arange(m) * (TWO_PI / m)
-    U, V = np.meshgrid(t, t, indexing="ij")
-    return MeshSurface(flow_points(H, surface.points(0, U, V), params))
+    return MeshSurface(flow_points(H, lattice_points(surface, m), params))
 
 
 def pushforward(H: HamiltonianFunction, x: ProductPoint, v: TangentVector,

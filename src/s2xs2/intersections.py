@@ -173,8 +173,7 @@ class _ChartGrid:
         self.chart_index = chart
         u_nodes = np.linspace(u_lo, u_hi, m + 1)
         v_nodes = np.linspace(ch.v_min, ch.v_max, m + 1)
-        U, V = np.meshgrid(u_nodes, v_nodes, indexing="ij")
-        pts = surface.points(chart, U, V)
+        pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
         if ch.periodic_u:
             pts[-1, :] = pts[0, :]
         if ch.periodic_v:

@@ -59,7 +59,7 @@ def quaternion_to_matrix(q):
 class Rotation:
     """An element of SO(3) stored as a unit quaternion; matrix derived on demand."""
 
-    __slots__ = ("quaternion", "_matrix")
+    __slots__ = ("quaternion",)
 
     def __init__(self, quaternion):
         q = np.asarray(quaternion, dtype=float).reshape(4)
@@ -71,7 +71,6 @@ class Rotation:
         q = q / n
         q.flags.writeable = False
         self.quaternion = q
-        self._matrix = None
 
     @classmethod
     def identity(cls):
@@ -89,11 +88,7 @@ class Rotation:
 
     @property
     def matrix(self):
-        if self._matrix is None:
-            M = quaternion_to_matrix(self.quaternion)
-            M.flags.writeable = False
-            self._matrix = M
-        return self._matrix
+        return quaternion_to_matrix(self.quaternion)
 
     def inverse(self):
         w, x, y, z = self.quaternion
@@ -125,9 +120,6 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.first.inverse(), self.second.inverse())
-
-    def __mul__(self, other):
-        return GroupElement(self.first * other.first, self.second * other.second)
 
 
 def _uniform_blocks(seed: int, start: int, count: int):
@@ -169,35 +161,10 @@ def group_matrices(seed: int, start: int, count: int):
     return quaternion_to_matrix(q1), quaternion_to_matrix(q2)
 
 
-def rotation_at(seed: int, index: int) -> Rotation:
-    return Rotation(haar_quaternions(seed, index, 1)[0])
-
-
 def group_element_at(seed: int, index: int) -> GroupElement:
+    """Element i of a group-element stream: the scalar view of group_quaternions."""
     q1, q2 = group_quaternions(seed, index, 1)
     return GroupElement(Rotation(q1[0]), Rotation(q2[0]))
-
-
-class HaarStream:
-    """Sequential cursor over a counter-based sample stream."""
-
-    def __init__(self, seed: int, start: int = 0):
-        self.seed = int(seed)
-        self.cursor = int(start)
-
-
-def sample_haar_rotation(stream: HaarStream) -> Rotation:
-    """Next Haar-uniform rotation from the stream."""
-    r = rotation_at(stream.seed, stream.cursor)
-    stream.cursor += 1
-    return r
-
-
-def sample_group_element(stream: HaarStream) -> GroupElement:
-    """Next pair of independent Haar rotations from the stream."""
-    g = group_element_at(stream.seed, stream.cursor)
-    stream.cursor += 1
-    return g
 
 
 def apply(g: GroupElement, x: ProductPoint) -> ProductPoint:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NegativeAxis, NotLagrangianNormal, QuadratureNotConverged
-from .geometry import Bivector, ProductPoint, TangentPlane, structure_pairing
+from .geometry import ProductPoint, TangentPlane, structure_pairing, structure_pairing_batch
 
 LAGRANGIAN_TOL = 1e-6
 DEGENERATE_AXIS = 1e-8
@@ -195,31 +195,34 @@ def sigma_general(inv: CellInvariants) -> float:
     return 4.0 * value
 
 
-def sigma_general_reference(inv: CellInvariants, n: int = 256) -> float:
-    """Literal evaluation of the averaged wedge pairing on an n x n midpoint grid.
+def lagrangian_semiaxes_batch(points, t1, t2):
+    """Ellipse semiaxes ((1+s)/2, (1-s)/2) of Lagrangian planes along the last axis.
 
-    Builds the rotated bases and their wedges explicitly; used to validate the
-    algebraic reduction behind sigma_general, not for production accuracy.
+    (t1, t2) are orthonormal bases of tangent planes at the base points.  s is
+    the sine of the plane's J' angle, which equals that of its orthogonal
+    complement, so the semiaxes belong to the normal plane too.
     """
-    u1, u2, v1, v2 = _normal_form_bases(inv)
-    h = 2.0 * np.pi / n
-    t = (np.arange(n) + 0.5) * h
-    wedge_u = np.empty((n, 6))
-    wedge_v = np.empty((n, 6))
-    for i, angle in enumerate(t):
-        ca, sa = math.cos(angle), math.sin(angle)
-        a = np.array([[ca, sa, 0, 0], [-sa, ca, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        b = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, ca, sa], [0, 0, -sa, ca]])
-        wedge_u[i] = Bivector.wedge(a @ u1, a @ u2).components
-        wedge_v[i] = Bivector.wedge(b @ v1, b @ v2).components
-    return float(np.abs(wedge_u @ wedge_v.T).sum()) * h * h
+    c = structure_pairing_batch("J'", points, t1, t2)
+    s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
+    return (1.0 + s) / 2.0, (1.0 - s) / 2.0
+
+
+def cell_angles_batch(points, t1, t2):
+    """Signed angular coordinates (A, B) of oriented planes along the last axis.
+
+    A = arccos <J' t1, t2> and B = arccos <J t1, t2>, both in [0, pi], with
+    the pairings clipped to [-1, 1].  For a plane in angular normal form with
+    parameters (t1, t2) these are t1 + t2 and t1 - t2.
+    """
+    c_a = np.clip(structure_pairing_batch("J'", points, t1, t2), -1.0, 1.0)
+    c_b = np.clip(structure_pairing_batch("J", points, t1, t2), -1.0, 1.0)
+    return np.arccos(c_a), np.arccos(c_b)
 
 
 def semiaxes_from_normal_plane(x: ProductPoint, plane: TangentPlane) -> EllipseSemiaxes:
     """Ellipse semiaxes attached to the normal plane of a Lagrangian tangent plane.
 
-    With s the sine of the plane's J' angle (which equals the J' angle of its
-    orthogonal complement), returns ((1+s)/2, (1-s)/2).  The input must be the
+    The scalar view of lagrangian_semiaxes_batch.  The input must be the
     normal plane of a Lagrangian plane, i.e. itself Lagrangian for J.
     """
     c_j = abs(structure_pairing(plane, "J"))
@@ -227,9 +230,9 @@ def semiaxes_from_normal_plane(x: ProductPoint, plane: TangentPlane) -> EllipseS
         raise NotLagrangianNormal(
             f"plane pairs with J at {c_j:.3e}; not the normal of a Lagrangian plane"
         )
-    c = abs(structure_pairing(plane, "J'"))
-    s = math.sqrt(max(0.0, 1.0 - min(c, 1.0) ** 2))
-    return EllipseSemiaxes((1.0 + s) / 2.0, (1.0 - s) / 2.0)
+    t1, t2 = plane.basis
+    a, b = lagrangian_semiaxes_batch(plane.point.ambient, t1.ambient, t2.ambient)
+    return EllipseSemiaxes(float(a), float(b))
 
 
 def sigma_lagrangian_product(semiaxes: EllipseSemiaxes) -> float:
@@ -243,15 +246,11 @@ def sigma_lagrangian_product(semiaxes: EllipseSemiaxes) -> float:
 
 
 def plane_cell_angles(plane: TangentPlane) -> tuple[float, float]:
-    """Signed angular coordinates (A, B) of an oriented plane.
-
-    A = arccos <J' t1, t2> and B = arccos <J t1, t2>, both in [0, pi].  For a
-    plane in angular normal form with parameters (t1, t2) these are t1 + t2
-    and t1 - t2.
-    """
-    ca = min(1.0, max(-1.0, structure_pairing(plane, "J'")))
-    cb = min(1.0, max(-1.0, structure_pairing(plane, "J")))
-    return float(np.arccos(ca)), float(np.arccos(cb))
+    """Signed angular coordinates (A, B) of an oriented plane: the scalar view of
+    cell_angles_batch."""
+    t1, t2 = plane.basis
+    a, b = cell_angles_batch(plane.point.ambient, t1.ambient, t2.ambient)
+    return float(a), float(b)
 
 
 def invariants_from_normal_planes(normal_n: TangentPlane, normal_l: TangentPlane) -> CellInvariants:

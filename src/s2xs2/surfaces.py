@@ -174,7 +174,7 @@ class GraphSurface:
     def __init__(self, rotation: Rotation | None = None, antipodal: bool = False):
         self.rotation = rotation if rotation is not None else Rotation.identity()
         self.antipodal = bool(antipodal)
-        M = self.rotation.matrix.copy()
+        M = self.rotation.matrix
         if self.antipodal:
             M = -M
         M.flags.writeable = False
@@ -319,12 +319,16 @@ class MeshSurface:
         """Sample a single-chart periodic surface on its node lattice."""
         if len(surface.charts) != 1:
             raise ValueError("sample_from requires a single-chart periodic surface")
-        t = np.arange(m) * (TWO_PI / m)
-        U, V = np.meshgrid(t, t, indexing="ij")
-        return cls(surface.points(0, U, V))
+        return cls(lattice_points(surface, m))
 
     def __repr__(self):
         return f"MeshSurface(m={self.m})"
+
+
+def lattice_points(surface, m: int):
+    """(m, m, 6) points of chart 0 at the periodic lattice nodes (2 pi i/m, 2 pi j/m)."""
+    t = np.arange(m) * (TWO_PI / m)
+    return surface.points(0, t[:, None], t[None, :])
 
 
 def save_mesh(surface: MeshSurface, path):

@@ -24,12 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainViolation, ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
-from .geometry import orthonormal_pairs, structure_pairing_batch
+from .errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
+from .geometry import orthonormal_pairs
 from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from .intersections import _CountingProblem, counts_product_batch
 from .rotations import VOL_G, group_matrices
-from .sigma import CellInvariants, ellipse_perimeter_batch, sigma_general
+from .sigma import (
+    CellInvariants,
+    cell_angles_batch,
+    ellipse_perimeter_batch,
+    lagrangian_semiaxes_batch,
+    sigma_general,
+)
 from .surfaces import (
     MeshSurface,
     ProductTorusSurface,
@@ -49,6 +55,7 @@ CHAIN_DT = 0.0125         # target RK4 step of the deformation chain's flow
 ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
 CONTOUR_BATCH = 64        # samples per contour-counter call
 MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
+QUAD_REL_TOL = 1e-6       # slack, relative to the bound, for the deterministic volume error
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,10 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     return MonteCarloEstimate(mean, stderr, samples, discards)
 
 
-def _surface_defect(n_surface) -> float:
-    return lagrangian_defect(n_surface, 4096)
+def _require_lagrangian(n_surface):
+    defect = lagrangian_defect(n_surface, 4096)
+    if defect >= LAGRANGIAN_GATE:
+        raise NotLagrangian(f"Lagrangian defect {defect:.3e} >= {LAGRANGIAN_GATE:.1e}")
 
 
 def _perimeter_integral(n_surface, m: int) -> float:
@@ -162,9 +171,7 @@ def _perimeter_integral(n_surface, m: int) -> float:
     total = []
     for block in surface_quadrature(n_surface, m):
         t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
-        c = structure_pairing_batch("J'", block["points"], t1, t2)
-        s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
-        per = ellipse_perimeter_batch((1.0 + s) / 2.0, (1.0 - s) / 2.0)
+        per = ellipse_perimeter_batch(*lagrangian_semiaxes_batch(block["points"], t1, t2))
         weights = np.where(bad, 0.0, block["measure"])
         total.append(float(np.sum(weights * per)))
     return math.fsum(total)
@@ -179,9 +186,7 @@ def rhs_theorem6(n_surface, l_surface: ProductTorusSurface, m: int | None = None
     """
     if not isinstance(l_surface, ProductTorusSurface):
         raise ValueError("L must be a product torus")
-    defect = _surface_defect(n_surface)
-    if defect >= LAGRANGIAN_GATE:
-        raise NotLagrangian(f"Lagrangian defect {defect:.3e} >= {LAGRANGIAN_GATE:.1e}")
+    _require_lagrangian(n_surface)
     vol_l = volume(l_surface)
     if isinstance(n_surface, MeshSurface):
         return 4.0 * vol_l * _perimeter_integral(n_surface, n_surface.m)
@@ -208,12 +213,9 @@ def _normal_invariant_samples(surface, m: int):
     weights = []
     for block in surface_quadrature(surface, m):
         t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
-        c_a = np.clip(structure_pairing_batch("J'", block["points"], t1, t2), -1.0, 1.0)
-        c_b = np.clip(structure_pairing_batch("J", block["points"], t1, t2), -1.0, 1.0)
-        a_n = np.arccos(-c_a)
-        b_n = np.arccos(c_b)
+        a_t, b_t = cell_angles_batch(block["points"], t1, t2)
         keep = (block["measure"] > 0.0) & ~bad
-        angles.append(np.stack([a_n[keep], b_n[keep]], axis=1))
+        angles.append(np.stack([np.pi - a_t[keep], b_t[keep]], axis=1))
         weights.append(block["measure"][keep])
     return np.concatenate(angles, axis=0), np.concatenate(weights)
 
@@ -243,17 +245,15 @@ def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
 
 def verify_poincare(n_surface, l_surface, samples: int, seed: int,
                     count_grid: int = 128, quad_grid: int | None = None,
-                    rel_quad_tol: float = 1e-3, force_contour: bool = False,
-                    name: str = "poincare-identity") -> VerificationReport:
+                    rel_quad_tol: float = 1e-3) -> VerificationReport:
     """Identity report: Monte Carlo integral against the kernel quadrature."""
     t0 = time.perf_counter()
-    est = mc_expected_count(n_surface, l_surface, samples, seed,
-                            grid=count_grid, force_contour=force_contour)
+    est = mc_expected_count(n_surface, l_surface, samples, seed, grid=count_grid)
     rhs = rhs_theorem6(n_surface, l_surface, m=quad_grid)
     tol = Z_SCORE * est.stderr * VOL_G + rel_quad_tol * abs(rhs)
     verdict = "pass" if abs(est.integral - rhs) <= tol else "fail"
     return VerificationReport(
-        name=name,
+        name="poincare-identity",
         lhs=est.integral,
         rhs=rhs,
         stderr=est.stderr,
@@ -271,30 +271,25 @@ def verify_poincare(n_surface, l_surface, samples: int, seed: int,
 
 
 def verify_prop4_bounds(n_surface, l_surface, samples: int, seed: int,
-                        count_grid: int = 128, force_contour: bool = False,
-                        quad_rel_tol: float = 1e-6,
-                        name: str = "intersection-bounds") -> VerificationReport:
+                        count_grid: int = 128) -> VerificationReport:
     """Bound report: 4 pi vol(N) vol(L) <= integral <= 16 vol(N) vol(L).
 
-    Besides the z = 3 statistical band, the verdict allows quad_rel_tol of the
+    Besides the z = 3 statistical band, the verdict allows QUAD_REL_TOL of the
     upper bound for the deterministic volume-quadrature error, which decides
     the equality cases where the count variance vanishes.
     """
     t0 = time.perf_counter()
-    defect = _surface_defect(n_surface)
-    if defect >= LAGRANGIAN_GATE:
-        raise NotLagrangian(f"Lagrangian defect {defect:.3e} >= {LAGRANGIAN_GATE:.1e}")
-    est = mc_expected_count(n_surface, l_surface, samples, seed,
-                            grid=count_grid, force_contour=force_contour)
+    _require_lagrangian(n_surface)
+    est = mc_expected_count(n_surface, l_surface, samples, seed, grid=count_grid)
     vol_n = volume(n_surface)
     vol_l = volume(l_surface)
     lower = 4.0 * math.pi * vol_n * vol_l
     upper = 16.0 * vol_n * vol_l
     stat = Z_SCORE * est.stderr * VOL_G
-    slack = quad_rel_tol * upper
+    slack = QUAD_REL_TOL * upper
     verdict = "pass" if (lower - stat - slack <= est.integral <= upper + stat + slack) else "fail"
     return VerificationReport(
-        name=name,
+        name="intersection-bounds",
         lhs=est.integral,
         rhs=(lower, upper),
         stderr=est.stderr,
@@ -317,22 +312,20 @@ def verify_prop4_bounds(n_surface, l_surface, samples: int, seed: int,
 
 def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
                       samples: int, seed: int, m: int = 128,
-                      dt_target: float = CHAIN_DT, count_grid: int = 128,
-                      quad_rel_tol: float = 1e-6,
-                      raise_on_violation: bool = False,
-                      name: str = "volume-chain") -> VerificationReport:
+                      count_grid: int = 128) -> VerificationReport:
     """Deformation chain report for the great torus L and a Hamiltonian flow.
 
     Computes rho(L), then checks A >= B >= C and vol(rho(L)) >= 4 pi^2 - 1e-3,
     where A = 16 vol(rho(L)) vol(L), B is the Monte Carlo group integral of
     the intersection count of (rho(L), L), and C = 4 vol(G) = 256 pi^4.  The
-    inequality checks carry the z = 3 statistical band plus quad_rel_tol of C
-    for the deterministic mesh-volume error, which decides the saturated
-    (isometric) cases where the count variance vanishes.
+    flow takes RK4 steps of at most CHAIN_DT.  The inequality checks carry the
+    z = 3 statistical band plus QUAD_REL_TOL of C for the deterministic
+    mesh-volume error, which decides the saturated (isometric) cases where the
+    count variance vanishes.
     """
     t0 = time.perf_counter()
     torus = great_torus()
-    params = FlowParams.for_time(flow_time, dt_target)
+    params = FlowParams.for_time(flow_time, CHAIN_DT)
     deformed = deform_surface(hamiltonian, torus, params, m=m)
     vol_l = volume(torus)
     vol_rho = volume(deformed)
@@ -342,7 +335,7 @@ def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
     b = est.integral
     c = CHAIN_RHS
     stat = Z_SCORE * est.stderr * VOL_G
-    slack = quad_rel_tol * c
+    slack = QUAD_REL_TOL * c
     checks = {
         "a_ge_b": a >= b - stat - slack,
         "b_ge_c": b >= c - stat - slack,
@@ -350,8 +343,8 @@ def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
         "lagrangian": defect < LAGRANGIAN_GATE,
     }
     verdict = "pass" if all(checks.values()) else "fail"
-    report = VerificationReport(
-        name=name,
+    return VerificationReport(
+        name="volume-chain",
         lhs=vol_rho,
         rhs=FOUR_PI_SQ,
         stderr=est.stderr,
@@ -374,6 +367,3 @@ def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
             "checks": checks,
         },
     )
-    if raise_on_violation and verdict == "fail":
-        raise ChainViolation(f"chain violated: A={a}, B={b}, C={c}", a, b, c)
-    return report

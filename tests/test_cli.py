@@ -8,7 +8,8 @@ import pytest
 
 from s2xs2.cli import UsageError, main, parse_surface_spec, print_surface_spec
 from s2xs2.hamiltonian import MAX_STEPS
-from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface
+from s2xs2.rotations import group_element_at
+from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, diagonal
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,15 @@ class TestSurfaceSpecs:
         surf = parse_surface_spec("anti-diagonal")
         assert isinstance(surf, GraphSurface)
         assert print_surface_spec(surf) == "anti-diagonal"
+
+    @pytest.mark.parametrize("surf", [
+        diagonal(),
+        GraphSurface(group_element_at(3, 0).first, antipodal=True),
+    ], ids=["diagonal", "rotated-anti-diagonal"])
+    def test_other_graphs_have_no_spec(self, surf):
+        # "anti-diagonal" would parse back to a different surface
+        with pytest.raises(UsageError, match="cannot print spec"):
+            print_surface_spec(surf)
 
     def test_mesh_spec(self, tmp_path):
         from s2xs2.surfaces import MeshSurface, great_torus, save_mesh
@@ -279,6 +289,12 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["steps"] == 20
 
+    def test_usage_error_sigma_table_single_step(self, capsys):
+        code, out, err = run_cli(capsys, "sigma-table", "--theta-steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "--theta-steps: must be at least 2, got 1" in err
+
     def test_usage_error_non_integer_samples(self, capsys):
         code, _, err = run_cli(capsys, "haar-stats", "--samples", "many")
         assert code == 2
@@ -292,3 +308,37 @@ class TestExitCodes:
         assert normalize_runtime(out1) == normalize_runtime(out2)
         payload = json.loads(out1)
         assert payload["seed"] == 21
+
+
+# the exact stdout of four commands for fixed seeds, runtime_ms set to 0: a
+# change that moves any number or byte of these reports fails here
+PINNED_REPORTS = [
+    (("verify-poincare", "--surface", "latitude-torus 0.5 0.5", "--samples", "2000", "--seed", "55"), 0,
+     '{"config":{"count_grid":128,"discards":0,"mean":3.014,"samples":2000},"lhs":18789.82402409493,'
+     '"name":"poincare-identity","rhs":18702.545478528467,"runtime_ms":0,"seed":55,'
+     '"stderr":0.03855703985864748,"tolerance":739.8173369523178,"verdict":"pass"}'),
+    (("verify-bounds", "--surface", "latitude-torus 0.3 -0.6", "--samples", "100000", "--seed", "3"), 0,
+     '{"config":{"count_grid":128,"discards":0,"gap_lower":0.212097272985293,'
+     '"gap_upper":0.0025045636172587034,"mean":3.04496,"samples":100000,"vol_l":39.47841760435743,'
+     '"vol_n":30.12800813016434},"lhs":18982.83429343335,"name":"intersection-bounds",'
+     '"rhs":[14946.517694563167,19030.49738480166],"runtime_ms":0,"seed":3,'
+     '"stderr":0.00539266880058176,"tolerance":100.85663349352193,"verdict":"pass"}'),
+    # an isometric flow on the 64-node mesh: the mesh volume runs 6e-6 low, so A >= B fails
+    (("verify-chain", "--hamiltonian", "0.1*z1", "--mesh", "64", "--samples", "1000", "--seed", "13"), 1,
+     '{"config":{"a":24936.573046319223,"b":24936.727304704622,"c":24936.727304704622,'
+     '"checks":{"a_ge_b":false,"b_ge_c":true,"lagrangian":true,"volume_min":true},"defect":0.0,'
+     '"discards":0,"flow_time":0.5,"mean":4.0,"mesh":64,"samples":1000,"stat_tolerance":0.0,'
+     '"steps":40},"lhs":39.47817339119813,"name":"volume-chain","rhs":39.47841760435743,'
+     '"runtime_ms":0,"seed":13,"stderr":0.0,"tolerance":0.001,"verdict":"fail"}'),
+    (("count", "anti-diagonal", "great-torus", "--seed", "7"), 0,
+     '{"count":2,"l":"great-torus","min_transversality":0.3339887789357247,"n":"anti-diagonal",'
+     '"seed":7}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED_REPORTS,
+                         ids=[argv[0] for argv, _, _ in PINNED_REPORTS])
+def test_report_stdout_is_pinned(capsys, argv, code, expected):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert normalize_runtime(out) == expected + "\n"

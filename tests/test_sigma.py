@@ -7,21 +7,33 @@ from hypothesis import strategies as st
 
 from helpers import random_lagrangian_plane, random_product_point
 from s2xs2.errors import NegativeAxis, NotLagrangianNormal
-from s2xs2.geometry import normal_plane, plane_from_invariants
+from s2xs2.geometry import Bivector, normal_plane, orthonormal_pairs, plane_from_invariants
+from s2xs2.rotations import group_element_at
 from s2xs2.sigma import (
     CellInvariants,
     EllipseSemiaxes,
     _kernel_coefficients,
+    _normal_form_bases,
     ellipse_perimeter,
     ellipse_perimeter_batch,
     ellipse_perimeter_quadrature,
     invariants_from_normal_planes,
+    lagrangian_semiaxes_batch,
     plane_cell_angles,
     semiaxes_from_normal_plane,
     sigma_general,
-    sigma_general_reference,
     sigma_lagrangian_product,
 )
+from s2xs2.surfaces import (
+    GraphSurface,
+    MeshSurface,
+    anti_diagonal,
+    chart_axes,
+    latitude_torus,
+    surface_quadrature,
+    tangent_plane,
+)
+from s2xs2.verify import _normal_invariant_samples
 
 FOUR_PI = 4 * math.pi
 FOUR_PI_SQ = 4 * math.pi ** 2
@@ -51,6 +63,26 @@ def _midpoint_level(K, P, Q, n, m=None):
         M = K + P * np.outer(np.cos(rows), cos_psi) + Q * np.outer(np.sin(rows), sin_psi)
         parts.append(float(np.abs(M, out=M).sum()))
     return math.fsum(parts) * h_phi * h_psi
+
+
+def sigma_general_reference(inv: CellInvariants, n: int = 256) -> float:
+    """Literal evaluation of the averaged wedge pairing on an n x n midpoint grid.
+
+    Builds the rotated bases and their wedges explicitly; used to validate the
+    algebraic reduction behind sigma_general, not for production accuracy.
+    """
+    u1, u2, v1, v2 = _normal_form_bases(inv)
+    h = 2.0 * np.pi / n
+    t = (np.arange(n) + 0.5) * h
+    wedge_u = np.empty((n, 6))
+    wedge_v = np.empty((n, 6))
+    for i, angle in enumerate(t):
+        ca, sa = math.cos(angle), math.sin(angle)
+        a = np.array([[ca, sa, 0, 0], [-sa, ca, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        b = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, ca, sa], [0, 0, -sa, ca]])
+        wedge_u[i] = Bivector.wedge(a @ u1, a @ u2).components
+        wedge_v[i] = Bivector.wedge(b @ v1, b @ v2).components
+    return float(np.abs(wedge_u @ wedge_v.T).sum()) * h * h
 
 
 def richardson_reference(inv, n=2048):
@@ -289,3 +321,81 @@ class TestInvariantExtraction:
             v1 = sigma_general(invariants_from_normal_planes(p, q))
             v2 = sigma_general(invariants_from_normal_planes(flipped, q))
             assert v1 == pytest.approx(v2, rel=1e-7)
+
+
+LAGRANGIAN_SURFACES = {
+    "anti-diagonal": anti_diagonal(),
+    "rotated-graph": GraphSurface(group_element_at(3, 0).first, antipodal=True),
+    "latitude-torus": latitude_torus(0.3, -0.6),
+}
+NODE_GRID = 8
+EPS = np.finfo(float).eps
+
+
+def _grid_nodes(surface, m):
+    """(chart, u, v) of every quadrature node, in the order surface_quadrature yields them."""
+    nodes = []
+    for chart in range(len(surface.charts)):
+        us, vs, _ = chart_axes(surface, chart, m)
+        nodes += [(chart, u, v) for u in us for v in vs]
+    return nodes
+
+
+def _explicit_normal_plane(surface, chart, u, v):
+    """The normal plane built literally: tangent plane, then orthogonal complement."""
+    plane = tangent_plane(surface, u, v, chart)
+    return normal_plane(plane.point, plane)
+
+
+def _tilted_torus(m=64):
+    """A mesh torus that is neither Lagrangian nor symplectic: the second factor's
+    equator tilts about the x-axis by 0.4 sin(u) as the first factor's point turns."""
+    t = np.arange(m) * (2 * np.pi / m)
+    u, v = t[:, None, None], t[None, :, None]
+    tilt = 0.4 * np.sin(u)
+    p = np.concatenate(np.broadcast_arrays(np.cos(u), np.sin(u), 0 * u), axis=-1)
+    q = np.concatenate(np.broadcast_arrays(np.cos(v), np.sin(v) * np.cos(tilt), np.sin(v) * np.sin(tilt)), axis=-1)
+    return MeshSurface(np.concatenate(np.broadcast_arrays(p, q), axis=-1))
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN_SURFACES)
+def test_semiaxes_kernel_matches_explicit_normal_plane(name):
+    # s = sqrt(1 - c^2) turns a rounding of the J' pairing c near |c| = 1
+    # (graph nodes, where the ellipse is a circle) into an error of order
+    # sqrt(eps) in the semiaxes, 1.05e-8 at the graph nodes; the perimeter is
+    # flat in s there, so what the quadrature integrates agrees to 1e-12
+    surface = LAGRANGIAN_SURFACES[name]
+    nodes = iter(_grid_nodes(surface, NODE_GRID))
+    for block in surface_quadrature(surface, NODE_GRID):
+        t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
+        assert not bad.any()
+        for a, b in zip(*lagrangian_semiaxes_batch(block["points"], t1, t2)):
+            normal = _explicit_normal_plane(surface, *next(nodes))
+            ax = semiaxes_from_normal_plane(normal.point, normal)
+            assert (a, b) == pytest.approx((ax.a, ax.b), abs=math.sqrt(4 * EPS))
+            assert ellipse_perimeter_batch(a, b) == pytest.approx(
+                ellipse_perimeter(ax.a, ax.b), abs=1e-12)
+
+
+TILTED = _tilted_torus()
+
+
+@pytest.mark.parametrize("surface", [*LAGRANGIAN_SURFACES.values(), TILTED],
+                         ids=[*LAGRANGIAN_SURFACES, "tilted-mesh"])
+def test_complement_map_invariants_match_explicit_normal_plane(surface):
+    # only the surface's side takes the shortcut; the partner is an explicit
+    # normal plane of the tilted mesh.  The kernel is blind to A -> pi - A
+    # against a product torus, with the map applied to both sides, or where
+    # B = pi/2 (Lagrangian planes), so the tilted mesh is what checks the map
+    partner_normal = _explicit_normal_plane(TILTED, 0, 0.25 * math.pi, 0.5 * math.pi)
+    a_l, b_l = plane_cell_angles(partner_normal)
+    angles, _ = _normal_invariant_samples(surface, NODE_GRID)
+    # the nodes it keeps: those of positive weight, in quadrature order
+    measure = np.concatenate([b["measure"] for b in surface_quadrature(surface, NODE_GRID)])
+    kept = [node for node, w in zip(_grid_nodes(surface, NODE_GRID), measure) if w > 0.0]
+    assert len(kept) == len(angles)
+    for (a_n, b_n), node in list(zip(angles, kept))[::3]:
+        shortcut = CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n),
+                                  0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
+        explicit = invariants_from_normal_planes(_explicit_normal_plane(surface, *node), partner_normal)
+        assert sigma_general(shortcut) == pytest.approx(sigma_general(explicit), rel=1e-9)
