@@ -3,42 +3,20 @@ bounds for surfaces in the product of two unit 2-spheres."""
 
 from .errors import (
     CoaxialCircles,
-    DegenerateParameterization,
     DegreeTooHigh,
     ExcessiveDiscards,
     ExpressionSyntaxError,
     GridUnstable,
     NegativeAxis,
-    NonOrthonormalInput,
     NonTransversalSample,
     NotLagrangian,
-    NotLagrangianNormal,
-    NotTangent,
-    OutOfDomain,
     QuadratureNotConverged,
     S2xS2Error,
     StepSizeTooLarge,
     UnknownVariable,
 )
 from .expressions import HamiltonianExpr, parse_hamiltonian
-from .geometry import (
-    Bivector,
-    ProductPoint,
-    SpherePoint,
-    TangentPlane,
-    TangentVector,
-    kahler_angle,
-    normal_plane,
-    subspace_angle,
-    symplectic_form,
-)
-from .hamiltonian import (
-    FlowParams,
-    HamiltonianFunction,
-    deform_surface,
-    flow_point,
-    hamiltonian_vector_field,
-)
+from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from .intersections import (
     IntersectionResult,
     circle_circle_count,
@@ -54,16 +32,11 @@ from .rotations import (
     GroupElement,
     MeasureConstants,
     Rotation,
-    apply,
-    apply_tangent,
 )
 from .sigma import (
     CellInvariants,
-    EllipseSemiaxes,
     ellipse_perimeter,
-    semiaxes_from_normal_plane,
     sigma_general,
-    sigma_lagrangian_product,
 )
 from .surfaces import (
     Circle,
@@ -72,13 +45,11 @@ from .surfaces import (
     ProductTorusSurface,
     anti_diagonal,
     diagonal,
-    evaluate,
     great_torus,
     lagrangian_defect,
     latitude_torus,
     load_mesh,
     save_mesh,
-    tangent_plane,
     volume,
 )
 from .verify import (

@@ -142,6 +142,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float no smaller than 0, else a usage error."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a Philox key, an integer in [0, 2**128), else a usage error."""
+    value = _at_least(0)(text)
+    if value >= 2 ** 128:
+        raise argparse.ArgumentTypeError(f"must be less than 2**128, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seeded=True, min_samples=verify.MIN_SAMPLES):
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if min_samples:
             p.add_argument("--samples", type=_at_least(min_samples), default=10000)
         p.add_argument("--output", type=str, default=None)
@@ -353,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     count_grid(p)
     p.add_argument("--quad-grid", type=_at_least(1), default=None)
-    p.add_argument("--tol-rel", type=_finite_float, default=1e-3)
+    p.add_argument("--tol-rel", type=_non_negative_float, default=1e-3)
     p.set_defaults(func=_cmd_verify_poincare)
 
     p = sub.add_parser("verify-bounds", help="two-sided intersection bounds")

@@ -5,32 +5,12 @@ class S2xS2Error(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonOrthonormalInput(S2xS2Error):
-    """An input basis deviates from orthonormality beyond tolerance."""
-
-
-class NotTangent(S2xS2Error):
-    """A vector violates tangency at its base point."""
-
-
-class DegenerateParameterization(S2xS2Error):
-    """Surface partials are (nearly) parallel at the requested parameter."""
-
-
-class OutOfDomain(S2xS2Error):
-    """Parameter value outside the chart domain."""
-
-
 class NegativeAxis(S2xS2Error):
     """Ellipse semiaxis must be nonnegative."""
 
 
 class QuadratureNotConverged(S2xS2Error):
     """Successive quadrature refinement levels failed to agree."""
-
-
-class NotLagrangianNormal(S2xS2Error):
-    """Plane is not the normal plane of a Lagrangian tangent plane."""
 
 
 class NotLagrangian(S2xS2Error):

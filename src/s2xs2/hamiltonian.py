@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooHigh, StepSizeTooLarge
-from .geometry import ProductPoint, TangentVector
 from .surfaces import MeshSurface, ProductTorusSurface, lattice_points
 
 VARIABLES = ("x1", "y1", "z1", "x2", "y2", "z2")
@@ -180,12 +179,6 @@ def field_batch(H: HamiltonianFunction, X):
     return np.ascontiguousarray(_field(H, _component_major(X)).T).reshape(X.shape)
 
 
-def hamiltonian_vector_field(H: HamiltonianFunction, x: ProductPoint) -> TangentVector:
-    """The Hamiltonian field at a point; tangent by construction."""
-    v = field_batch(H, x.ambient)
-    return TangentVector(v[:3], v[3:])
-
-
 def flow_points(H: HamiltonianFunction, X, params: FlowParams):
     """Flow a batch of ambient points for the full window; returns (..., 6).
 
@@ -209,22 +202,9 @@ def flow_points(H: HamiltonianFunction, X, params: FlowParams):
     return np.ascontiguousarray(S.T).reshape(X.shape)
 
 
-def flow_point(H: HamiltonianFunction, x: ProductPoint, params: FlowParams) -> ProductPoint:
-    """Endpoint of the integral curve of X_H starting at x."""
-    return ProductPoint.from_ambient(flow_points(H, x.ambient, params))
-
-
 def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
                    params: FlowParams, m: int = 128) -> MeshSurface:
     """Flow every lattice node of a product torus; returns the deformed mesh."""
     if m < MIN_MESH:
         raise ValueError(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
     return MeshSurface(flow_points(H, lattice_points(surface, m), params))
-
-
-def pushforward(H: HamiltonianFunction, x: ProductPoint, v: TangentVector,
-                params: FlowParams, eps: float = 1e-5) -> TangentVector:
-    """Central-difference pushforward of a tangent vector under the time-t flow."""
-    Y = flow_points(H, [x.ambient + eps * v.ambient, x.ambient - eps * v.ambient], params)
-    d = (Y[0] - Y[1]) / (2.0 * eps)
-    return TangentVector(d[:3], d[3:])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoaxialCircles, GridUnstable, NonTransversalSample
-from .geometry import ProductPoint, orthonormal_pairs, wedge_norm
+from .geometry import orthonormal_pairs, wedge_norm
 from .rotations import GroupElement
 from .surfaces import TWO_PI, Circle, GraphSurface, ProductTorusSurface
 
@@ -53,14 +53,14 @@ GRAPH_COUNT_BAND = math.pi / 2 + 0.1  # per-chart seed band; the two bands cover
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """Transversal intersection count with the found points.
+    """Transversal intersection count with the found points as (count, 6) rows.
 
     min_transversality is the smallest wedge angle between the tangent planes
     of the two surfaces over the found points (1.0 when there are none).
     """
 
     count: int
-    points: tuple
+    points: np.ndarray
     min_transversality: float
 
 
@@ -127,8 +127,7 @@ def count_product_product(n_surface: ProductTorusSurface, g: GroupElement,
     tn, _ = _circle_tangent_rows(n_surface.circle1.axis, n_surface.circle2.axis, x[:, :3], x[:, 3:])
     tl, _ = _circle_tangent_rows(moved1.axis, moved2.axis, x[:, :3], x[:, 3:])
     trans = wedge_norm(np.concatenate([tn, tl], axis=1))
-    points = tuple(ProductPoint.from_ambient(row) for row in x)
-    return IntersectionResult(len(points), points, float(trans.min(initial=1.0)))
+    return IntersectionResult(len(x), x, float(trans.min(initial=1.0)))
 
 
 def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
@@ -452,5 +451,4 @@ def count_surface_product(n_surface, g: GroupElement, l_surface: ProductTorusSur
         raise GridUnstable(f"count changed between grids {grid} and {2 * grid}")
     if status == "nontransversal":
         raise NonTransversalSample("an intersection point failed the transversality gate")
-    points = tuple(ProductPoint.from_ambient(p) for p in pts)
-    return IntersectionResult(count, points, float(min_trans))
+    return IntersectionResult(count, np.array(pts, dtype=float).reshape(-1, 6), float(min_trans))

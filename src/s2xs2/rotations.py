@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ProductPoint, SpherePoint, TangentVector
-
 _PI2 = np.pi * np.pi
 
 
@@ -165,16 +163,3 @@ def group_element_at(seed: int, index: int) -> GroupElement:
     """Element i of a group-element stream: the scalar view of group_quaternions."""
     q1, q2 = group_quaternions(seed, index, 1)
     return GroupElement(Rotation(q1[0]), Rotation(q2[0]))
-
-
-def apply(g: GroupElement, x: ProductPoint) -> ProductPoint:
-    """Factor-wise action on a point, renormalized onto the spheres."""
-    return ProductPoint(
-        SpherePoint(g.first.apply_vec(x.first.coords)),
-        SpherePoint(g.second.apply_vec(x.second.coords)),
-    )
-
-
-def apply_tangent(g: GroupElement, v: TangentVector) -> TangentVector:
-    """Factor-wise action on a tangent vector (tangency is preserved exactly)."""
-    return TangentVector(g.first.apply_vec(v.first), g.second.apply_vec(v.second))

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import NegativeAxis, NotLagrangianNormal, QuadratureNotConverged
-from .geometry import ProductPoint, TangentPlane, structure_pairing, structure_pairing_batch
+from .errors import NegativeAxis, QuadratureNotConverged
+from .geometry import structure_pairing_batch
 
-LAGRANGIAN_TOL = 1e-6
 DEGENERATE_AXIS = 1e-8
 
 KERNEL_TOL = 1e-12  # relative tolerance of the kernel's phi-quadrature
@@ -68,29 +67,16 @@ class CellInvariants:
         )
 
 
-def _check_semiaxes(a: float, b: float):
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"semiaxes must be finite, got ({a}, {b})")
-    if a < 0 or b < 0:
-        raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
-
-
-@dataclass(frozen=True)
-class EllipseSemiaxes:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _check_semiaxes(self.a, self.b)
-
-
 def ellipse_perimeter(a: float, b: float) -> float:
     """Arc length of x^2/a^2 + y^2/b^2 = 1: the scalar view of ellipse_perimeter_batch.
 
     Continuous in (a, b) including the degenerate cases: a circle of radius r
     gives 2 pi r, a segment (one axis zero) gives 4 times the other axis.
     """
-    _check_semiaxes(a, b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"semiaxes must be finite, got ({a}, {b})")
+    if a < 0 or b < 0:
+        raise NegativeAxis(f"semiaxes must be nonnegative, got ({a}, {b})")
     return float(ellipse_perimeter_batch(a, b))
 
 
@@ -120,17 +106,6 @@ def ellipse_perimeter_batch(a, b):
     K = np.pi / (2.0 * x)
     out = 4.0 * big * K * (1.0 - S)
     return np.where(degenerate, 4.0 * big, out)
-
-
-def ellipse_perimeter_quadrature(a: float, b: float) -> float:
-    """Independent cross-check: adaptive quadrature of the arc-length integral."""
-    _check_semiaxes(a, b)
-
-    def speed(t):
-        return math.hypot(a * math.cos(t), b * math.sin(t))
-
-    val, _ = integrate.quad(speed, 0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13, limit=500)
-    return 4.0 * val
 
 
 def _normal_form_bases(inv: CellInvariants):
@@ -217,49 +192,3 @@ def cell_angles_batch(points, t1, t2):
     c_a = np.clip(structure_pairing_batch("J'", points, t1, t2), -1.0, 1.0)
     c_b = np.clip(structure_pairing_batch("J", points, t1, t2), -1.0, 1.0)
     return np.arccos(c_a), np.arccos(c_b)
-
-
-def semiaxes_from_normal_plane(x: ProductPoint, plane: TangentPlane) -> EllipseSemiaxes:
-    """Ellipse semiaxes attached to the normal plane of a Lagrangian tangent plane.
-
-    The scalar view of lagrangian_semiaxes_batch.  The input must be the
-    normal plane of a Lagrangian plane, i.e. itself Lagrangian for J.
-    """
-    c_j = abs(structure_pairing(plane, "J"))
-    if c_j > LAGRANGIAN_TOL:
-        raise NotLagrangianNormal(
-            f"plane pairs with J at {c_j:.3e}; not the normal of a Lagrangian plane"
-        )
-    t1, t2 = plane.basis
-    a, b = lagrangian_semiaxes_batch(plane.point.ambient, t1.ambient, t2.ambient)
-    return EllipseSemiaxes(float(a), float(b))
-
-
-def sigma_lagrangian_product(semiaxes: EllipseSemiaxes) -> float:
-    """Kernel value for a Lagrangian plane against a product-of-curves normal plane.
-
-    Equals 4 times the ellipse arc length; over the admissible semiaxes family
-    (a + b = 1) the range is [4 pi, 16], with the minimum at the circle
-    (1/2, 1/2) and the maximum at the degenerate cases (1, 0) and (0, 1).
-    """
-    return 4.0 * ellipse_perimeter(semiaxes.a, semiaxes.b)
-
-
-def plane_cell_angles(plane: TangentPlane) -> tuple[float, float]:
-    """Signed angular coordinates (A, B) of an oriented plane: the scalar view of
-    cell_angles_batch."""
-    t1, t2 = plane.basis
-    a, b = cell_angles_batch(plane.point.ambient, t1.ambient, t2.ambient)
-    return float(a), float(b)
-
-
-def invariants_from_normal_planes(normal_n: TangentPlane, normal_l: TangentPlane) -> CellInvariants:
-    """Cell invariants of a surface pair from their normal planes at a point pair."""
-    a_n, b_n = plane_cell_angles(normal_n)
-    a_l, b_l = plane_cell_angles(normal_l)
-    return CellInvariants(
-        theta1=0.5 * (a_n + b_n),
-        theta2=0.5 * (a_n - b_n),
-        tau1=0.5 * (a_l + b_l),
-        tau2=0.5 * (a_l - b_l),
-    )

@@ -1,4 +1,4 @@
-"""Surface models in S2 x S2: evaluation, tangent planes, areas, Lagrangian defect.
+"""Surface models in S2 x S2: points and partials, areas, Lagrangian defect.
 
 Three concrete models are supported:
 
@@ -28,14 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateParameterization, OutOfDomain
-from .geometry import (
-    ProductPoint,
-    TangentPlane,
-    omega_batch,
-    orthonormalize,
-    orthonormal_pairs,
-)
+from .geometry import omega_batch, orthonormal_pairs
 from .rotations import GroupElement, Rotation
 
 TWO_PI = 2.0 * math.pi
@@ -53,11 +46,6 @@ class Chart:
     v_max: float
     periodic_u: bool
     periodic_v: bool
-
-    def contains(self, u, v):
-        ok_u = self.periodic_u or (self.u_min <= u <= self.u_max)
-        ok_v = self.periodic_v or (self.v_min <= v <= self.v_max)
-        return ok_u and ok_v
 
 
 def _stack(*parts):
@@ -354,41 +342,6 @@ def load_mesh(path) -> MeshSurface:
 # ---------------------------------------------------------------------------
 # generic operations
 # ---------------------------------------------------------------------------
-
-def _check_domain(surface, chart, u, v):
-    charts = surface.charts
-    if not 0 <= chart < len(charts):
-        raise OutOfDomain(f"chart {chart} out of range")
-    ch = charts[chart]
-    uu = u % TWO_PI if ch.periodic_u else u
-    vv = v % TWO_PI if ch.periodic_v else v
-    if not ch.contains(uu, vv):
-        raise OutOfDomain(f"(u, v) = ({u}, {v}) outside chart {chart}")
-    return uu, vv
-
-
-def evaluate(surface, u: float, v: float, chart: int = 0) -> ProductPoint:
-    """Point of the surface at chart parameters (u, v)."""
-    u, v = _check_domain(surface, chart, float(u), float(v))
-    return ProductPoint.from_ambient(surface.points(chart, u, v))
-
-
-def tangent_plane(surface, u: float, v: float, chart: int = 0) -> TangentPlane:
-    """Orthonormalized tangent plane at chart parameters (u, v)."""
-    u, v = _check_domain(surface, chart, float(u), float(v))
-    pt = surface.points(chart, u, v)
-    du, dv = surface.partials(chart, u, v)
-    t1, t2, bad = orthonormal_pairs(du[None, :], dv[None, :], min_sin=1e-6)
-    if bool(bad[0]):
-        raise DegenerateParameterization(f"partials nearly parallel at ({u}, {v})")
-    x = ProductPoint.from_ambient(pt)
-    # project out radial components left by differencing noise
-    b = np.stack([t1[0], t2[0]])
-    for k, base in ((slice(0, 3), x.first.coords), (slice(3, 6), x.second.coords)):
-        b[:, k] -= np.outer(b[:, k] @ base, base)
-    b = orthonormalize(b)
-    return TangentPlane.from_ambient(x, b[0], b[1])
-
 
 def chart_axes(surface, chart: int, m: int):
     """Quadrature nodes of one chart: the u axis, the v axis and the cell area.

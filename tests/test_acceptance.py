@@ -13,17 +13,22 @@ import time
 
 import numpy as np
 
+from helpers import (
+    ellipse_perimeter_quadrature,
+    pushforward,
+    random_product_point,
+    random_tangent_vector,
+)
 import s2xs2 as s
 from s2xs2.expressions import parse_hamiltonian
-from s2xs2.geometry import symplectic_form
-from s2xs2.hamiltonian import FlowParams, pushforward
+from s2xs2.geometry import omega_batch
+from s2xs2.hamiltonian import FlowParams, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch
 from s2xs2.rotations import VOL_G, group_matrices, haar_matrices
 from s2xs2.sigma import (
     CellInvariants,
     ellipse_perimeter,
     ellipse_perimeter_batch,
-    ellipse_perimeter_quadrature,
     sigma_general,
 )
 
@@ -147,19 +152,13 @@ def test_a6_volume_chain_battery():
         # symplectic pullback error on random tangent pairs
         sym_err = 0.0
         for _ in range(3):
-            x = s.ProductPoint(
-                s.SpherePoint(rng.normal(size=3)), s.SpherePoint(rng.normal(size=3)))
-            u = s.TangentVector(np.cross(x.first.coords, rng.normal(size=3)),
-                                np.cross(x.second.coords, rng.normal(size=3)))
-            v = s.TangentVector(np.cross(x.first.coords, rng.normal(size=3)),
-                                np.cross(x.second.coords, rng.normal(size=3)))
-            y = s.flow_point(h, x, params)
+            x = random_product_point(rng)
+            u = random_tangent_vector(rng, x)
+            v = random_tangent_vector(rng, x)
+            y = flow_points(h, x, params)
             du = pushforward(h, x, u, params)
             dv = pushforward(h, x, v, params)
-            moved = float(
-                np.dot(y.first.coords, np.cross(du.first, dv.first))
-                + np.dot(y.second.coords, np.cross(du.second, dv.second)))
-            sym_err = max(sym_err, abs(moved - symplectic_form(x, u, v)))
+            sym_err = max(sym_err, abs(omega_batch(y, du, dv) - omega_batch(x, u, v)))
         est = s.mc_expected_count(mesh, s.great_torus(), 1500, seed=7000 + k)
         a = 16.0 * vol * s.volume(s.great_torus())
         b = est.integral

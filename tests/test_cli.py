@@ -295,6 +295,46 @@ class TestExitCodes:
         assert out == ""
         assert "--theta-steps: must be at least 2, got 1" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("haar-stats", "--samples", "10", "--seed", "-1"), "must be at least 0, got -1"),
+        (("count", "anti-diagonal", "great-torus", "--seed", "-3"), "must be at least 0, got -3"),
+        (("verify-bounds", "--surface", "great-torus", "--samples", "1000", "--seed", "-2"),
+         "must be at least 0, got -2"),
+        (("haar-stats", "--samples", "10", "--seed", str(2 ** 128)),
+         f"must be less than 2**128, got {2 ** 128}"),
+    ], ids=["haar-stats-minus-1", "count-minus-3", "verify-bounds-minus-2", "haar-stats-2-to-128"])
+    def test_usage_error_seed_out_of_range(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"--seed: {message}" in err
+
+    def test_seed_range_ends(self, capsys):
+        code, default, _ = run_cli(capsys, "count", "great-torus", "great-torus")
+        assert code == 0
+        code, zero, _ = run_cli(capsys, "count", "great-torus", "great-torus", "--seed", "0")
+        assert code == 0
+        assert zero == default and json.loads(zero)["seed"] == 0
+        code, out, _ = run_cli(capsys, "count", "great-torus", "great-torus", "--seed", str(2 ** 128 - 1))
+        assert code == 0
+        assert json.loads(out)["seed"] == 2 ** 128 - 1
+
+    def test_usage_error_negative_tol_rel(self, capsys):
+        code, out, err = run_cli(capsys, "verify-poincare", "--surface", "great-torus",
+                                 "--samples", "1000", "--seed", "1", "--tol-rel", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--tol-rel: must be at least 0, got '-1'" in err
+
+    def test_zero_tol_rel_is_accepted(self, capsys):
+        # the great torus meets its identity exactly, so a zero tolerance passes
+        code, out, _ = run_cli(capsys, "verify-poincare", "--surface", "great-torus",
+                               "--samples", "1000", "--seed", "1", "--tol-rel", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tolerance"] == 0.0 and payload["verdict"] == "pass"
+
     def test_usage_error_non_integer_samples(self, capsys):
         code, _, err = run_cli(capsys, "haar-stats", "--samples", "many")
         assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s2xs2.errors import CoaxialCircles
+from s2xs2.errors import CoaxialCircles, GridUnstable
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
     _CORNER_OFFSETS,
@@ -31,6 +31,10 @@ from s2xs2.surfaces import (
     great_torus,
     latitude_torus,
 )
+
+
+# the partner seed the anti-diagonal benchmark workload derives from its seed 804
+PARTNER_SEED = 3990515194
 
 
 def bisection_circle_count(c1: Circle, c2: Circle, n=4096):
@@ -104,10 +108,10 @@ class TestProductProduct:
         moved1 = l.circle1.transform(g.first)
         moved2 = l.circle2.transform(g.second)
         for p in res.points:
-            assert abs(p.first.coords @ n.circle1.axis - n.circle1.offset) < 1e-8
-            assert abs(p.second.coords @ n.circle2.axis - n.circle2.offset) < 1e-8
-            assert abs(p.first.coords @ moved1.axis - moved1.offset) < 1e-8
-            assert abs(p.second.coords @ moved2.axis - moved2.offset) < 1e-8
+            assert abs(p[:3] @ n.circle1.axis - n.circle1.offset) < 1e-8
+            assert abs(p[3:] @ n.circle2.axis - n.circle2.offset) < 1e-8
+            assert abs(p[:3] @ moved1.axis - moved1.offset) < 1e-8
+            assert abs(p[3:] @ moved2.axis - moved2.offset) < 1e-8
 
     def test_antipodal_caps_give_zero(self):
         n = latitude_torus(0.9, 0.9)
@@ -137,15 +141,30 @@ class TestContourCounter:
         l = ProductTorusSurface(Circle([0, 0, 1], 0), Circle([1, 0, 0], 0))
         res = count_surface_product(n, GroupElement.identity(), l)
         assert res.count == 2
-        found = sorted(round(p.first.coords[1]) for p in res.points)
+        found = sorted(round(p[1]) for p in res.points)
         assert found == [-1, 1]  # z = -e_y and z = +e_y
         for p in res.points:
-            assert np.abs(np.abs(p.first.coords) - [0, 1, 0]).max() < 1e-8
-            assert np.abs(p.second.coords + p.first.coords).max() < 1e-8
+            assert np.abs(np.abs(p[:3]) - [0, 1, 0]).max() < 1e-8
+            assert np.abs(p[3:] + p[:3]).max() < 1e-8
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             count_surface_product(anti_diagonal(), group_element_at(1, 0), great_torus(), grid=64)
+
+    def test_grid_unstable_near_tangency(self):
+        # a near-tangent pair of roots that only the 512-node level resolves,
+        # so grid 256 disagrees with its own 2m check
+        g = group_element_at(PARTNER_SEED, 150)
+        with pytest.raises(GridUnstable):
+            count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=256)
+        res = count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=512)
+        assert res.count == 2
+        assert res.min_transversality == pytest.approx(0.00465, abs=5e-6)
+
+    @pytest.mark.xfail(strict=True, reason="both grids miss the near-tangent pair: a silent 0")
+    def test_near_tangent_pair_found_at_the_floor_grid(self):
+        g = group_element_at(PARTNER_SEED, 150)
+        assert count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=128).count == 2
 
     def test_undeformed_mesh_counts_four(self):
         mesh = deform_surface(HamiltonianFunction.zero(), great_torus(), FlowParams(0.5, 40), m=64)

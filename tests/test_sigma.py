@@ -5,24 +5,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_lagrangian_plane, random_product_point
-from s2xs2.errors import NegativeAxis, NotLagrangianNormal
-from s2xs2.geometry import Bivector, normal_plane, orthonormal_pairs, plane_from_invariants
+from helpers import (
+    ellipse_perimeter_quadrature,
+    kahler_angle,
+    normal_plane,
+    plane_from_invariants,
+    random_lagrangian_plane,
+    random_product_point,
+    tangent_plane,
+    wedge,
+)
+from s2xs2.errors import NegativeAxis
+from s2xs2.geometry import orthonormal_pairs
 from s2xs2.rotations import group_element_at
 from s2xs2.sigma import (
     CellInvariants,
-    EllipseSemiaxes,
     _kernel_coefficients,
     _normal_form_bases,
+    cell_angles_batch,
     ellipse_perimeter,
     ellipse_perimeter_batch,
-    ellipse_perimeter_quadrature,
-    invariants_from_normal_planes,
     lagrangian_semiaxes_batch,
-    plane_cell_angles,
-    semiaxes_from_normal_plane,
     sigma_general,
-    sigma_lagrangian_product,
 )
 from s2xs2.surfaces import (
     GraphSurface,
@@ -31,7 +35,6 @@ from s2xs2.surfaces import (
     chart_axes,
     latitude_torus,
     surface_quadrature,
-    tangent_plane,
 )
 from s2xs2.verify import _normal_invariant_samples
 
@@ -43,6 +46,19 @@ FOUR_PI_SQ = 4 * math.pi ** 2
 REGRESSION_DRAWS = np.random.default_rng(1).uniform(0, math.pi, (12, 4))
 
 angles = st.floats(-math.pi, 2 * math.pi)
+
+
+def semiaxes(x, plane):
+    """Ellipse semiaxes (a, b) of the plane (t1, t2) at x, from the batch kernel."""
+    a, b = lagrangian_semiaxes_batch(x, plane[0], plane[1])
+    return float(a), float(b)
+
+
+def invariants_from_normal_planes(x_n, normal_n, x_l, normal_l):
+    """Cell invariants of a surface pair from their normal planes at a point pair."""
+    a_n, b_n = cell_angles_batch(x_n, normal_n[0], normal_n[1])
+    a_l, b_l = cell_angles_batch(x_l, normal_l[0], normal_l[1])
+    return CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n), 0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
 
 
 def lagrangian_invariants(theta):
@@ -80,8 +96,8 @@ def sigma_general_reference(inv: CellInvariants, n: int = 256) -> float:
         ca, sa = math.cos(angle), math.sin(angle)
         a = np.array([[ca, sa, 0, 0], [-sa, ca, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         b = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, ca, sa], [0, 0, -sa, ca]])
-        wedge_u[i] = Bivector.wedge(a @ u1, a @ u2).components
-        wedge_v[i] = Bivector.wedge(b @ v1, b @ v2).components
+        wedge_u[i] = wedge(a @ u1, a @ u2)
+        wedge_v[i] = wedge(b @ v1, b @ v2)
     return float(np.abs(wedge_u @ wedge_v.T).sum()) * h * h
 
 
@@ -123,14 +139,12 @@ class TestEllipsePerimeter:
         with pytest.raises(NegativeAxis):
             ellipse_perimeter(-0.1, 1.0)
         with pytest.raises(NegativeAxis):
-            EllipseSemiaxes(1.0, -1e-9)
+            ellipse_perimeter(1.0, -1e-9)
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf)])
     def test_non_finite_axis(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             ellipse_perimeter(a, b)
-        with pytest.raises(ValueError, match="finite"):
-            EllipseSemiaxes(a, b)
 
     def test_agm_matches_quadrature(self):
         rng = np.random.default_rng(100)
@@ -231,59 +245,44 @@ class TestSemiaxes:
         x = random_product_point(rng)
         tangent = plane_from_invariants(x, math.pi / 2, 0.0)
         normal = normal_plane(x, tangent)
-        ax = semiaxes_from_normal_plane(x, normal)
-        assert (ax.a, ax.b) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert semiaxes(x, normal) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_antidiagonal_normal_plane(self):
-        from s2xs2.surfaces import anti_diagonal, tangent_plane
-
-        surf = anti_diagonal()
-        plane = tangent_plane(surf, 1.1, 0.7)
-        normal = normal_plane(plane.point, plane)
-        ax = semiaxes_from_normal_plane(plane.point, normal)
-        assert (ax.a, ax.b) == pytest.approx((0.5, 0.5), abs=1e-12)
+        x, plane = tangent_plane(anti_diagonal(), 1.1, 0.7)
+        normal = normal_plane(x, plane)
+        assert semiaxes(x, normal) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_cell_plane_value(self):
         rng = np.random.default_rng(15)
         x = random_product_point(rng)
         plane = plane_from_invariants(x, math.pi / 3, math.pi / 3 - math.pi / 2)
-        ax = semiaxes_from_normal_plane(x, plane)
-        assert (ax.a, ax.b) == pytest.approx((0.75, 0.25), abs=1e-12)
-
-    def test_rejects_non_lagrangian(self):
-        rng = np.random.default_rng(16)
-        x = random_product_point(rng)
-        complex_plane = plane_from_invariants(x, math.pi / 2, math.pi / 2)
-        with pytest.raises(NotLagrangianNormal):
-            semiaxes_from_normal_plane(x, complex_plane)
+        assert semiaxes(x, plane) == pytest.approx((0.75, 0.25), abs=1e-12)
 
     def test_normal_and_tangent_share_the_second_structure_angle(self):
         rng = np.random.default_rng(17)
-        from s2xs2.geometry import kahler_angle
-
         for _ in range(20):
             x = random_product_point(rng)
             plane = random_lagrangian_plane(rng, x)
             comp = normal_plane(x, plane)
-            assert kahler_angle(plane, "J'") == pytest.approx(kahler_angle(comp, "J'"), abs=1e-10)
+            assert kahler_angle(x, plane, "J'") == pytest.approx(kahler_angle(x, comp, "J'"), abs=1e-10)
 
 
 class TestSigmaLagrangianProduct:
     def test_circle_minimum(self):
-        assert sigma_lagrangian_product(EllipseSemiaxes(0.5, 0.5)) == pytest.approx(FOUR_PI, abs=1e-12)
+        assert 4.0 * ellipse_perimeter(0.5, 0.5) == pytest.approx(FOUR_PI, abs=1e-12)
 
     def test_degenerate_maximum(self):
-        assert sigma_lagrangian_product(EllipseSemiaxes(1.0, 0.0)) == 16.0
+        assert 4.0 * ellipse_perimeter(1.0, 0.0) == 16.0
 
     def test_interior_value_from_quadrature_oracle(self):
         oracle = 4.0 * ellipse_perimeter_quadrature(0.75, 0.25)
         assert oracle == pytest.approx(13.36489322055526, abs=1e-10)
-        assert sigma_lagrangian_product(EllipseSemiaxes(0.75, 0.25)) == pytest.approx(oracle, abs=1e-10)
+        assert 4.0 * ellipse_perimeter(0.75, 0.25) == pytest.approx(oracle, abs=1e-10)
 
     def test_range_over_admissible_family(self):
         values = []
         for s in np.linspace(0.0, 1.0, 101):
-            v = sigma_lagrangian_product(EllipseSemiaxes((1 + s) / 2, (1 - s) / 2))
+            v = 4.0 * ellipse_perimeter((1 + s) / 2, (1 - s) / 2)
             assert FOUR_PI - 1e-12 <= v <= 16.0 + 1e-12
             values.append(v)
         assert values[0] == pytest.approx(FOUR_PI, abs=1e-12)   # circle end
@@ -301,25 +300,23 @@ class TestInvariantExtraction:
             t1, t2 = 0.5 * (a_target + b_target), 0.5 * (a_target - b_target)
             # normal-form plane with those signed angles
             plane = plane_from_invariants(x, math.pi / 2 - t1, -t2)
-            a_got, b_got = plane_cell_angles(plane)
+            a_got, b_got = cell_angles_batch(x, plane[0], plane[1])
             # plane_from_invariants builds the complement family, so compare
             # invariants through the kernel instead of raw angles
-            inv1 = invariants_from_normal_planes(plane, plane)
+            inv1 = invariants_from_normal_planes(x, plane, x, plane)
             inv2 = CellInvariants(0.5 * (a_got + b_got), 0.5 * (a_got - b_got),
                                   0.5 * (a_got + b_got), 0.5 * (a_got - b_got))
             assert sigma_general(inv1) == pytest.approx(sigma_general(inv2), rel=1e-9)
 
     def test_kernel_invariant_under_orientation_flip(self):
         rng = np.random.default_rng(25)
-        from s2xs2.geometry import TangentPlane
-
         for _ in range(6):
             x = random_product_point(rng)
             p = random_lagrangian_plane(rng, x)
             q = plane_from_invariants(x, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-            flipped = TangentPlane(x, (p.basis[1], p.basis[0]))
-            v1 = sigma_general(invariants_from_normal_planes(p, q))
-            v2 = sigma_general(invariants_from_normal_planes(flipped, q))
+            flipped = p[::-1]
+            v1 = sigma_general(invariants_from_normal_planes(x, p, x, q))
+            v2 = sigma_general(invariants_from_normal_planes(x, flipped, x, q))
             assert v1 == pytest.approx(v2, rel=1e-7)
 
 
@@ -342,9 +339,9 @@ def _grid_nodes(surface, m):
 
 
 def _explicit_normal_plane(surface, chart, u, v):
-    """The normal plane built literally: tangent plane, then orthogonal complement."""
-    plane = tangent_plane(surface, u, v, chart)
-    return normal_plane(plane.point, plane)
+    """The point and its normal plane built literally: tangent plane, then orthogonal complement."""
+    x, plane = tangent_plane(surface, u, v, chart)
+    return x, normal_plane(x, plane)
 
 
 def _tilted_torus(m=64):
@@ -370,11 +367,10 @@ def test_semiaxes_kernel_matches_explicit_normal_plane(name):
         t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
         assert not bad.any()
         for a, b in zip(*lagrangian_semiaxes_batch(block["points"], t1, t2)):
-            normal = _explicit_normal_plane(surface, *next(nodes))
-            ax = semiaxes_from_normal_plane(normal.point, normal)
-            assert (a, b) == pytest.approx((ax.a, ax.b), abs=math.sqrt(4 * EPS))
+            ax = semiaxes(*_explicit_normal_plane(surface, *next(nodes)))
+            assert (a, b) == pytest.approx(ax, abs=math.sqrt(4 * EPS))
             assert ellipse_perimeter_batch(a, b) == pytest.approx(
-                ellipse_perimeter(ax.a, ax.b), abs=1e-12)
+                ellipse_perimeter(*ax), abs=1e-12)
 
 
 TILTED = _tilted_torus()
@@ -387,8 +383,8 @@ def test_complement_map_invariants_match_explicit_normal_plane(surface):
     # normal plane of the tilted mesh.  The kernel is blind to A -> pi - A
     # against a product torus, with the map applied to both sides, or where
     # B = pi/2 (Lagrangian planes), so the tilted mesh is what checks the map
-    partner_normal = _explicit_normal_plane(TILTED, 0, 0.25 * math.pi, 0.5 * math.pi)
-    a_l, b_l = plane_cell_angles(partner_normal)
+    x_l, partner_normal = _explicit_normal_plane(TILTED, 0, 0.25 * math.pi, 0.5 * math.pi)
+    a_l, b_l = cell_angles_batch(x_l, partner_normal[0], partner_normal[1])
     angles, _ = _normal_invariant_samples(surface, NODE_GRID)
     # the nodes it keeps: those of positive weight, in quadrature order
     measure = np.concatenate([b["measure"] for b in surface_quadrature(surface, NODE_GRID)])
@@ -397,5 +393,5 @@ def test_complement_map_invariants_match_explicit_normal_plane(surface):
     for (a_n, b_n), node in list(zip(angles, kept))[::3]:
         shortcut = CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n),
                                   0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
-        explicit = invariants_from_normal_planes(_explicit_normal_plane(surface, *node), partner_normal)
+        explicit = invariants_from_normal_planes(*_explicit_normal_plane(surface, *node), x_l, partner_normal)
         assert sigma_general(shortcut) == pytest.approx(sigma_general(explicit), rel=1e-9)

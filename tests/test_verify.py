@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from s2xs2.errors import NotLagrangian
+from s2xs2 import verify
+from s2xs2.errors import ExcessiveDiscards, NotLagrangian
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import _CountingProblem, counts_product_batch
@@ -62,6 +63,23 @@ class TestMonteCarlo:
                                     force_contour=True)
         assert contour.mean == direct.mean
         assert contour.stderr == direct.stderr
+
+    @pytest.mark.parametrize("threshold, message", [
+        (-2.0, "discards against 1000 requested samples"),  # every sample: the in-loop cap
+        (0.96, "samples discarded"),                        # about 2%: the final check
+    ], ids=["all", "two-percent"])
+    def test_excessive_discards(self, monkeypatch, threshold, message):
+        # flag a sample as coaxial where R11 of its first factor, uniform on
+        # [-1, 1] under the Haar measure, exceeds the threshold
+        real = verify.counts_product_batch
+
+        def flagging(n_surface, r1, r2, l_surface):
+            counts, coaxial = real(n_surface, r1, r2, l_surface)
+            return counts, coaxial | (r1[:, 0, 0] > threshold)
+
+        monkeypatch.setattr(verify, "counts_product_batch", flagging)
+        with pytest.raises(ExcessiveDiscards, match=message):
+            mc_expected_count(latitude_torus(0.5, 0.5), great_torus(), 1000, seed=11)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
