@@ -3,8 +3,9 @@
 The ambient model is R^3 x R^3: a point is a (..., 6) array holding a pair
 (p, q) of unit vectors, and a tangent vector at (p, q) is a (..., 6) array
 (u, v) with u perpendicular to p and v perpendicular to q.  A 2-plane at a
-point is an orthonormal row pair (t1, t2).  Two orthogonal complex
-structures act on each tangent space,
+point is a pair of spanning rows (a, b) with its area element |a ^ b|, or
+an orthonormal row pair (t1, t2), whose area element is 1.  Two orthogonal
+complex structures act on each tangent space,
 
     J (u, v) = (p x u,  q x v),        J'(u, v) = (p x u, -q x v),
 
@@ -12,9 +13,14 @@ and the symplectic form is the sum of the unit-sphere area forms,
 
     omega((u1,v1), (u2,v2)) = <p, u1 x u2> + <q, v1 x v2>.
 
-A 2-plane has angle arccos|<J t1, t2>| with respect to a structure: 0 for
-complex lines, pi/2 for Lagrangian planes.  Every kernel here broadcasts
-over leading axes, so a single point is a batch of one row.
+A 2-plane has angle arccos(|<J a, b>| / |a ^ b|) with respect to a
+structure: 0 for complex lines, pi/2 for Lagrangian planes.  J is skew, so
+a change of basis scales <J a, b> and |a ^ b| alike, up to the sign of the
+orientation.  Every
+kernel here broadcasts over leading axes, so a single point is a batch of
+one row.  The kernels read their inputs by component, x[..., k], so they run
+on contiguous rows when the (..., 6) arrays are views of component-major
+(6, n) storage, as the surface quadrature's tiles are.
 """
 
 from __future__ import annotations
@@ -55,6 +61,43 @@ def orthonormal_pairs(du, dv):
     bad = bad | (sin_angle < 1e-12)
     t2 = r / np.where(bad, 1.0, n2)[..., None]
     return t1, t2, bad
+
+
+def plane_area(a, b):
+    """Area element |a ^ b| = sqrt(EG - F^2) of (..., 6) spanning-row pairs,
+    and their degenerate mask.
+
+    A pair is degenerate where a row is shorter than 1e-14 or the sine of
+    their angle, |a ^ b| / (|a| |b|), is below 1e-12: the mask of
+    orthonormal_pairs, in terms of E = |a|^2, G = |b|^2 and the area.  EG - F^2
+    cancels as the square of that sine, so a sine below about 1e-8 is not
+    resolved and the mask there follows the rounding of F.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    E, F, G = _dot(a, a), _dot(a, b), _dot(b, b)
+    area = np.sqrt(np.maximum(E * G - F * F, 0.0))
+    degenerate = (E < 1e-28) | (G < 1e-28) | (area < 1e-12 * np.sqrt(E * G))
+    return area, degenerate
+
+
+def _dot(a, b):
+    """<a, b> along the last axis of (..., 6) arrays, by components.
+
+    The products are summed in two lanes, ((a0 b0 + a2 b2) + a4 b4) +
+    ((a1 b1 + a3 b3) + a5 b5): the order numpy's einsum takes over a
+    contiguous axis of six (two double lanes, no fused multiply-add), so the
+    rows agree bitwise with np.einsum("...k,...k->...", a, b) on C-ordered
+    arrays.
+    """
+    even = a[..., 0] * b[..., 0]
+    even += a[..., 2] * b[..., 2]
+    even += a[..., 4] * b[..., 4]
+    odd = a[..., 1] * b[..., 1]
+    odd += a[..., 3] * b[..., 3]
+    odd += a[..., 5] * b[..., 5]
+    even += odd
+    return even
 
 
 def omega_batch(points, a, b):

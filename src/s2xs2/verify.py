@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
-from .geometry import orthonormal_pairs
 from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from .intersections import _CountingProblem, counts_product_batch
 from .rotations import VOL_G, group_matrices
@@ -167,11 +166,17 @@ def _require_lagrangian(n_surface):
 
 
 def _perimeter_integral(n_surface, m: int) -> float:
-    """INT_N perim(semiaxes(x)) dA by composite quadrature on the chart grids."""
+    """INT_N perim(semiaxes(x)) dA by composite quadrature on the chart grids.
+
+    Each node's J' cosine is <J' du, dv> / |du ^ dv|, read from the raw
+    partials and the tile's area element; degenerate nodes weigh nothing.
+    """
     total = []
     for block in surface_quadrature(n_surface, m):
-        t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
-        per = ellipse_perimeter_batch(*lagrangian_semiaxes_batch(block["points"], t1, t2))
+        bad = block["degenerate"]
+        area = np.where(bad, 1.0, block["area"])
+        per = ellipse_perimeter_batch(
+            *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], area))
         weights = np.where(bad, 0.0, block["measure"])
         total.append(float(np.sum(weights * per)))
     return math.fsum(total)
@@ -193,10 +198,11 @@ def rhs_theorem6(n_surface, l_surface: ProductTorusSurface, m: int | None = None
     m = _default_grid(n_surface, m)
     coarse = _perimeter_integral(n_surface, m)
     fine = _perimeter_integral(n_surface, 2 * m)
-    if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
+    # phrased so that a non-finite level fails it too
+    if not (math.isfinite(fine) and abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)):
         raise QuadratureNotConverged(
-            f"surface quadrature at grids {m} and {2 * m} differ by "
-            f"{abs(fine - coarse) / abs(fine):.3e} relative"
+            f"surface quadrature at grids {m} and {2 * m} gave {coarse!r} and {fine!r}, "
+            f"not within 1e-6 relative"
         )
     return 4.0 * vol_l * fine
 
@@ -212,8 +218,9 @@ def _normal_invariant_samples(surface, m: int):
     angles = []
     weights = []
     for block in surface_quadrature(surface, m):
-        t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
-        a_t, b_t = cell_angles_batch(block["points"], t1, t2)
+        bad = block["degenerate"]
+        area = np.where(bad, 1.0, block["area"])
+        a_t, b_t = cell_angles_batch(block["points"], block["du"], block["dv"], area)
         keep = (block["measure"] > 0.0) & ~bad
         angles.append(np.stack([np.pi - a_t[keep], b_t[keep]], axis=1))
         weights.append(block["measure"][keep])

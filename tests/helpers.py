@@ -13,6 +13,8 @@ from scipy import integrate
 
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
 from s2xs2.hamiltonian import flow_points
+from s2xs2.sigma import DEGENERATE_AXIS
+from s2xs2.surfaces import surface_quadrature
 
 
 def random_sphere_point(rng):
@@ -179,3 +181,46 @@ def pushforward(H, x, v, params, eps=1e-5):
     """Central-difference pushforward of a tangent vector v at x under the time-t flow."""
     Y = flow_points(H, np.stack([x + eps * v, x - eps * v]), params)
     return (Y[0] - Y[1]) / (2.0 * eps)
+
+
+def ellipse_perimeter_fixed_agm(a, b):
+    """The AGM perimeter with a fixed 16 iterations: the loop ellipse_perimeter_batch
+    ran before it stopped at the first settled iteration, kept as its reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    big = np.maximum(a, b)
+    small = np.minimum(a, b)
+    safe_big = np.where(big > 0, big, 1.0)
+    degenerate = small / safe_big < DEGENERATE_AXIS
+    m = 1.0 - (np.where(degenerate, 0.0, small) / safe_big) ** 2
+    x = np.ones_like(m)
+    y = np.sqrt(1.0 - m)
+    S = 0.5 * m
+    p = 1.0
+    for _ in range(16):
+        c = 0.5 * (x - y)
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+        S += p * (c * c)
+        p *= 2.0
+    K = np.pi / (2.0 * x)
+    out = 4.0 * big * K * (1.0 - S)
+    return np.where(degenerate, 4.0 * big, out)
+
+
+def perimeter_integral_by_frames(surface, m):
+    """INT_N perim dA as the quadrature took it before it read the J' cosine
+    from the raw partials: each node's partials orthonormalized (on C-ordered
+    copies, as the whole-grid arrays were), the frame paired with J', and the
+    perimeter by the fixed 16-iteration AGM.  The reference for
+    verify._perimeter_integral; the tiles and their measure are the
+    quadrature's own."""
+    total = []
+    for block in surface_quadrature(surface, m):
+        points, du, dv = (np.ascontiguousarray(block[key]) for key in ("points", "du", "dv"))
+        t1, t2, bad = orthonormal_pairs(du, dv)
+        c = structure_pairing_batch("J'", points, t1, t2)
+        s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
+        per = ellipse_perimeter_fixed_agm((1.0 + s) / 2.0, (1.0 - s) / 2.0)
+        weights = np.where(bad, 0.0, block["measure"])
+        total.append(float(np.sum(weights * per)))
+    return math.fsum(total)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,7 @@ from helpers import (
     tangent_frame,
     wedge,
 )
-from s2xs2.geometry import omega_batch, structure_pairing_batch, wedge_norm
+from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
 
 E4 = np.eye(4)
 
@@ -149,6 +149,81 @@ class TestStructurePairingBatch:
             got = structure_pairing_batch(structure, points, a, b)
             want = np_cross_pairing(structure, points, a, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def tangent_pair(vectors, log_sin, log_scales):
+    """A point x and tangent rows (du, dv) at x whose angle has sine 10^log_sin.
+
+    vectors holds six 3-vectors: the two factor points (normalized), then the
+    raw factor parts of du and of a second direction, projected to the
+    tangent space; dv leaves du at the requested angle towards that direction.
+    """
+    p, q, u1, u2, w1, w2 = vectors
+    assume(np.linalg.norm(p) > 0.1 and np.linalg.norm(q) > 0.1)
+    x = np.concatenate([p / np.linalg.norm(p), q / np.linalg.norm(q)])
+
+    def tangent(a, b):
+        return np.concatenate([np.cross(x[:3], a), np.cross(x[3:], b)])
+
+    du, w = tangent(u1, u2), tangent(w1, w2)
+    assume(np.linalg.norm(du) > 1e-3)
+    e1 = du / np.linalg.norm(du)
+    w = w - (w @ e1) * e1
+    assume(np.linalg.norm(w) > 1e-3)
+    sin = 10.0 ** log_sin
+    dv = math.sqrt(1.0 - sin * sin) * e1 + sin * (w / np.linalg.norm(w))
+    return x, du * 10.0 ** log_scales[0], dv * 10.0 ** log_scales[1], sin
+
+
+class TestPlaneArea:
+    @settings(max_examples=300)
+    @given(vectors=arrays(float, (6, 3), elements=st.floats(-1.0, 1.0)),
+           log_sin=st.floats(-6.0, 0.0), log_scales=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_raw_partials_cosine_matches_the_orthonormal_frame(self, vectors, log_sin, log_scales):
+        # the J' cosine as the quadrature reads it, <J' du, dv> / |du ^ dv|, against
+        # the pairing of the orthonormalized frame.  sqrt(EG - F^2) cancels as
+        # 1/sin^2 of the angle, so the two agree to a few ulps of eps / sin^2
+        x, du, dv, sin = tangent_pair(vectors, log_sin, log_scales)
+        area, degenerate = plane_area(du, dv)
+        t1, t2, bad = orthonormal_pairs(du, dv)
+        assert not degenerate and not bad
+        raw = structure_pairing_batch("J'", x, du, dv) / area
+        framed = structure_pairing_batch("J'", x, t1, t2)
+        assert abs(raw - framed) <= 4.0 * np.finfo(float).eps / (sin * sin)
+        assert area == pytest.approx(np.linalg.norm(du) * np.linalg.norm(dv) * sin, rel=1e-9 / sin ** 2)
+
+    def test_degenerate_mask_is_that_of_orthonormal_pairs(self):
+        rng = np.random.default_rng(31)
+        x = random_product_point(rng)
+        du = random_tangent_vector(rng, x)
+        w = random_tangent_vector(rng, x)
+        w -= (w @ du) / (du @ du) * du
+        w /= np.linalg.norm(w)
+        e1 = du / np.linalg.norm(du)
+        # EG - F^2 cancels below a sine of about 1e-8, so the cases keep to
+        # angles the area element resolves: parallel rows (2 du keeps F^2 = EG
+        # exact) and a sine of 1e-6
+        cases = [
+            (np.zeros(6), w), (du, np.zeros(6)), (du, 2.0 * du),     # a null row, parallel rows
+            (du, e1 + 1e-6 * w), (du, w),
+            (1e-15 * e1, w), (1e-13 * e1, w),                         # |du| below and above 1e-14
+        ]
+        a = np.array([c[0] for c in cases])
+        b = np.array([c[1] for c in cases])
+        _, degenerate = plane_area(a, b)
+        _, _, bad = orthonormal_pairs(a, b)
+        assert degenerate.tolist() == bad.tolist() == [True, True, True, False, False, True, False]
+
+    def test_metric_sums_equal_einsum_on_c_ordered_rows_bitwise(self):
+        # the quadrature's measure is w * area * dA; its area must be the one
+        # the whole-grid quadrature took from np.einsum on (n, 6) arrays
+        rng = np.random.default_rng(32)
+        a, b = rng.normal(size=(2, 4096, 6))
+        E, F, G = (np.einsum("...k,...k->...", *pair) for pair in ((a, a), (a, b), (b, b)))
+        want = np.sqrt(np.maximum(E * G - F * F, 0.0))
+        for rows in ((a, b), (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T)):
+            area, _ = plane_area(*rows)
+            assert area.tobytes() == want.tobytes()
 
 
 class TestSymplecticForm:

@@ -9,15 +9,21 @@ directly, without scalar views on top.
 import numpy as np
 import pytest
 
-from s2xs2.geometry import omega_batch, orthonormal_pairs, structure_pairing_batch, wedge_norm
+from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, field_batch, flow_points
-from s2xs2.sigma import cell_angles_batch, lagrangian_semiaxes_batch
+from s2xs2.sigma import cell_angles_batch, ellipse_perimeter_batch, lagrangian_semiaxes_batch
 from s2xs2.surfaces import anti_diagonal, surface_quadrature
 
 # 8 quadrature nodes of the anti-diagonal: the diagonal of chart 0's 8 x 8 grid
 _NODES = next(surface_quadrature(anti_diagonal(), 8))
 POINTS, DU, DV = (_NODES[key][::9] for key in ("points", "du", "dv"))
 T1, T2, _ = orthonormal_pairs(DU, DV)
+AREA, _ = plane_area(DU, DV)
+# semiaxes on which the AGM settles after different numbers of iterations,
+# so a single row stops earlier than the batch: Lagrangian ((1 + s)/2,
+# (1 - s)/2) from a circle to a segment, a generic pair and a zero pair
+_S = np.array([0.0, 1e-8, 0.3, 0.9, 1.0 - 1e-9, 1.0])
+SEMIAXES = (np.concatenate([(1 + _S) / 2, [0.7, 0.0]]), np.concatenate([(1 - _S) / 2, [0.2, 0.0]]))
 # each node's tangent plane against that of a product of circles through it,
 # about the axes (1, 2, 3) and (-2, 1, 0.5), as the contour counter's
 # transversality pairs them: (8, 4, 6) row stacks
@@ -34,8 +40,10 @@ KERNELS = {
     "structure_pairing_batch-J'": (lambda x, a, b: structure_pairing_batch("J'", x, a, b), (POINTS, T1, T2)),
     "omega_batch": (omega_batch, (POINTS, T1, T2)),
     "orthonormal_pairs": (orthonormal_pairs, (DU, DV)),
-    "lagrangian_semiaxes_batch": (lagrangian_semiaxes_batch, (POINTS, T1, T2)),
-    "cell_angles_batch": (cell_angles_batch, (POINTS, T1, T2)),
+    "plane_area": (plane_area, (DU, DV)),
+    "lagrangian_semiaxes_batch": (lagrangian_semiaxes_batch, (POINTS, DU, DV, AREA)),
+    "cell_angles_batch": (cell_angles_batch, (POINTS, DU, DV, AREA)),
+    "ellipse_perimeter_batch": (ellipse_perimeter_batch, SEMIAXES),
     "wedge_norm": (wedge_norm, (STACKS,)),
     "field_batch": (lambda x: field_batch(H, x), (POINTS,)),
     "flow_points": (lambda x: flow_points(H, x, PARAMS), (POINTS,)),

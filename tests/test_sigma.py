@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ellipse_perimeter_fixed_agm,
     ellipse_perimeter_quadrature,
     kahler_angle,
     normal_plane,
@@ -16,9 +17,9 @@ from helpers import (
     wedge,
 )
 from s2xs2.errors import NegativeAxis
-from s2xs2.geometry import orthonormal_pairs
 from s2xs2.rotations import group_element_at
 from s2xs2.sigma import (
+    DEGENERATE_AXIS,
     CellInvariants,
     _kernel_coefficients,
     _normal_form_bases,
@@ -49,15 +50,15 @@ angles = st.floats(-math.pi, 2 * math.pi)
 
 
 def semiaxes(x, plane):
-    """Ellipse semiaxes (a, b) of the plane (t1, t2) at x, from the batch kernel."""
-    a, b = lagrangian_semiaxes_batch(x, plane[0], plane[1])
+    """Ellipse semiaxes (a, b) of the orthonormal plane (t1, t2) at x, from the batch kernel."""
+    a, b = lagrangian_semiaxes_batch(x, plane[0], plane[1], 1.0)
     return float(a), float(b)
 
 
 def invariants_from_normal_planes(x_n, normal_n, x_l, normal_l):
     """Cell invariants of a surface pair from their normal planes at a point pair."""
-    a_n, b_n = cell_angles_batch(x_n, normal_n[0], normal_n[1])
-    a_l, b_l = cell_angles_batch(x_l, normal_l[0], normal_l[1])
+    a_n, b_n = cell_angles_batch(x_n, normal_n[0], normal_n[1], 1.0)
+    a_l, b_l = cell_angles_batch(x_l, normal_l[0], normal_l[1], 1.0)
     return CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n), 0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
 
 
@@ -117,6 +118,28 @@ def richardson_reference(inv, n=2048):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _agm_families(n=20000):
+    """Semiaxis pairs (a, b) by family, drawn from one fixed generator."""
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(0.0, 1.0, n)
+    s = rng.uniform(0.0, 1.0, n)
+    tiny = 10.0 ** rng.uniform(-17.0, -3.0, n)
+    edge = DEGENERATE_AXIS * (1.0 + rng.uniform(-1e-3, 1e-3, n))
+    return {
+        "random": (a, rng.uniform(0.0, 1.0, n)),
+        "near-circle": (a, a * (1.0 - tiny)),
+        "lagrangian": ((1.0 + s) / 2.0, (1.0 - s) / 2.0),
+        "lagrangian-near-circle": ((1.0 + tiny) / 2.0, (1.0 - tiny) / 2.0),
+        # ratios on both sides of DEGENERATE_AXIS, and far below it
+        "degenerate-edge": (a, a * edge),
+        "near-segment": (a, a * DEGENERATE_AXIS * 10.0 ** rng.uniform(-8.0, 2.0, n)),
+        "zero-axes": (np.array([0.0, 0.0, 1.0, 0.5, 0.0]), np.array([0.0, 1.0, 0.0, 0.0, 1e-300])),
+    }
+
+
+AGM_FAMILIES = _agm_families()
+
+
 class TestEllipsePerimeter:
     def test_circle(self):
         assert ellipse_perimeter(1.0, 1.0) == pytest.approx(2 * math.pi, abs=1e-14)
@@ -145,6 +168,25 @@ class TestEllipsePerimeter:
     def test_non_finite_axis(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             ellipse_perimeter(a, b)
+
+    @pytest.mark.parametrize("family", AGM_FAMILIES)
+    def test_settled_agm_equals_the_fixed_loop_bitwise(self, family):
+        # the stop is decided per call: the whole family, tiles of 8192 and
+        # single rows each stop at their own iteration
+        a, b = AGM_FAMILIES[family]
+        want = ellipse_perimeter_fixed_agm(a, b)
+        assert ellipse_perimeter_batch(a, b).tobytes() == want.tobytes()
+        tiles = [ellipse_perimeter_batch(a[i:i + 8192], b[i:i + 8192]) for i in range(0, a.size, 8192)]
+        assert np.concatenate(tiles).tobytes() == want.tobytes()
+        rows = np.array([ellipse_perimeter_batch(x, y) for x, y in zip(a[:64], b[:64])])
+        assert rows.tobytes() == want[:64].tobytes()
+
+    def test_batch_rejects_non_finite_axes(self):
+        with pytest.raises(ValueError, match="finite"):
+            ellipse_perimeter_batch([math.nan, 1.0, math.inf], [0.5, math.nan, 1.0])
+        for a, b in [(math.nan, 1.0), (1.0, math.inf), (0.5, -math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                ellipse_perimeter_batch(np.array([0.5, a]), np.array([0.5, b]))
 
     def test_agm_matches_quadrature(self):
         rng = np.random.default_rng(100)
@@ -300,7 +342,7 @@ class TestInvariantExtraction:
             t1, t2 = 0.5 * (a_target + b_target), 0.5 * (a_target - b_target)
             # normal-form plane with those signed angles
             plane = plane_from_invariants(x, math.pi / 2 - t1, -t2)
-            a_got, b_got = cell_angles_batch(x, plane[0], plane[1])
+            a_got, b_got = cell_angles_batch(x, plane[0], plane[1], 1.0)
             # plane_from_invariants builds the complement family, so compare
             # invariants through the kernel instead of raw angles
             inv1 = invariants_from_normal_planes(x, plane, x, plane)
@@ -357,16 +399,16 @@ def _tilted_torus(m=64):
 
 @pytest.mark.parametrize("name", LAGRANGIAN_SURFACES)
 def test_semiaxes_kernel_matches_explicit_normal_plane(name):
-    # s = sqrt(1 - c^2) turns a rounding of the J' pairing c near |c| = 1
+    # s = sqrt(1 - c^2) turns a rounding of the J' cosine c near |c| = 1
     # (graph nodes, where the ellipse is a circle) into an error of order
     # sqrt(eps) in the semiaxes, 1.05e-8 at the graph nodes; the perimeter is
-    # flat in s there, so what the quadrature integrates agrees to 1e-12
+    # flat in s there, so what the quadrature integrates agrees to 1e-12.
+    # The kernel reads c from the raw partials, as the quadrature does.
     surface = LAGRANGIAN_SURFACES[name]
     nodes = iter(_grid_nodes(surface, NODE_GRID))
     for block in surface_quadrature(surface, NODE_GRID):
-        t1, t2, bad = orthonormal_pairs(block["du"], block["dv"])
-        assert not bad.any()
-        for a, b in zip(*lagrangian_semiaxes_batch(block["points"], t1, t2)):
+        assert not block["degenerate"].any()
+        for a, b in zip(*lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], block["area"])):
             ax = semiaxes(*_explicit_normal_plane(surface, *next(nodes)))
             assert (a, b) == pytest.approx(ax, abs=math.sqrt(4 * EPS))
             assert ellipse_perimeter_batch(a, b) == pytest.approx(
@@ -384,7 +426,7 @@ def test_complement_map_invariants_match_explicit_normal_plane(surface):
     # against a product torus, with the map applied to both sides, or where
     # B = pi/2 (Lagrangian planes), so the tilted mesh is what checks the map
     x_l, partner_normal = _explicit_normal_plane(TILTED, 0, 0.25 * math.pi, 0.5 * math.pi)
-    a_l, b_l = cell_angles_batch(x_l, partner_normal[0], partner_normal[1])
+    a_l, b_l = cell_angles_batch(x_l, partner_normal[0], partner_normal[1], 1.0)
     angles, _ = _normal_invariant_samples(surface, NODE_GRID)
     # the nodes it keeps: those of positive weight, in quadrature order
     measure = np.concatenate([b["measure"] for b in surface_quadrature(surface, NODE_GRID)])

@@ -213,12 +213,17 @@ class TestGraphSurface:
 
 
 def dense_quadrature(surface, m):
-    """The whole-chart quadrature the row tiles replaced, kept as their reference."""
+    """The whole-chart quadrature the row tiles replaced, kept as their reference.
+
+    It works on C-ordered (..., 6) copies, takes the metric terms by np.einsum
+    and the degenerate mask from orthonormal_pairs, as the quadrature did
+    before its tiles became component-major rows.
+    """
     for chart in range(len(surface.charts)):
         us, vs, cell = chart_axes(surface, chart, m)
         U, V = np.meshgrid(us, vs, indexing="ij")
-        pts = surface.points(chart, U, V)
-        du, dv = surface.partials(chart, U, V)
+        pts = np.ascontiguousarray(surface.points(chart, U, V))
+        du, dv = (np.ascontiguousarray(d) for d in surface.partials(chart, U, V))
         E = np.einsum("...k,...k->...", du, du)
         G = np.einsum("...k,...k->...", dv, dv)
         F = np.einsum("...k,...k->...", du, dv)
@@ -228,8 +233,27 @@ def dense_quadrature(surface, m):
             "points": pts.reshape(-1, 6),
             "du": du.reshape(-1, 6),
             "dv": dv.reshape(-1, 6),
+            "area": dens.reshape(-1),
+            "degenerate": orthonormal_pairs(du.reshape(-1, 6), dv.reshape(-1, 6))[2],
             "measure": (w * dens * cell).reshape(-1),
         }
+
+
+def stacked_graph_evaluation(surface, chart, u, v):
+    """Points and partials of a graph as GraphSurface built them before it wrote
+    component-major rows: the base factor stacked by coordinates, the map half
+    by a matmul with M, the halves concatenated.  Kept as the reference."""
+    st, ct = np.sin(u), np.cos(u)
+    cp, sp = np.cos(v), np.sin(v)
+
+    def stack(*parts):
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+    if chart == 0:
+        z, dth, dph = stack(st * cp, st * sp, ct), stack(ct * cp, ct * sp, -st), stack(-st * sp, st * cp, 0.0)
+    else:
+        z, dth, dph = stack(st * cp, -st * sp, -ct), stack(ct * cp, -ct * sp, st), stack(-st * sp, -st * cp, 0.0)
+    return tuple(np.concatenate([b, b @ surface.map_matrix.T], axis=-1) for b in (z, dth, dph))
 
 
 def same_bits(a, b):
@@ -267,7 +291,7 @@ class TestTiledQuadrature:
             monkeypatch.setattr(surfaces, "QUADRATURE_TILE", tile)
             tiles = list(surfaces.surface_quadrature(surface, m))
             assert sum(t["measure"].size for t in tiles) == len(surface.charts) * m * m
-            for key in ("points", "du", "dv", "measure"):
+            for key in ("points", "du", "dv", "area", "degenerate", "measure"):
                 assert same_bits(np.concatenate([t[key] for t in tiles]),
                                  np.concatenate([r[key] for r in reference]))
             assert surfaces.volume(surface, m) == pytest.approx(vol_ref, rel=1e-14, abs=0.0)
@@ -288,6 +312,51 @@ class TestTiledQuadrature:
             tracemalloc.stop()
         # the whole-chart grids peak near 140 MB here
         assert peak < 32 * 2 ** 20
+
+
+GRAPHS = [
+    pytest.param(anti_diagonal(), True, id="anti-diagonal"),
+    pytest.param(diagonal(), True, id="diagonal"),
+    pytest.param(GraphSurface(group_element_at(3, 0).first, antipodal=True), False, id="rotated-anti-diagonal"),
+    pytest.param(GraphSurface(group_element_at(7, 3).first, antipodal=False), False, id="rotated-diagonal"),
+]
+
+
+class TestComponentMajorGraph:
+    @pytest.mark.parametrize("chart", [0, 1])
+    @pytest.mark.parametrize("surface, exact", GRAPHS)
+    def test_rows_equal_the_stacked_form(self, surface, chart, exact):
+        # M with entries 0 and +-1 leaves nothing to round; a general rotation
+        # sums its products in another order
+        us, vs, _ = chart_axes(surface, chart, 37)
+        u, v = us[:, None], vs[None, :]
+        got = (surface.points(chart, u, v), *surface.partials(chart, u, v))
+        for rows, ref in zip(got, stacked_graph_evaluation(surface, chart, u, v)):
+            assert rows.shape == ref.shape
+            if exact:
+                assert np.array_equal(rows, ref)
+            else:
+                assert np.abs(rows - ref).max() <= 4 * np.finfo(float).eps
+
+    def test_scalar_and_batch_evaluation_agree(self):
+        surface = GraphSurface(group_element_at(3, 0).first, antipodal=True)
+        u, v = np.array([0.3, 1.1, 2.9]), np.array([0.2, 4.0, 6.1])
+        for chart in (0, 1):
+            batch = (surface.points(chart, u, v), *surface.partials(chart, u, v))
+            for i in range(3):
+                one = (surface.points(chart, u[i], v[i]), *surface.partials(chart, u[i], v[i]))
+                for single, rows in zip(one, batch):
+                    assert single.shape == (6,) and same_bits(single, rows[i])
+
+    @pytest.mark.parametrize("surface", [anti_diagonal(), latitude_torus(0.3, -0.6), flowed_mesh()],
+                             ids=["graph", "torus", "mesh"])
+    def test_tiles_hold_component_major_rows(self, surface):
+        block = next(surfaces.surface_quadrature(surface, 64))
+        for key in ("points", "du", "dv"):
+            assert block[key].shape[1] == 6 and block[key].T.flags.c_contiguous
+        # the graph evaluator's own storage is component-major, so its tiles take it without a copy
+        pts = anti_diagonal().points(0, np.zeros((2, 1)), np.zeros((1, 3)))
+        assert pts.shape == (2, 3, 6) and np.moveaxis(pts, -1, 0).flags.c_contiguous
 
 
 class TestSeparableEvaluation:

@@ -3,13 +3,14 @@ import math
 
 import pytest
 
+from helpers import perimeter_integral_by_frames
 from s2xs2 import verify
-from s2xs2.errors import ExcessiveDiscards, NotLagrangian
+from s2xs2.errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import _CountingProblem, counts_product_batch
-from s2xs2.rotations import VOL_G, group_matrices
-from s2xs2.surfaces import anti_diagonal, diagonal, great_torus, latitude_torus
+from s2xs2.rotations import VOL_G, group_element_at, group_matrices
+from s2xs2.surfaces import GraphSurface, anti_diagonal, diagonal, great_torus, latitude_torus
 from s2xs2.verify import (
     kernel_rhs_general,
     mc_expected_count,
@@ -110,6 +111,49 @@ class TestRhsTheorem6:
         lower = 4 * math.pi * vol * 4 * math.pi ** 2
         upper = 16 * vol * 4 * math.pi ** 2
         assert lower < got < upper
+
+
+def flowed_mesh_64():
+    h = HamiltonianFunction({(0, 0, 1, 0, 0, 1): 0.3, (1, 0, 0, 0, 0, 0): 0.2})
+    return deform_surface(h, great_torus(), FlowParams(0.4, 16), m=64)
+
+
+class TestKernelSideRoute:
+    """The J' cosine read from the raw partials against the orthonormal-frame route."""
+
+    @pytest.mark.parametrize("make", [great_torus, lambda: latitude_torus(0.3, -0.6), flowed_mesh_64],
+                             ids=["great-torus", "latitude-torus", "flowed-mesh"])
+    def test_rhs_equals_the_frame_route(self, monkeypatch, make):
+        surface = make()
+        got = rhs_theorem6(surface, great_torus())
+        monkeypatch.setattr(verify, "_perimeter_integral", perimeter_integral_by_frames)
+        assert got == rhs_theorem6(surface, great_torus())
+
+    def test_anti_diagonal_perimeter_integral_equals_the_frame_route(self):
+        for m in (64, 130):
+            assert verify._perimeter_integral(anti_diagonal(), m) == perimeter_integral_by_frames(anti_diagonal(), m)
+
+    @pytest.mark.parametrize("surface", [
+        GraphSurface(group_element_at(3, 0).first, antipodal=True),
+        anti_diagonal().transform(group_element_at(12, 5)),
+    ], ids=["rotated", "transformed"])
+    def test_rotated_graph_agrees_with_the_frame_route(self, surface):
+        assert verify._perimeter_integral(surface, 64) == pytest.approx(
+            perimeter_integral_by_frames(surface, 64), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_non_finite_level_is_not_converged(self, monkeypatch, bad, level):
+        levels = {}
+
+        def perimeter_integral(surface, m):
+            levels[m] = bad if len(levels) == level else 1.0
+            return levels[m]
+
+        monkeypatch.setattr(verify, "_perimeter_integral", perimeter_integral)
+        with pytest.raises(QuadratureNotConverged):
+            rhs_theorem6(anti_diagonal(), great_torus(), m=16)
+        assert sorted(levels) == [16, 32]
 
 
 class TestHowardGeneral:
