@@ -32,6 +32,7 @@ from .surfaces import (
     lagrangian_defect,
     latitude_torus,
     load_mesh,
+    quadrature_levels,
     save_mesh,
     volume,
 )
@@ -182,9 +183,18 @@ def _cmd_ellipse(args) -> int:
     return 0
 
 
+def _checked(build, *args):
+    """build(*args) for an argument the program refuses, such as a flow window
+    or a quadrature grid, with a ValueError reported as a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_volume(args) -> int:
     surface = parse_surface_spec(args.surface)
-    _emit(repr(volume(surface, args.grid)), args.output)
+    _emit(repr(_checked(volume, surface, args.grid)), args.output)
     return 0
 
 
@@ -260,6 +270,7 @@ def _cmd_count(args) -> int:
 def _cmd_verify_poincare(args) -> int:
     n_surface = parse_surface_spec(args.surface)
     l_surface = parse_surface_spec(args.against)
+    _checked(quadrature_levels, n_surface, args.quad_grid)  # fail before the Monte Carlo run
     report = verify.verify_poincare(
         n_surface, l_surface, args.samples, args.seed,
         count_grid=args.grid, quad_grid=args.quad_grid, rel_quad_tol=args.tol_rel,
@@ -276,17 +287,11 @@ def _cmd_verify_bounds(args) -> int:
     return _emit_report(report, args)
 
 
-def _flow_window(build, *args) -> FlowParams:
-    """build(*args) for the flow window, with a ValueError reported as a usage error."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _cmd_verify_chain(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
-    _flow_window(FlowParams.for_time, args.time, verify.CHAIN_DT)  # fail before any flow starts
+    _checked(FlowParams.for_time, args.time, verify.CHAIN_DT)  # fail before any flow starts
     report = verify.verify_main_chain(
         expr.polynomial(), args.time, args.samples, args.seed,
         m=args.mesh, count_grid=args.grid,
@@ -297,9 +302,9 @@ def _cmd_verify_chain(args) -> int:
 def _cmd_flow(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
     if args.steps is None:
-        params = _flow_window(FlowParams.for_time, args.time)
+        params = _checked(FlowParams.for_time, args.time)
     else:
-        params = _flow_window(FlowParams, args.time, args.steps)
+        params = _checked(FlowParams, args.time, args.steps)
     mesh = deform_surface(expr.polynomial(), great_torus(), params, m=args.mesh)
     save_mesh(mesh, args.emit_mesh)
     payload = json.dumps(

@@ -10,9 +10,12 @@ Three concrete models are supported:
 * MeshSurface -- a periodic lattice of points, evaluated by bilinear
   interpolation with renormalization, differentiated by central differences.
 
-Area quadrature is a composite rule over chart grids: node grids along
-periodic directions (trapezoidal weights, exact for the flat tori), midpoint
-grids along non-periodic ones.  The grids are streamed in row tiles of about
+Area quadrature is a product rule over chart grids: the trapezoid rule along
+periodic directions (spectrally accurate on their smooth periodic
+integrands, exact for the flat tori), Gauss-Legendre along bounded ones, on
+panels that end where the chart's weight stops being one polynomial.  A
+graph chart's panels cover only the support of its weight, so no node is
+spent where the weight is 0.  The grids are streamed in row tiles of about
 QUADRATURE_TILE nodes, so the working memory is set by the tile, not by the
 grid.  The models evaluate separably: given a column of u values and a row of
 v values they work out their trig and circle factors on the two axes and
@@ -28,11 +31,13 @@ arrays, which the tile copies into rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .geometry import omega_batch, orthonormal_pairs, plane_area
 from .rotations import GroupElement, Rotation
@@ -58,6 +63,16 @@ class Chart:
     v_max: float
     periodic_u: bool
     periodic_v: bool
+    # Gauss-Legendre panels along a bounded u: the quadrature integrates over
+    # [u_panels[0], u_panels[-1]], which must hold the support of the chart's
+    # weight, with one Gauss rule per panel.  Empty means the one panel
+    # [u_min, u_max].
+    u_panels: tuple = ()
+
+    @property
+    def min_grid(self) -> int:
+        """Fewest nodes per direction that leave no Gauss-Legendre panel empty."""
+        return max(len(self.u_panels) - 1, 1)
 
 
 def _join(first, second):
@@ -163,7 +178,9 @@ class GraphSurface:
 
     Two polar charts (colatitude, longitude), each excluding a cap of radius
     CAP_RADIUS around its antipodal pole; quadrature blends them with a C^4
-    partition of unity supported on the equatorial ramp.
+    partition of unity supported on the equatorial ramp.  A chart's weight
+    is 1 up to the ramp, a polynomial across it and 0 beyond, so its
+    quadrature panels end at the ramp's two edges.
     """
 
     def __init__(self, rotation: Rotation | None = None, antipodal: bool = False):
@@ -177,7 +194,8 @@ class GraphSurface:
 
     @property
     def charts(self):
-        c = Chart(0.0, math.pi - CAP_RADIUS, 0.0, TWO_PI, False, True)
+        ramp = (math.pi / 2 - RAMP_HALF_WIDTH, math.pi / 2 + RAMP_HALF_WIDTH)
+        c = Chart(0.0, math.pi - CAP_RADIUS, 0.0, TWO_PI, False, True, u_panels=(0.0, *ramp))
         return (c, c)
 
     def _rows(self, chart, theta, phi, part):
@@ -225,8 +243,10 @@ class GraphSurface:
     def weights(self, chart, u, v):
         # In each chart's own colatitude the blend profile is the same; the
         # two weights sum to 1 because the smoothstep satisfies s(t)+s(1-t)=1.
-        lo = math.pi / 2 - RAMP_HALF_WIDTH
-        w = 1.0 - _smoothstep4((u - lo) / (2.0 * RAMP_HALF_WIDTH))
+        # It is written s(1 - t), not 1 - s(t), so that it stays positive up
+        # to the ramp's end, where 1 - s(t) would round to 0.
+        hi = math.pi / 2 + RAMP_HALF_WIDTH
+        w = _smoothstep4((hi - u) / (2.0 * RAMP_HALF_WIDTH))
         return np.broadcast_to(w, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def transform(self, g: GroupElement) -> "GraphSurface":
@@ -364,19 +384,55 @@ def load_mesh(path) -> MeshSurface:
 # generic operations
 # ---------------------------------------------------------------------------
 
-def chart_axes(surface, chart: int, m: int):
-    """Quadrature nodes of one chart: the u axis, the v axis and the cell area.
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
 
-    Node grids along periodic directions, midpoint grids along bounded ones.
+    Cached: a rule costs O(n^2) time (10 ms at n = 512), and the charts,
+    panels and levels of one quadrature ask for the same few n again.
+    """
+    x, w = roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _axis_rule(lo, hi, periodic, panels, m):
+    """Nodes and weights of an m-node rule on [lo, hi].
+
+    The trapezoid rule along a periodic direction; along a bounded one,
+    Gauss-Legendre on each panel between consecutive breakpoints (lo, hi if
+    there are none), the m nodes dealt out evenly with the remainder going
+    to the first panels.
+    """
+    if periodic:
+        h = (hi - lo) / m
+        return lo + np.arange(m) * h, np.full(m, h)
+    edges = panels or (lo, hi)
+    count = len(edges) - 1
+    nodes, weights = [], []
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        x, w = _gauss_legendre(m // count + (k < m % count))
+        half = 0.5 * (b - a)
+        nodes.append(a + half * (x + 1.0))
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def chart_axes(surface, chart: int, m: int):
+    """Quadrature nodes of one chart: (u nodes, u weights), (v nodes, v weights).
+
+    The trapezoid rule along periodic directions, Gauss-Legendre panels along
+    bounded ones (_axis_rule); a node's cell weight is the product of its u
+    and v weights.  A grid that would leave a panel without a node is
+    refused.
     """
     ch = surface.charts[chart]
-    spans = []
-    for lo, hi, periodic in ((ch.u_min, ch.u_max, ch.periodic_u), (ch.v_min, ch.v_max, ch.periodic_v)):
-        h = (hi - lo) / m
-        offset = 0.0 if periodic else 0.5
-        spans.append((lo + (np.arange(m) + offset) * h, h))
-    (us, hu), (vs, hv) = spans
-    return us, vs, hu * hv
+    if m < ch.min_grid:
+        raise ValueError(f"quadrature grid {m} leaves a Gauss-Legendre panel without a node; "
+                         f"the grid must be at least {ch.min_grid}")
+    return (_axis_rule(ch.u_min, ch.u_max, ch.periodic_u, ch.u_panels, m),
+            _axis_rule(ch.v_min, ch.v_max, ch.periodic_v, (), m))
 
 
 def _component_rows(x):
@@ -396,7 +452,8 @@ def surface_quadrature(surface, m: int):
     * 'du', 'dv' (n, 6): the parameter partials;
     * 'area' (n,): the area element |du ^ dv| = sqrt(EG - F^2);
     * 'degenerate' (n,): where (du, dv) span no plane (geometry.plane_area);
-    * 'measure' (n,): the weighted area element w * area * dA.
+    * 'measure' (n,): the weighted area element w * area * dA, where dA is
+      the node's cell weight from chart_axes.
 
     The (n, 6) arrays are transposes of component-major (6, n) rows, so
     x[:, k] is contiguous and the kernels, which read by component, run on
@@ -406,10 +463,11 @@ def surface_quadrature(surface, m: int):
         raise ValueError(f"quadrature grid must be at least 1, got {m}")
     rows = max(1, QUADRATURE_TILE // m)
     for chart in range(len(surface.charts)):
-        us, vs, cell = chart_axes(surface, chart, m)
+        (us, wu), (vs, wv) = chart_axes(surface, chart, m)
         v = vs[None, :]
         for start in range(0, m, rows):
             u = us[start:start + rows, None]
+            cell = wu[start:start + rows, None] * wv
             pts = _component_rows(surface.points(chart, u, v)).T
             du, dv = (_component_rows(d).T for d in surface.partials(chart, u, v))
             area, degenerate = plane_area(du, dv)
@@ -434,6 +492,25 @@ def _default_grid(surface, m):
     return 64
 
 
+def quadrature_levels(surface, m: int | None = None):
+    """The grids of a checked quadrature: each level checks the last, whose value counts.
+
+    A mesh has one level, its own node lattice.  A graph counts grid m and
+    checks it against m // 2, refusing a coarse level that would leave a
+    Gauss-Legendre panel without a node.  A torus counts 2m and checks m.
+    """
+    if isinstance(surface, MeshSurface):
+        return (surface.m,)
+    m = _default_grid(surface, m)
+    if all(ch.periodic_u and ch.periodic_v for ch in surface.charts):
+        return (m, 2 * m)
+    floor = max(ch.min_grid for ch in surface.charts)
+    if m // 2 < floor:
+        raise ValueError(f"quadrature grid {m} is checked against grid {m // 2}, which leaves a "
+                         f"Gauss-Legendre panel without a node; the grid must be at least {2 * floor}")
+    return (m // 2, m)
+
+
 def volume(surface, m: int | None = None) -> float:
     """Two-dimensional area by composite quadrature of sqrt(EG - F^2)."""
     m = _default_grid(surface, m)
@@ -453,7 +530,7 @@ def lagrangian_defect(surface, samples: int = 1024) -> float:
         per_chart = max(4, int(math.ceil(math.sqrt(samples / len(surface.charts)))))
     worst = 0.0
     for chart in range(len(surface.charts)):
-        us, vs, _ = chart_axes(surface, chart, per_chart)
+        (us, _), (vs, _) = chart_axes(surface, chart, per_chart)
         u, v = us[:, None], vs[None, :]
         pts = surface.points(chart, u, v).reshape(-1, 6)
         du, dv = surface.partials(chart, u, v)

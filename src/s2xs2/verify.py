@@ -36,11 +36,10 @@ from .sigma import (
     sigma_general,
 )
 from .surfaces import (
-    MeshSurface,
     ProductTorusSurface,
-    _default_grid,
     great_torus,
     lagrangian_defect,
+    quadrature_levels,
     surface_quadrature,
     volume,
 )
@@ -185,26 +184,29 @@ def _perimeter_integral(n_surface, m: int) -> float:
 def rhs_theorem6(n_surface, l_surface: ProductTorusSurface, m: int | None = None) -> float:
     """Kernel side of the intersection identity: 4 vol(L) INT_N perim(x) dA(x).
 
-    For parametric N the quadrature is recomputed at grid 2m and the two
-    levels must agree to 1e-6 relative; a mesh is integrated on its own node
+    The perimeter integral runs on the grids of surfaces.quadrature_levels,
+    the last one is reported, and every earlier one must agree with it to
+    1e-6 relative.  A graph reports grid m and checks it against m // 2: its
+    Gauss-Legendre panels are exact to rounding from m = 16, so a level
+    twice as fine would add nothing.  A torus reports 2m and checks m, as
+    it always has: its trapezoid levels at the default 64 are cheap, and so
+    its values keep every bit.  A mesh is integrated once, on its own node
     lattice (its resolution is part of the data).
     """
     if not isinstance(l_surface, ProductTorusSurface):
         raise ValueError("L must be a product torus")
     _require_lagrangian(n_surface)
     vol_l = volume(l_surface)
-    if isinstance(n_surface, MeshSurface):
-        return 4.0 * vol_l * _perimeter_integral(n_surface, n_surface.m)
-    m = _default_grid(n_surface, m)
-    coarse = _perimeter_integral(n_surface, m)
-    fine = _perimeter_integral(n_surface, 2 * m)
-    # phrased so that a non-finite level fails it too
-    if not (math.isfinite(fine) and abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)):
-        raise QuadratureNotConverged(
-            f"surface quadrature at grids {m} and {2 * m} gave {coarse!r} and {fine!r}, "
-            f"not within 1e-6 relative"
-        )
-    return 4.0 * vol_l * fine
+    levels = quadrature_levels(n_surface, m)
+    *checks, value = (_perimeter_integral(n_surface, k) for k in levels)
+    for k, check in zip(levels, checks):
+        # phrased so that a non-finite level fails it too
+        if not (math.isfinite(value) and abs(value - check) <= 1e-6 * max(abs(value), 1e-300)):
+            raise QuadratureNotConverged(
+                f"surface quadrature at grids {k} and {levels[-1]} gave {check!r} and {value!r}, "
+                f"not within 1e-6 relative"
+            )
+    return 4.0 * vol_l * value
 
 
 def _normal_invariant_samples(surface, m: int):
@@ -227,6 +229,19 @@ def _normal_invariant_samples(surface, m: int):
     return np.concatenate(angles, axis=0), np.concatenate(weights)
 
 
+def _distinct_invariants(angles, weights):
+    """The distinct invariant pairs among the nodes and the weight on each.
+
+    Nodes are merged on their cosines rounded to 9 decimals, not on their
+    angles: arccos near +-1 turns the last-bit noise of a cosine into angle
+    steps of about 1.5e-8, which would split one constant invariant over
+    several keys.  Each pair is represented by the angles of its first node.
+    """
+    _, first, inverse = np.unique(np.round(np.cos(angles), 9), axis=0,
+                                  return_index=True, return_inverse=True)
+    return angles[first], np.bincount(inverse, weights=weights, minlength=len(first))
+
+
 def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
     """General kernel side: double surface quadrature of the angle kernel.
 
@@ -235,12 +250,8 @@ def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
     is the loop over those pairs, at well under a millisecond each; surfaces
     with constant invariants collapse to a single evaluation.
     """
-    ang_n, w_n = _normal_invariant_samples(n_surface, m)
-    ang_l, w_l = _normal_invariant_samples(l_surface, m)
-    uniq_n, inv_n = np.unique(np.round(ang_n, 9), axis=0, return_inverse=True)
-    uniq_l, inv_l = np.unique(np.round(ang_l, 9), axis=0, return_inverse=True)
-    mass_n = np.bincount(inv_n, weights=w_n, minlength=len(uniq_n))
-    mass_l = np.bincount(inv_l, weights=w_l, minlength=len(uniq_l))
+    uniq_n, mass_n = _distinct_invariants(*_normal_invariant_samples(n_surface, m))
+    uniq_l, mass_l = _distinct_invariants(*_normal_invariant_samples(l_surface, m))
     total = []
     for (a_n, b_n), wn in zip(uniq_n, mass_n):
         for (a_l, b_l), wl in zip(uniq_l, mass_l):

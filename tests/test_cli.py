@@ -184,6 +184,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert f"{flag}: must be at least 1, got {value}" in err
 
+    @pytest.mark.parametrize("argv, refused", [
+        (("volume", "anti-diagonal", "--grid", "1"), "quadrature grid 1 leaves"),
+        (("verify-poincare", "--surface", "anti-diagonal", "--samples", "1000", "--quad-grid", "2"),
+         "quadrature grid 2 is checked against grid 1"),
+        (("verify-poincare", "--surface", "anti-diagonal", "--samples", "1000", "--quad-grid", "3"),
+         "quadrature grid 3 is checked against grid 1"),
+    ], ids=["volume", "verify-poincare-2", "verify-poincare-3"])
+    def test_usage_error_graph_grid_leaves_a_panel_empty(self, capsys, monkeypatch, argv, refused):
+        # refused before any Monte Carlo sample is drawn
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert refused in err and "Gauss-Legendre panel without a node" in err
+
     def test_usage_error_negative_haar_samples(self, capsys):
         code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
         assert code == 2

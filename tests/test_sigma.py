@@ -375,7 +375,7 @@ def _grid_nodes(surface, m):
     """(chart, u, v) of every quadrature node, in the order surface_quadrature yields them."""
     nodes = []
     for chart in range(len(surface.charts)):
-        us, vs, _ = chart_axes(surface, chart, m)
+        (us, _), (vs, _) = chart_axes(surface, chart, m)
         nodes += [(chart, u, v) for u in us for v in vs]
     return nodes
 

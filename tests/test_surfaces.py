@@ -115,7 +115,7 @@ class TestVolume:
 
     def test_anti_diagonal(self):
         v = volume(anti_diagonal(), 1024)
-        assert v == pytest.approx(8 * math.pi, rel=1e-6)
+        assert v == pytest.approx(8 * math.pi, rel=1e-13)
 
     def test_isometry_invariance(self):
         g = group_element_at(64, 2)
@@ -209,7 +209,54 @@ class TestGraphSurface:
         surf = anti_diagonal().transform(g)
         assert isinstance(surf, GraphSurface)
         assert surf.antipodal
-        assert volume(surf, 512) == pytest.approx(8 * math.pi, rel=1e-5)
+        assert volume(surf, 512) == pytest.approx(8 * math.pi, rel=1e-13)
+
+
+class TestGraphQuadratureRule:
+    """Gauss-Legendre panels in colatitude on the support of each graph chart's weight."""
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 1024])
+    @pytest.mark.parametrize("surface", [anti_diagonal(), anti_diagonal().transform(group_element_at(12, 5))],
+                             ids=["anti-diagonal", "rotated"])
+    def test_every_node_weighs_and_a_level_has_two_m_squared_nodes(self, surface, m):
+        measure = np.concatenate([t["measure"] for t in surfaces.surface_quadrature(surface, m)])
+        assert measure.size == 2 * m * m
+        assert (measure > 0.0).all()
+
+    @pytest.mark.parametrize("m", [2, 7, 64])
+    def test_panels_cover_the_weight_support(self, m):
+        ramp_lo, ramp_hi = math.pi / 2 - surfaces.RAMP_HALF_WIDTH, math.pi / 2 + surfaces.RAMP_HALF_WIDTH
+        for chart in (0, 1):
+            (us, wu), (vs, wv) = chart_axes(anti_diagonal(), chart, m)
+            first = m - m // 2
+            assert us.size == wu.size == m and np.all(np.diff(us) > 0.0)
+            assert 0.0 < us[0] and us[first - 1] < ramp_lo < us[first] and us[-1] < ramp_hi
+            assert wu[:first].sum() == pytest.approx(ramp_lo, rel=1e-14)
+            assert wu[first:].sum() == pytest.approx(ramp_hi - ramp_lo, rel=1e-14)
+            assert np.array_equal(vs, np.arange(m) * (2 * math.pi / m))
+            assert np.all(wv == 2 * math.pi / m)
+        # the counter's chart, and so its grids and Newton clamps, is unchanged
+        assert anti_diagonal().charts[0].u_max == math.pi - surfaces.CAP_RADIUS
+
+    def test_grid_that_leaves_a_panel_empty_is_refused(self):
+        with pytest.raises(ValueError, match="Gauss-Legendre panel without a node"):
+            chart_axes(anti_diagonal(), 1, 1)
+        with pytest.raises(ValueError, match="must be at least 2"):
+            volume(anti_diagonal(), 1)
+        for m in (2, 3):
+            with pytest.raises(ValueError, match="must be at least 4"):
+                surfaces.quadrature_levels(anti_diagonal(), m)
+        # one panel per direction: every grid from 1 is accepted
+        assert volume(great_torus(), 1) == pytest.approx(FOUR_PI_SQ, rel=1e-14)
+
+    def test_levels(self):
+        mesh = MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16)
+        assert surfaces.quadrature_levels(anti_diagonal(), 4) == (2, 4)
+        assert surfaces.quadrature_levels(anti_diagonal(), 1025) == (512, 1025)
+        assert surfaces.quadrature_levels(anti_diagonal()) == (512, 1024)
+        assert surfaces.quadrature_levels(great_torus(), 16) == (16, 32)
+        assert surfaces.quadrature_levels(great_torus()) == (64, 128)
+        assert surfaces.quadrature_levels(mesh, 1024) == (16,)
 
 
 def dense_quadrature(surface, m):
@@ -220,8 +267,9 @@ def dense_quadrature(surface, m):
     before its tiles became component-major rows.
     """
     for chart in range(len(surface.charts)):
-        us, vs, cell = chart_axes(surface, chart, m)
+        (us, wu), (vs, wv) = chart_axes(surface, chart, m)
         U, V = np.meshgrid(us, vs, indexing="ij")
+        cell = wu[:, None] * wv
         pts = np.ascontiguousarray(surface.points(chart, U, V))
         du, dv = (np.ascontiguousarray(d) for d in surface.partials(chart, U, V))
         E = np.einsum("...k,...k->...", du, du)
@@ -328,7 +376,7 @@ class TestComponentMajorGraph:
     def test_rows_equal_the_stacked_form(self, surface, chart, exact):
         # M with entries 0 and +-1 leaves nothing to round; a general rotation
         # sums its products in another order
-        us, vs, _ = chart_axes(surface, chart, 37)
+        (us, _), (vs, _) = chart_axes(surface, chart, 37)
         u, v = us[:, None], vs[None, :]
         got = (surface.points(chart, u, v), *surface.partials(chart, u, v))
         for rows, ref in zip(got, stacked_graph_evaluation(surface, chart, u, v)):
@@ -368,7 +416,7 @@ class TestSeparableEvaluation:
         (MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16), 0),
     ])
     def test_axes_evaluation_equals_the_meshgrid(self, surface, chart):
-        us, vs, _ = chart_axes(surface, chart, 37)
+        (us, _), (vs, _) = chart_axes(surface, chart, 37)
         vs = vs[:29] + 0.01
         U, V = np.meshgrid(us, vs, indexing="ij")
         u, v = us[:, None], vs[None, :]

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import perimeter_integral_by_frames
 from s2xs2 import verify
@@ -10,7 +12,7 @@ from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import _CountingProblem, counts_product_batch
 from s2xs2.rotations import VOL_G, group_element_at, group_matrices
-from s2xs2.surfaces import GraphSurface, anti_diagonal, diagonal, great_torus, latitude_torus
+from s2xs2.surfaces import GraphSurface, anti_diagonal, diagonal, great_torus, latitude_torus, volume
 from s2xs2.verify import (
     kernel_rhs_general,
     mc_expected_count,
@@ -91,7 +93,38 @@ class TestMonteCarlo:
             mc_expected_count(great_torus(), anti_diagonal(), 1000, seed=1)
 
 
+# volume and rhs_theorem6 at their default grids, pinned as literals: the
+# trapezoid rule of the tori and the mesh lattice are kept to the bit
+A4_HAMILTONIAN = parse_hamiltonian("x1*x2 + 0.5*y1*y2*z2").polynomial()
+PINNED = [
+    pytest.param(great_torus, 39.47841760435743, 24936.727304704622, id="great-torus"),
+    pytest.param(lambda: latitude_torus(0.3, -0.6), 30.12800813016434, 19030.49738480166, id="latitude-torus"),
+    pytest.param(lambda: deform_surface(A4_HAMILTONIAN, great_torus(), FlowParams.for_time(0.5, 0.0125), m=128),
+                 42.016387379358896, 25270.586814006278, id="a4-mesh"),
+]
+
+
 class TestRhsTheorem6:
+    @pytest.mark.parametrize("make, vol, rhs", PINNED)
+    def test_torus_and_mesh_values_are_pinned(self, make, vol, rhs):
+        surface = make()
+        assert volume(surface) == vol
+        assert rhs_theorem6(surface, great_torus()) == rhs
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 2 ** 20))
+    def test_rotated_antipodal_graphs_are_exact_at_grid_32(self, seed, index):
+        surface = anti_diagonal().transform(group_element_at(seed, index))
+        assert volume(surface, 32) == pytest.approx(8 * math.pi, rel=1e-12)
+        assert rhs_theorem6(surface, great_torus(), m=32) == pytest.approx(PI4_128, rel=1e-12)
+
+    def test_anti_diagonal_at_the_a3_grid(self):
+        assert rhs_theorem6(anti_diagonal(), great_torus(), m=1024) == pytest.approx(PI4_128, rel=1e-13)
+
+    def test_graph_grid_that_leaves_a_panel_empty_is_refused(self):
+        with pytest.raises(ValueError, match="must be at least 4"):
+            rhs_theorem6(anti_diagonal(), great_torus(), m=3)
+
     def test_great_pair_upper_value(self):
         assert rhs_theorem6(great_torus(), great_torus()) == pytest.approx(PI4_256, rel=1e-9)
 
@@ -104,8 +137,6 @@ class TestRhsTheorem6:
             rhs_theorem6(diagonal(), great_torus())
 
     def test_deformed_mesh_between_bounds(self, deformed_mesh):
-        from s2xs2.surfaces import volume
-
         got = rhs_theorem6(deformed_mesh, great_torus())
         vol = volume(deformed_mesh)
         lower = 4 * math.pi * vol * 4 * math.pi ** 2
@@ -153,7 +184,7 @@ class TestKernelSideRoute:
         monkeypatch.setattr(verify, "_perimeter_integral", perimeter_integral)
         with pytest.raises(QuadratureNotConverged):
             rhs_theorem6(anti_diagonal(), great_torus(), m=16)
-        assert sorted(levels) == [16, 32]
+        assert sorted(levels) == [8, 16]
 
 
 class TestHowardGeneral:
@@ -163,7 +194,17 @@ class TestHowardGeneral:
 
     def test_anti_diagonal(self):
         got = kernel_rhs_general(anti_diagonal(), great_torus(), m=128)
-        assert got == pytest.approx(PI4_128, rel=1e-4)
+        assert got == pytest.approx(PI4_128, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [anti_diagonal, great_torus], ids=["anti-diagonal", "great-torus"])
+    def test_constant_invariants_take_one_kernel_call(self, monkeypatch, make):
+        # arccos near 1 spreads the rounding of a constant cosine over angle
+        # steps of 1.5e-8, which must not split it into several kernel calls
+        calls = []
+        real = verify.sigma_general
+        monkeypatch.setattr(verify, "sigma_general", lambda inv: calls.append(inv) or real(inv))
+        kernel_rhs_general(make(), great_torus(), m=128)
+        assert len(calls) == 1
 
     def test_matches_specialized_form_on_latitude_torus(self):
         n = latitude_torus(0.5, 0.5)
