@@ -17,22 +17,7 @@ from .errors import (
 )
 from .expressions import HamiltonianExpr, parse_hamiltonian
 from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
-from .intersections import (
-    IntersectionResult,
-    circle_circle_count,
-    count_product_product,
-    count_surface_product,
-)
-from .rotations import (
-    MEASURE,
-    VOL_G,
-    VOL_GK,
-    VOL_K,
-    VOL_SO3,
-    GroupElement,
-    MeasureConstants,
-    Rotation,
-)
+from .rotations import VOL_G, VOL_GK, VOL_K, VOL_SO3
 from .sigma import (
     CellInvariants,
     ellipse_perimeter,

@@ -18,10 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions, verify
-from .errors import S2xS2Error
+from .errors import CoaxialCircles, GridUnstable, NonTransversalSample, S2xS2Error
 from .hamiltonian import MIN_MESH, MIN_STEPS, FlowParams, deform_surface
-from .intersections import MIN_COUNT_GRID, count_product_product, count_surface_product
-from .rotations import group_element_at, haar_matrices
+from .intersections import (
+    MIN_COUNT_GRID,
+    _CountingProblem,
+    counts_product_batch,
+    transversality_product_batch,
+)
+from .rotations import group_matrices, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
 from .surfaces import (
     GraphSurface,
@@ -100,6 +105,14 @@ def parse_surface_spec(text: str):
     raise UsageError(f"unknown surface kind {kind!r}")
 
 
+def _parse_l_spec(text: str) -> ProductTorusSurface:
+    """A surface spec that must name a product torus, the L of a count."""
+    surface = parse_surface_spec(text)
+    if not isinstance(surface, ProductTorusSurface):
+        raise UsageError(f"L spec must be a product torus, got {text!r}")
+    return surface
+
+
 def print_surface_spec(surface, mesh_path: str | None = None) -> str:
     if isinstance(surface, ProductTorusSurface):
         c1, c2 = surface.circle1, surface.circle2
@@ -110,7 +123,7 @@ def print_surface_spec(surface, mesh_path: str | None = None) -> str:
         ax = lambda a: ",".join(repr(float(x)) for x in a)
         return f"latitude-torus {c1.offset!r} {c2.offset!r} {ax(c1.axis)} {ax(c2.axis)}"
     if isinstance(surface, GraphSurface) and surface.antipodal \
-            and np.array_equal(surface.rotation.matrix, np.eye(3)):
+            and np.array_equal(surface.rotation, np.eye(3)):
         return "anti-diagonal"
     if isinstance(surface, MeshSurface):
         return f"mesh {mesh_path}" if mesh_path else f"mesh <m={surface.m}>"
@@ -244,18 +257,23 @@ def _cmd_sigma_table(args) -> int:
 
 def _cmd_count(args) -> int:
     n_surface = parse_surface_spec(args.n_spec)
-    l_surface = parse_surface_spec(args.l_spec)
-    if not isinstance(l_surface, ProductTorusSurface):
-        raise UsageError("L spec must be a product torus")
-    g = group_element_at(args.seed, 0)
+    l_surface = _parse_l_spec(args.l_spec)
+    r1, r2 = group_matrices(args.seed, 0, 1)  # Monte Carlo sample 0
     if isinstance(n_surface, ProductTorusSurface):
-        result = count_product_product(n_surface, g, l_surface)
+        (count,), (coaxial,) = counts_product_batch(n_surface, r1, r2, l_surface)
+        if coaxial:
+            raise CoaxialCircles("coincident circle planes: the sample has no point count")
+        (min_trans,) = transversality_product_batch(n_surface, r1, r2, l_surface)
     else:
-        result = count_surface_product(n_surface, g, l_surface, grid=args.grid)
+        (status, count, min_trans, _), = _CountingProblem(n_surface, l_surface, args.grid).run_batch(r1, r2)
+        if status == "gridunstable":
+            raise GridUnstable(f"count changed between grids {args.grid} and {2 * args.grid}")
+        if status == "nontransversal":
+            raise NonTransversalSample("an intersection point failed the transversality gate")
     payload = json.dumps(
         {
-            "count": result.count,
-            "min_transversality": result.min_transversality,
+            "count": int(count),
+            "min_transversality": float(min_trans),
             "seed": args.seed,
             "n": args.n_spec,
             "l": args.l_spec,
@@ -269,7 +287,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify_poincare(args) -> int:
     n_surface = parse_surface_spec(args.surface)
-    l_surface = parse_surface_spec(args.against)
+    l_surface = _parse_l_spec(args.against)
     _checked(quadrature_levels, n_surface, args.quad_grid)  # fail before the Monte Carlo run
     report = verify.verify_poincare(
         n_surface, l_surface, args.samples, args.seed,
@@ -280,7 +298,7 @@ def _cmd_verify_poincare(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     n_surface = parse_surface_spec(args.surface)
-    l_surface = parse_surface_spec(args.against)
+    l_surface = _parse_l_spec(args.against)
     report = verify.verify_prop4_bounds(
         n_surface, l_surface, args.samples, args.seed, count_grid=args.grid,
     )

@@ -46,17 +46,18 @@ def orthonormal_pairs(du, dv):
     """Orthonormalize (du, dv) row pairs; returns (t1, t2, degenerate_mask).
 
     A pair is degenerate where a row vanishes or the sine of their angle is
-    below 1e-12.
+    below 1e-12.  The inner products are _dot's, so a row gives the same
+    bits whatever the batch and the memory layout it comes in.
     """
     du = np.asarray(du, dtype=float)
     dv = np.asarray(dv, dtype=float)
-    n1 = np.sqrt(np.einsum("...k,...k->...", du, du))
-    nv = np.sqrt(np.einsum("...k,...k->...", dv, dv))
+    n1 = np.sqrt(_dot(du, du))
+    nv = np.sqrt(_dot(dv, dv))
     bad = (n1 < 1e-14) | (nv < 1e-14)
     n1s = np.where(bad, 1.0, n1)
     t1 = du / n1s[..., None]
-    r = dv - np.einsum("...k,...k->...", dv, t1)[..., None] * t1
-    n2 = np.sqrt(np.einsum("...k,...k->...", r, r))
+    r = dv - _dot(dv, t1)[..., None] * t1
+    n2 = np.sqrt(_dot(r, r))
     sin_angle = n2 / np.where(bad, 1.0, nv)
     bad = bad | (sin_angle < 1e-12)
     t2 = r / np.where(bad, 1.0, n2)[..., None]

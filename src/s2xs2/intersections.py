@@ -30,13 +30,10 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoaxialCircles, GridUnstable, NonTransversalSample
 from .geometry import orthonormal_pairs, wedge_norm
-from .rotations import GroupElement
 from .surfaces import TWO_PI, Circle, GraphSurface, ProductTorusSurface
 
 COAXIAL_TOL = 1e-12
@@ -49,19 +46,6 @@ MIN_COUNT_GRID = 128
 CULL_BLOCK = 8            # cells per side of a culling block
 CULL_MARGIN = 1e-6        # padding of a block's value interval, far above its rounding
 GRAPH_COUNT_BAND = math.pi / 2 + 0.1  # per-chart seed band; the two bands cover the sphere
-
-
-@dataclass(frozen=True)
-class IntersectionResult:
-    """Transversal intersection count with the found points as (count, 6) rows.
-
-    min_transversality is the smallest wedge angle between the tangent planes
-    of the two surfaces over the found points (1.0 when there are none).
-    """
-
-    count: int
-    points: np.ndarray
-    min_transversality: float
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +68,6 @@ def _circle_pairs(cn: Circle, axes, offset):
     return gamma, np.where(parallel, -np.inf, disc), coaxial
 
 
-def circle_circle_count(c1: Circle, c2: Circle) -> int:
-    """0, 1 or 2 intersection points of two circles on the unit sphere."""
-    return len(circle_circle_points(c1, c2))
-
-
-def circle_circle_points(c1: Circle, c2: Circle):
-    """The intersection points (possibly empty) as unit 3-vectors."""
-    (gamma,), (disc,), (coaxial,) = _circle_pairs(c1, c2.axis[None, :], c2.offset)
-    if coaxial:
-        raise CoaxialCircles(f"coincident circle planes (gamma = {float(gamma)!r})")
-    if disc < 0.0:
-        return []
-    denom = 1.0 - gamma ** 2
-    alpha = (c1.offset - c2.offset * gamma) / denom
-    beta = (c2.offset - c1.offset * gamma) / denom
-    base = alpha * c1.axis + beta * c2.axis
-    if disc == 0.0:
-        return [base / np.linalg.norm(base)]
-    out_of_plane = math.sqrt(disc / denom) * np.cross(c1.axis, c2.axis)
-    return [base + out_of_plane, base - out_of_plane]
-
-
 def _circle_tangent_rows(a1, a2, p, q):
     """Unit tangents at the points (p, q) of the circles about the axes a1 and
     a2, one per factor, as (k, 2, 6) rows; degenerate where p or q lies on its axis."""
@@ -114,20 +76,6 @@ def _circle_tangent_rows(a1, a2, p, q):
     rows[:, 1, 3:] = np.cross(a2, q)
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     return rows / np.where(norms > 0, norms, 1.0), np.any(norms < 1e-12, axis=(1, 2))
-
-
-def count_product_product(n_surface: ProductTorusSurface, g: GroupElement,
-                          l_surface: ProductTorusSurface) -> IntersectionResult:
-    """Closed-form count for two product tori: the factor counts multiply."""
-    moved1 = l_surface.circle1.transform(g.first)
-    moved2 = l_surface.circle2.transform(g.second)
-    x = np.array([np.concatenate([p, q])
-                  for p in circle_circle_points(n_surface.circle1, moved1)
-                  for q in circle_circle_points(n_surface.circle2, moved2)]).reshape(-1, 6)
-    tn, _ = _circle_tangent_rows(n_surface.circle1.axis, n_surface.circle2.axis, x[:, :3], x[:, 3:])
-    tl, _ = _circle_tangent_rows(moved1.axis, moved2.axis, x[:, :3], x[:, 3:])
-    trans = wedge_norm(np.concatenate([tn, tl], axis=1))
-    return IntersectionResult(len(x), x, float(trans.min(initial=1.0)))
 
 
 def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
@@ -145,6 +93,27 @@ def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
         counts *= np.where(disc > 0.0, 2, np.where(disc == 0.0, 1, 0))
         coaxial |= same_plane
     return counts, coaxial
+
+
+def transversality_product_batch(n_surface: ProductTorusSurface, r1, r2,
+                                 l_surface: ProductTorusSurface):
+    """(S,) wedge angles between the tangent planes of N and g L at their
+    intersection points, for rotation batches (r1, r2: (S, 3, 3)).
+
+    The planes are products of circle tangents, so the wedge angle is the
+    product of the two factors' sin(theta), theta the angle at which a circle
+    of N meets its moved circle of L.  Both points of a circle pair meet at
+    the same angle, sin(theta) = sqrt((1 - gamma^2) disc) / (r_N r_L) in the
+    terms of _circle_pairs; samples with no point get 1.0.
+    """
+    sines = np.ones(r1.shape[0])
+    meets = np.ones(r1.shape[0], dtype=bool)
+    for cn, cl, rot in ((n_surface.circle1, l_surface.circle1, r1),
+                        (n_surface.circle2, l_surface.circle2, r2)):
+        gamma, disc, _ = _circle_pairs(cn, rot @ cl.axis, cl.offset)
+        meets &= disc >= 0.0
+        sines *= np.sqrt((1.0 - gamma ** 2) * np.maximum(disc, 0.0)) / (cn.radius * cl.radius)
+    return np.where(meets, sines, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +331,13 @@ class _CountingProblem:
             for level in (m, 2 * m)
         }
 
-    def run_batch(self, r1, r2, collect_points=False):
+    def run_batch(self, r1, r2):
         """Per-sample outcomes over a batch of group samples.
 
         Each outcome is (status, count, min_transversality, points) with
-        status in {'ok', 'nontransversal', 'gridunstable'}; points is a list
-        of ambient 6-vectors from the fine grid when collect_points is set.
+        status in {'ok', 'nontransversal', 'gridunstable'}; points is the
+        list of deduplicated ambient 6-vectors from the fine grid, empty
+        unless the status is 'ok'.
         """
         S = r1.shape[0]
         a1 = r1 @ self.l_surface.circle1.axis
@@ -385,7 +355,7 @@ class _CountingProblem:
             elif count0 != count1:
                 out.append(("gridunstable", 0, 0.0, []))
             else:
-                out.append(("ok", count1, trans1, pts1 if collect_points else []))
+                out.append(("ok", count1, trans1, pts1))
         return out
 
     def _count_level(self, grids, a1, a2, c1, c2, S):
@@ -438,17 +408,3 @@ class _CountingProblem:
         tl, degenerate = _circle_tangent_rows(a1, a2, pts[:, :3], pts[:, 3:])
         sigma = wedge_norm(np.concatenate([np.stack([t1, t2], axis=1), tl], axis=1))
         return np.where(degenerate | bad, 0.0, sigma)
-
-
-def count_surface_product(n_surface, g: GroupElement, l_surface: ProductTorusSurface,
-                          grid: int = MIN_COUNT_GRID) -> IntersectionResult:
-    """Contour-based transversal count of N against g L, cross-checked at grid 2m."""
-    problem = _CountingProblem(n_surface, l_surface, grid)
-    (status, count, min_trans, pts), = problem.run_batch(
-        g.first.matrix[None, :, :], g.second.matrix[None, :, :], collect_points=True
-    )
-    if status == "gridunstable":
-        raise GridUnstable(f"count changed between grids {grid} and {2 * grid}")
-    if status == "nontransversal":
-        raise NonTransversalSample("an intersection point failed the transversality gate")
-    return IntersectionResult(count, np.array(pts, dtype=float).reshape(-1, 6), float(min_trans))

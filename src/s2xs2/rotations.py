@@ -1,44 +1,31 @@
-"""Haar-uniform sampling on SO(3) and SO(3) x SO(3), and the action on S2 x S2.
+"""Haar-uniform sampling on SO(3) and SO(3) x SO(3), acting factor-wise on S2 x S2.
 
 Sampling is counter based: the sample at index i is a deterministic function
 of (seed, i) only, so results do not depend on batching or evaluation order.
 Index i of a rotation stream consumes the Philox block i (four uniforms,
 turned into four Gaussians by Box-Muller, normalized to a unit quaternion);
-a group-element stream consumes blocks 2i and 2i+1.
+a group-element stream consumes blocks 2i and 2i+1.  A group element is a
+pair of rotation matrices, so sample i alone is group_matrices(seed, i, 1),
+bitwise row i of every batch that holds it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 _PI2 = np.pi * np.pi
 
-
-@dataclass(frozen=True)
-class MeasureConstants:
-    """Riemannian volumes in the normalization where the quotient is S2(1) x S2(1).
-
-    vol_g = vol_so3 ** 2 and vol_g = vol_k * vol_gk hold exactly (same float
-    product), which is the submersion consistency the verification chain needs.
-    """
-
-    vol_so3: float = 8.0 * _PI2
-    vol_g: float = (8.0 * _PI2) * (8.0 * _PI2)
-    vol_k: float = 4.0 * _PI2
-    vol_gk: float = 16.0 * _PI2
-
-
-MEASURE = MeasureConstants()
-VOL_SO3 = MEASURE.vol_so3
-VOL_G = MEASURE.vol_g
-VOL_K = MEASURE.vol_k
-VOL_GK = MEASURE.vol_gk
+# Riemannian volumes in the normalization where the quotient is S2(1) x S2(1).
+# VOL_G = VOL_SO3 ** 2 and VOL_G = VOL_K * VOL_GK hold exactly (same float
+# product), which is the submersion consistency the verification chain needs.
+VOL_SO3 = 8.0 * _PI2
+VOL_G = VOL_SO3 * VOL_SO3
+VOL_K = 4.0 * _PI2
+VOL_GK = 16.0 * _PI2
 
 
 def quaternion_to_matrix(q):
-    """Rotation matrices from unit quaternions (w, x, y, z); broadcasts over leading axes."""
+    """3 x 3 rotation matrices from unit quaternions (w, x, y, z); broadcasts over leading axes."""
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     R = np.empty(q.shape[:-1] + (3, 3))
@@ -52,72 +39,6 @@ def quaternion_to_matrix(q):
     R[..., 2, 1] = 2 * (y * z + w * x)
     R[..., 2, 2] = 1 - 2 * (x * x + y * y)
     return R
-
-
-class Rotation:
-    """An element of SO(3) stored as a unit quaternion; matrix derived on demand."""
-
-    __slots__ = ("quaternion",)
-
-    def __init__(self, quaternion):
-        q = np.asarray(quaternion, dtype=float).reshape(4)
-        if not np.isfinite(q).all():
-            raise ValueError(f"quaternion must be finite, got {q}")
-        n = np.linalg.norm(q)
-        if n < 1e-14:
-            raise ValueError("zero quaternion")
-        q = q / n
-        q.flags.writeable = False
-        self.quaternion = q
-
-    @classmethod
-    def identity(cls):
-        return cls([1.0, 0.0, 0.0, 0.0])
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle):
-        axis = np.asarray(axis, dtype=float).reshape(3)
-        n = np.linalg.norm(axis)
-        if not (np.isfinite(n) and n >= 1e-14 and np.isfinite(angle)):
-            raise ValueError(f"need a finite nonzero axis and a finite angle, got {axis}, {angle}")
-        axis = axis / n
-        half = 0.5 * angle
-        return cls(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
-
-    @property
-    def matrix(self):
-        return quaternion_to_matrix(self.quaternion)
-
-    def inverse(self):
-        w, x, y, z = self.quaternion
-        return Rotation([w, -x, -y, -z])
-
-    def __mul__(self, other):
-        a, b = self.quaternion, other.quaternion
-        return Rotation([
-            a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
-            a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
-            a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
-            a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
-        ])
-
-    def apply_vec(self, v):
-        return self.matrix @ np.asarray(v, dtype=float)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of SO(3) x SO(3) acting factor-wise on S2 x S2."""
-
-    first: Rotation
-    second: Rotation
-
-    @classmethod
-    def identity(cls):
-        return cls(Rotation.identity(), Rotation.identity())
-
-    def inverse(self):
-        return GroupElement(self.first.inverse(), self.second.inverse())
 
 
 def _uniform_blocks(seed: int, start: int, count: int):
@@ -157,9 +78,3 @@ def group_matrices(seed: int, start: int, count: int):
     """Two (count, 3, 3) rotation-matrix arrays for group-element stream indices."""
     q1, q2 = group_quaternions(seed, start, count)
     return quaternion_to_matrix(q1), quaternion_to_matrix(q2)
-
-
-def group_element_at(seed: int, index: int) -> GroupElement:
-    """Element i of a group-element stream: the scalar view of group_quaternions."""
-    q1, q2 = group_quaternions(seed, index, 1)
-    return GroupElement(Rotation(q1[0]), Rotation(q2[0]))

@@ -1,4 +1,4 @@
-"""Rotation-averaged angle kernel for pairs of 2-planes, and ellipse arc length.
+"""Isotropy-averaged angle kernel for pairs of 2-planes, and ellipse arc length.
 
 The kernel averages the wedge-norm angle of two planes over the isotropy
 torus.  With the planes put into angular normal form (one plane given by its
@@ -159,7 +159,7 @@ def _inner_integral(phi: float, K: float, P: float, Q: float) -> float:
 
 
 def sigma_general(inv: CellInvariants) -> float:
-    """Rotation-averaged angle kernel for the plane pair with the given invariants.
+    """Isotropy-averaged angle kernel for the plane pair with the given invariants.
 
     4 times the phi-quadrature over [0, pi/2] of the closed-form psi-integral,
     with the kink phi* as a breakpoint when it lies inside (module docstring).

@@ -40,12 +40,12 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .geometry import omega_batch, orthonormal_pairs, plane_area
-from .rotations import GroupElement, Rotation
 
 TWO_PI = 2.0 * math.pi
 CAP_RADIUS = 0.2          # polar cap excluded from each graph chart
 RAMP_HALF_WIDTH = 0.3     # partition-of-unity ramp around the equator
 MIN_CIRCLE_RADIUS = 1e-6
+ROTATION_TOL = 1e-10      # largest entry of R^T R - I accepted for a graph's rotation
 # nodes per streamed quadrature tile.  A per-node temporary is then 64 KiB,
 # under glibc's default 128 KiB mmap threshold, and the tile fixes the order
 # of the partial sums, so every total stays bitwise what it was.  Measured on
@@ -128,9 +128,6 @@ class Circle:
     def length(self):
         return TWO_PI * self.radius
 
-    def transform(self, rot: Rotation) -> "Circle":
-        return Circle(rot.apply_vec(self.axis), self.offset)
-
     def __repr__(self):
         return f"Circle(axis={self.axis.tolist()}, offset={self.offset})"
 
@@ -157,9 +154,6 @@ class ProductTorusSurface:
     def weights(self, chart, u, v):
         return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
-    def transform(self, g: GroupElement) -> "ProductTorusSurface":
-        return ProductTorusSurface(self.circle1.transform(g.first), self.circle2.transform(g.second))
-
     def __repr__(self):
         return f"ProductTorusSurface({self.circle1!r}, {self.circle2!r})"
 
@@ -176,6 +170,9 @@ def latitude_torus(c1: float, c2: float, axis1=(0.0, 0.0, 1.0), axis2=(0.0, 0.0,
 class GraphSurface:
     """Graph {(z, M z)} of a sphere isometry M = rotation (optionally after antipode).
 
+    The rotation is a 3 x 3 matrix, the identity by default; one that is not
+    orthogonal with determinant +1 is refused.
+
     Two polar charts (colatitude, longitude), each excluding a cap of radius
     CAP_RADIUS around its antipodal pole; quadrature blends them with a C^4
     partition of unity supported on the equatorial ramp.  A chart's weight
@@ -183,14 +180,17 @@ class GraphSurface:
     quadrature panels end at the ramp's two edges.
     """
 
-    def __init__(self, rotation: Rotation | None = None, antipodal: bool = False):
-        self.rotation = rotation if rotation is not None else Rotation.identity()
+    def __init__(self, rotation=None, antipodal: bool = False):
+        R = np.eye(3) if rotation is None else np.array(rotation, dtype=float)
+        if R.shape != (3, 3) or not np.isfinite(R).all():
+            raise ValueError(f"rotation must be a finite 3 x 3 matrix, got shape {R.shape}")
+        if np.abs(R.T @ R - np.eye(3)).max() > ROTATION_TOL or np.linalg.det(R) < 0.0:
+            raise ValueError("rotation must be orthogonal with determinant +1")
+        self.rotation = R
         self.antipodal = bool(antipodal)
-        M = self.rotation.matrix
-        if self.antipodal:
-            M = -M
-        M.flags.writeable = False
-        self.map_matrix = M
+        self.map_matrix = -R if self.antipodal else R
+        for a in (R, self.map_matrix):
+            a.flags.writeable = False
 
     @property
     def charts(self):
@@ -249,22 +249,18 @@ class GraphSurface:
         w = _smoothstep4((hi - u) / (2.0 * RAMP_HALF_WIDTH))
         return np.broadcast_to(w, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
-    def transform(self, g: GroupElement) -> "GraphSurface":
-        rot = g.second * self.rotation * g.first.inverse()
-        return GraphSurface(rot, self.antipodal)
-
     def __repr__(self):
-        return f"GraphSurface(rotation={self.rotation.quaternion.tolist()}, antipodal={self.antipodal})"
+        return f"GraphSurface(rotation={self.rotation.tolist()}, antipodal={self.antipodal})"
 
 
 def anti_diagonal() -> GraphSurface:
     """The graph of the antipodal map, z -> (z, -z)."""
-    return GraphSurface(Rotation.identity(), antipodal=True)
+    return GraphSurface(antipodal=True)
 
 
 def diagonal() -> GraphSurface:
     """The graph of the identity, z -> (z, z); symplectic, not Lagrangian."""
-    return GraphSurface(Rotation.identity(), antipodal=False)
+    return GraphSurface()
 
 
 class MeshSurface:
@@ -336,12 +332,6 @@ class MeshSurface:
 
     def weights(self, chart, u, v):
         return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
-
-    def transform(self, g: GroupElement) -> "MeshSurface":
-        nodes = np.empty_like(self.nodes)
-        nodes[..., :3] = self.nodes[..., :3] @ g.first.matrix.T
-        nodes[..., 3:] = self.nodes[..., 3:] @ g.second.matrix.T
-        return MeshSurface(nodes)
 
     @classmethod
     def sample_from(cls, surface, m: int) -> "MeshSurface":
@@ -487,8 +477,6 @@ def _default_grid(surface, m):
         return int(m)
     if isinstance(surface, MeshSurface):
         return surface.m
-    if isinstance(surface, GraphSurface):
-        return 1024
     return 64
 
 

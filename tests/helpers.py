@@ -13,8 +13,9 @@ from scipy import integrate
 
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
 from s2xs2.hamiltonian import flow_points
+from s2xs2.rotations import group_matrices
 from s2xs2.sigma import DEGENERATE_AXIS
-from s2xs2.surfaces import surface_quadrature
+from s2xs2.surfaces import Circle, GraphSurface, MeshSurface, ProductTorusSurface, surface_quadrature
 
 
 def random_sphere_point(rng):
@@ -30,6 +31,37 @@ def random_tangent_vector(rng, x, scale=1.0):
     v1 = np.cross(x[:3], rng.normal(size=3))
     v2 = np.cross(x[3:], rng.normal(size=3))
     return scale * np.concatenate([v1, v2])
+
+
+def group_sample(seed, index):
+    """Sample index of a group-element stream as two (3, 3) rotation matrices."""
+    r1, r2 = group_matrices(seed, index, 1)
+    return r1[0], r2[0]
+
+
+def act(r1, r2, x):
+    """Factor-wise action of the group element (r1, r2) on ambient rows x
+    (points or tangent vectors)."""
+    return np.concatenate([x[..., :3] @ r1.T, x[..., 3:] @ r2.T], axis=-1)
+
+
+def moved_circle(circle, r):
+    """The circle r C: its axis turned by the rotation matrix r, its offset kept."""
+    return Circle(r @ circle.axis, circle.offset)
+
+
+def moved_surface(surface, r1, r2):
+    """The surface g N for the group element g = (r1, r2), in the same model.
+
+    A graph {(z, M z)} goes to {(r1 z, r2 M z)}, the graph of r2 M r1^T.
+    """
+    if isinstance(surface, ProductTorusSurface):
+        return ProductTorusSurface(moved_circle(surface.circle1, r1), moved_circle(surface.circle2, r2))
+    if isinstance(surface, GraphSurface):
+        return GraphSurface(r2 @ surface.rotation @ r1.T, surface.antipodal)
+    if isinstance(surface, MeshSurface):
+        return MeshSurface(act(r1, r2, surface.nodes))
+    raise TypeError(f"no group action for {surface!r}")
 
 
 def kahler_angle(x, plane, structure):

@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from helpers import group_sample
 from s2xs2.cli import UsageError, main, parse_surface_spec, print_surface_spec
 from s2xs2.hamiltonian import MAX_STEPS
-from s2xs2.rotations import group_element_at
 from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, diagonal
 
 
@@ -44,7 +44,7 @@ class TestSurfaceSpecs:
 
     @pytest.mark.parametrize("surf", [
         diagonal(),
-        GraphSurface(group_element_at(3, 0).first, antipodal=True),
+        GraphSurface(group_sample(3, 0)[0], antipodal=True),
     ], ids=["diagonal", "rotated-anti-diagonal"])
     def test_other_graphs_have_no_spec(self, surf):
         # "anti-diagonal" would parse back to a different surface
@@ -200,6 +200,17 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert refused in err and "Gauss-Legendre panel without a node" in err
+
+    @pytest.mark.parametrize("command", ["verify-poincare", "verify-bounds"])
+    def test_usage_error_l_spec_not_a_product_torus(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        code, out, err = run_cli(capsys, command, "--surface", "great-torus",
+                                 "--against", "anti-diagonal", "--samples", "1000")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "L spec must be a product torus" in err
 
     def test_usage_error_negative_haar_samples(self, capsys):
         code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
@@ -388,7 +399,7 @@ PINNED_REPORTS = [
      '"steps":40},"lhs":39.47817339119813,"name":"volume-chain","rhs":39.47841760435743,'
      '"runtime_ms":0,"seed":13,"stderr":0.0,"tolerance":0.001,"verdict":"fail"}'),
     (("count", "anti-diagonal", "great-torus", "--seed", "7"), 0,
-     '{"count":2,"l":"great-torus","min_transversality":0.3339887789357247,"n":"anti-diagonal",'
+     '{"count":2,"l":"great-torus","min_transversality":0.33398877893572493,"n":"anti-diagonal",'
      '"seed":7}'),
 ]
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s2xs2.errors import CoaxialCircles, GridUnstable
+from helpers import moved_circle, moved_surface
+from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
     _CORNER_OFFSETS,
@@ -16,13 +17,10 @@ from s2xs2.intersections import (
     _ChartGrid,
     _CountingProblem,
     _node_values,
-    circle_circle_count,
-    circle_circle_points,
-    count_product_product,
-    count_surface_product,
     counts_product_batch,
+    transversality_product_batch,
 )
-from s2xs2.rotations import GroupElement, Rotation, group_element_at, group_matrices
+from s2xs2.rotations import group_matrices
 from s2xs2.surfaces import (
     Circle,
     GraphSurface,
@@ -35,6 +33,11 @@ from s2xs2.surfaces import (
 
 # the partner seed the anti-diagonal benchmark workload derives from its seed 804
 PARTNER_SEED = 3990515194
+EQUATOR = Circle([0, 0, 1], 0.0)
+# one-row rotation batches: the identity and turns about the x-axis
+IDENTITY = np.eye(3)[None, :, :]
+QUARTER_TURN_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])[None, :, :]
+HALF_TURN_X = np.diag([1.0, -1.0, -1.0])[None, :, :]
 
 
 def bisection_circle_count(c1: Circle, c2: Circle, n=4096):
@@ -46,20 +49,37 @@ def bisection_circle_count(c1: Circle, c2: Circle, n=4096):
     return int(np.count_nonzero(signs != np.roll(signs, 1)))
 
 
+def circle_count(c1: Circle, c2: Circle):
+    """(#(c1 n c2), coaxial) from counts_product_batch on one row: c1 x E against
+    c2 x E turned a quarter about x in the second factor, so the equators E
+    meet twice and the count is twice that of the circle pair."""
+    (count,), (coaxial,) = counts_product_batch(
+        ProductTorusSurface(c1, EQUATOR), IDENTITY, QUARTER_TURN_X,
+        ProductTorusSurface(c2, EQUATOR))
+    assert count % 2 == 0
+    return count // 2, coaxial
+
+
+def contour_outcome(n_surface, r1, r2, l_surface, grid=128):
+    """The contour counter's outcome for the one sample (r1, r2), each (1, 3, 3)."""
+    (outcome,) = _CountingProblem(n_surface, l_surface, grid).run_batch(r1, r2)
+    return outcome
+
+
 class TestCircleCircle:
     def test_two_great_circles(self):
-        assert circle_circle_count(Circle([0, 0, 1], 0), Circle([1, 0, 0], 0)) == 2
+        assert circle_count(Circle([0, 0, 1], 0), Circle([1, 0, 0], 0)) == (2, False)
 
     def test_disjoint_caps_on_antiparallel_axes(self):
-        assert circle_circle_count(Circle([0, 0, 1], 0.9), Circle([0, 0, -1], 0.9)) == 0
+        assert circle_count(Circle([0, 0, 1], 0.9), Circle([0, 0, -1], 0.9)) == (0, False)
 
     def test_parallel_distinct_planes(self):
-        assert circle_circle_count(Circle([0, 0, 1], 0.2), Circle([0, 0, 1], 0.6)) == 0
+        assert circle_count(Circle([0, 0, 1], 0.2), Circle([0, 0, 1], 0.6)) == (0, False)
 
     def test_mid_latitude_pair_against_discriminant_and_bisection(self):
         c1 = Circle([0, 0, 1], 0.5)
         c2 = Circle([1, 0, 0], 0.5)
-        assert circle_circle_count(c1, c2) == 2
+        assert circle_count(c1, c2) == (2, False)
         assert bisection_circle_count(c1, c2) == 2
 
     def test_random_pairs_match_bisection_oracle(self):
@@ -69,45 +89,45 @@ class TestCircleCircle:
             a2 = rng.normal(size=3)
             c1 = Circle(a1, rng.uniform(-0.95, 0.95))
             c2 = Circle(a2, rng.uniform(-0.95, 0.95))
-            try:
-                count = circle_circle_count(c1, c2)
-            except CoaxialCircles:
-                continue
-            assert count == bisection_circle_count(c1, c2)
+            count, coaxial = circle_count(c1, c2)
+            if not coaxial:
+                assert count == bisection_circle_count(c1, c2)
 
     def test_points_lie_on_both_circles(self):
+        # the contour counter's points for the product c1 x E against c2 x E'
         c1 = Circle([0.2, -0.3, 0.93], 0.4)
         c2 = Circle([0.9, 0.1, -0.4], -0.2)
-        pts = circle_circle_points(c1, c2)
-        assert len(pts) == circle_circle_count(c1, c2)
+        n, l = ProductTorusSurface(c1, EQUATOR), ProductTorusSurface(c2, EQUATOR)
+        status, count, _, pts = contour_outcome(n, IDENTITY, QUARTER_TURN_X, l)
+        assert status == "ok" and count == 2 * circle_count(c1, c2)[0] == len(pts) > 0
         for p in pts:
-            assert abs(np.linalg.norm(p) - 1) < 1e-12
-            assert abs(p @ c1.axis - c1.offset) < 1e-12
-            assert abs(p @ c2.axis - c2.offset) < 1e-12
+            assert abs(np.linalg.norm(p[:3]) - 1) < 1e-12
+            assert abs(p[:3] @ c1.axis - c1.offset) < 1e-10
+            assert abs(p[:3] @ c2.axis - c2.offset) < 1e-10
 
     def test_coincident_plane_raises(self):
-        with pytest.raises(CoaxialCircles):
-            circle_circle_count(Circle([0, 0, 1], 0.5), Circle([0, 0, 1], 0.5))
-        with pytest.raises(CoaxialCircles):
-            circle_circle_count(Circle([0, 0, 1], 0.5), Circle([0, 0, -1], -0.5))
+        assert circle_count(Circle([0, 0, 1], 0.5), Circle([0, 0, 1], 0.5)) == (0, True)
+        assert circle_count(Circle([0, 0, 1], 0.5), Circle([0, 0, -1], -0.5)) == (0, True)
 
 
 class TestProductProduct:
     def test_great_pair_counts_four(self):
-        g = group_element_at(7, 0)
-        res = count_product_product(great_torus(), g, great_torus())
-        assert res.count == 4
-        assert len(res.points) == 4
-        assert res.min_transversality > 1e-8
+        r1, r2 = group_matrices(7, 0, 1)
+        (count,), (coaxial,) = counts_product_batch(great_torus(), r1, r2, great_torus())
+        assert count == 4 and not coaxial
+        assert transversality_product_batch(great_torus(), r1, r2, great_torus())[0] > 1e-8
+        status, contour_count, _, pts = contour_outcome(great_torus(), r1, r2, great_torus())
+        assert status == "ok" and contour_count == len(pts) == 4
 
     def test_points_lie_on_both_surfaces(self):
-        g = group_element_at(13, 2)
+        r1, r2 = group_matrices(13, 2, 1)
         n = latitude_torus(0.3, -0.2)
         l = latitude_torus(0.1, 0.4)
-        res = count_product_product(n, g, l)
-        moved1 = l.circle1.transform(g.first)
-        moved2 = l.circle2.transform(g.second)
-        for p in res.points:
+        status, count, _, pts = contour_outcome(n, r1, r2, l)
+        assert status == "ok" and count == counts_product_batch(n, r1, r2, l)[0][0] == len(pts) > 0
+        moved1 = moved_circle(l.circle1, r1[0])
+        moved2 = moved_circle(l.circle2, r2[0])
+        for p in pts:
             assert abs(p[:3] @ n.circle1.axis - n.circle1.offset) < 1e-8
             assert abs(p[3:] @ n.circle2.axis - n.circle2.offset) < 1e-8
             assert abs(p[:3] @ moved1.axis - moved1.offset) < 1e-8
@@ -116,13 +136,13 @@ class TestProductProduct:
     def test_antipodal_caps_give_zero(self):
         n = latitude_torus(0.9, 0.9)
         l = latitude_torus(0.9, 0.9)
-        flip = Rotation.from_axis_angle([1, 0, 0], math.pi)
-        g = GroupElement(flip, flip)
-        assert count_product_product(n, g, l).count == 0
+        counts, coaxial = counts_product_batch(n, HALF_TURN_X, HALF_TURN_X, l)
+        assert counts[0] == 0 and not coaxial[0]
+        assert transversality_product_batch(n, HALF_TURN_X, HALF_TURN_X, l)[0] == 1.0
 
     def test_identity_on_equal_tori_is_coaxial(self):
-        with pytest.raises(CoaxialCircles):
-            count_product_product(great_torus(), GroupElement.identity(), great_torus())
+        counts, coaxial = counts_product_batch(great_torus(), IDENTITY, IDENTITY, great_torus())
+        assert coaxial[0] and counts[0] == 0
 
     def test_batch_matches_scalar(self):
         n = latitude_torus(0.5, 0.5)
@@ -131,74 +151,108 @@ class TestProductProduct:
         counts, coaxial = counts_product_batch(n, r1, r2, l)
         assert not coaxial.any()
         for k in (0, 17, 63, 199):
-            g = group_element_at(21, k)
-            assert counts[k] == count_product_product(n, g, l).count
+            one1, one2 = group_matrices(21, k, 1)
+            assert counts[k] == counts_product_batch(n, one1, one2, l)[0][0]
+
+    @pytest.mark.parametrize("n, l", [
+        (great_torus(), great_torus()),
+        (latitude_torus(0.3, -0.2), latitude_torus(0.1, 0.4)),
+        (latitude_torus(0.5, 0.5, (0.0, 0.6, 0.8), (1.0, 0.0, 0.0)), latitude_torus(-0.7, 0.2)),
+    ], ids=["great", "latitude", "tilted"])
+    def test_transversality_is_the_wedge_norm_of_the_tangent_planes(self, n, l):
+        # the closed form against the wedge angle of the contour counter's
+        # frames at its points, sample by sample
+        r1, r2 = group_matrices(44, 0, 300)
+        counts, coaxial = counts_product_batch(n, r1, r2, l)
+        trans = transversality_product_batch(n, r1, r2, l)
+        assert not coaxial.any() and (counts == 4).any()
+        assert (trans[counts == 0] == 1.0).all()
+        outcomes = _CountingProblem(n, l, 128).run_batch(r1, r2)
+        assert sum(status == "ok" for status, *_ in outcomes) >= 297
+        for k, (status, count, min_trans, _) in enumerate(outcomes):
+            if status == "ok":
+                assert count == counts[k]
+                assert trans[k] == pytest.approx(min_trans, abs=1e-8)
 
 
 class TestContourCounter:
     def test_antidiagonal_against_split_axes(self):
         n = anti_diagonal()
         l = ProductTorusSurface(Circle([0, 0, 1], 0), Circle([1, 0, 0], 0))
-        res = count_surface_product(n, GroupElement.identity(), l)
-        assert res.count == 2
-        found = sorted(round(p[1]) for p in res.points)
+        status, count, _, pts = contour_outcome(n, IDENTITY, IDENTITY, l)
+        assert status == "ok" and count == 2
+        found = sorted(round(p[1]) for p in pts)
         assert found == [-1, 1]  # z = -e_y and z = +e_y
-        for p in res.points:
+        for p in pts:
             assert np.abs(np.abs(p[:3]) - [0, 1, 0]).max() < 1e-8
             assert np.abs(p[3:] + p[:3]).max() < 1e-8
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
-            count_surface_product(anti_diagonal(), group_element_at(1, 0), great_torus(), grid=64)
+            _CountingProblem(anti_diagonal(), great_torus(), 64)
 
     def test_grid_unstable_near_tangency(self):
         # a near-tangent pair of roots that only the 512-node level resolves,
         # so grid 256 disagrees with its own 2m check
-        g = group_element_at(PARTNER_SEED, 150)
-        with pytest.raises(GridUnstable):
-            count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=256)
-        res = count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=512)
-        assert res.count == 2
-        assert res.min_transversality == pytest.approx(0.00465, abs=5e-6)
+        r1, r2 = group_matrices(PARTNER_SEED, 150, 1)
+        assert contour_outcome(anti_diagonal(), r1, r2, latitude_torus(0.3, -0.5), 256)[:3] \
+            == ("gridunstable", 0, 0.0)
+        status, count, min_trans, _ = contour_outcome(anti_diagonal(), r1, r2, latitude_torus(0.3, -0.5), 512)
+        assert (status, count) == ("ok", 2)
+        assert min_trans == pytest.approx(0.00465, abs=5e-6)
 
     @pytest.mark.xfail(strict=True, reason="both grids miss the near-tangent pair: a silent 0")
     def test_near_tangent_pair_found_at_the_floor_grid(self):
-        g = group_element_at(PARTNER_SEED, 150)
-        assert count_surface_product(anti_diagonal(), g, latitude_torus(0.3, -0.5), grid=128).count == 2
+        r1, r2 = group_matrices(PARTNER_SEED, 150, 1)
+        assert contour_outcome(anti_diagonal(), r1, r2, latitude_torus(0.3, -0.5))[:2] == ("ok", 2)
 
     def test_undeformed_mesh_counts_four(self):
         mesh = deform_surface(HamiltonianFunction.zero(), great_torus(), FlowParams(0.5, 40), m=64)
-        for k in range(5):
-            g = group_element_at(33, k)
-            res = count_surface_product(mesh, g, great_torus())
-            assert res.count == 4
+        outcomes = _CountingProblem(mesh, great_torus(), 128).run_batch(*group_matrices(33, 0, 5))
+        assert [o[:2] for o in outcomes] == [("ok", 4)] * 5
+
+    def test_deformed_chain_counts_are_even_and_at_least_four(self):
+        # a Hamiltonian deformation of the great torus keeps the mod-2
+        # intersection number (parity) and, transversally, meets the great
+        # torus in at least four points (the Floer floor)
+        h = parse_hamiltonian("x1*x2 + 0.5*y1*y2*z2").polynomial()
+        mesh = deform_surface(h, great_torus(), FlowParams.for_time(0.5, 0.0125), m=128)
+        problem = _CountingProblem(mesh, great_torus(), 128)
+        r1, r2 = group_matrices(404, 0, 512)
+        counts = [count for start in range(0, 512, 64)
+                  for status, count, _, _ in problem.run_batch(r1[start:start + 64], r2[start:start + 64])
+                  if status == "ok"]
+        assert len(counts) >= 0.99 * 512
+        assert all(count % 2 == 0 and count >= 4 for count in counts)
+        assert max(counts) > 4
 
     def test_contour_agrees_with_analytic_on_product_tori(self):
         n = latitude_torus(0.4, -0.3)
         l = latitude_torus(0.2, 0.1)
-        for k in range(40):
-            g = group_element_at(71, k)
-            analytic = count_product_product(n, g, l).count
-            contour = count_surface_product(n, g, l).count
-            assert contour == analytic
+        r1, r2 = group_matrices(71, 0, 40)
+        analytic, coaxial = counts_product_batch(n, r1, r2, l)
+        outcomes = _CountingProblem(n, l, 128).run_batch(r1, r2)
+        assert not coaxial.any()
+        assert [o[:2] for o in outcomes] == [("ok", c) for c in analytic]
 
     def test_group_action_symmetry(self):
         n = latitude_torus(0.25, 0.55)
         l = great_torus()
+        r1, r2 = group_matrices(101, 0, 10)
+        direct, _ = counts_product_batch(n, r1, r2, l)
         for k in range(10):
-            g = group_element_at(101, k)
-            direct = count_product_product(n, g, l).count
-            moved = count_product_product(n.transform(g.inverse()), GroupElement.identity(), l)
-            assert moved.count == direct
+            moved = moved_surface(n, r1[k].T, r2[k].T)
+            assert counts_product_batch(moved, IDENTITY, IDENTITY, l)[0][0] == direct[k]
 
     def test_ragged_blocks_agree_with_analytic_on_product_tori(self):
         # 130 is not a multiple of the block size: the last block of each
         # direction is ragged at both levels (130 and 260)
         n = latitude_torus(-0.35, 0.45)
         l = latitude_torus(0.15, -0.2)
-        for k in range(20):
-            g = group_element_at(131, k)
-            assert count_surface_product(n, g, l, grid=130).count == count_product_product(n, g, l).count
+        r1, r2 = group_matrices(131, 0, 20)
+        analytic, _ = counts_product_batch(n, r1, r2, l)
+        outcomes = _CountingProblem(n, l, 130).run_batch(r1, r2)
+        assert [o[:2] for o in outcomes] == [("ok", c) for c in analytic]
 
     @pytest.mark.parametrize("antipodal", [False, True])
     @pytest.mark.parametrize("l_surface", [great_torus(), latitude_torus(0.3, -0.5)],
@@ -208,7 +262,7 @@ class TestContourCounter:
         every accepted count must equal that circle-circle count."""
         checked = silent = flagged = 0
         for graph in range(2):
-            rot = group_element_at(8800 + graph, 0).first
+            rot = group_matrices(8800 + graph, 0, 1)[0][0]
             n_surface = GraphSurface(rot, antipodal=antipodal)
             problem = _CountingProblem(n_surface, l_surface, 128)
             r1, r2 = group_matrices(8810 + graph, 0, 256)
@@ -216,14 +270,11 @@ class TestContourCounter:
                         for o in problem.run_batch(r1[start:start + 64], r2[start:start + 64])]
             c1, c2 = l_surface.circle1, l_surface.circle2
             for k, (status, count, _, _) in enumerate(outcomes):
-                moved1 = Circle(r1[k] @ c1.axis, c1.offset)
-                pulled2 = Circle(n_surface.map_matrix.T @ (r2[k] @ c2.axis), c2.offset)
-                try:
-                    oracle = circle_circle_count(moved1, pulled2)
-                except CoaxialCircles:
-                    oracle = None
+                moved1 = moved_circle(c1, r1[k])
+                pulled2 = moved_circle(c2, n_surface.map_matrix.T @ r2[k])
+                oracle, coaxial = circle_count(moved1, pulled2)
                 checked += 1
-                if status != "ok" or oracle is None:
+                if status != "ok" or coaxial:
                     flagged += 1
                 elif count != oracle:
                     silent += 1

@@ -3,16 +3,19 @@
 Every kernel on ambient (..., 6) arrays, given one row, returns bitwise the
 row-0 value of the same call on a batch of rows.  That is what lets callers
 with one point, one tangent vector or one plane use the batch kernels
-directly, without scalar views on top.
+directly, without scalar views on top.  The counting kernels take rows of
+group samples, and one sample gives bitwise its row of a batch.
 """
 
 import numpy as np
 import pytest
 
 from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
-from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, field_batch, flow_points
+from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, field_batch, flow_points
+from s2xs2.intersections import _CountingProblem, counts_product_batch, transversality_product_batch
+from s2xs2.rotations import group_matrices
 from s2xs2.sigma import cell_angles_batch, ellipse_perimeter_batch, lagrangian_semiaxes_batch
-from s2xs2.surfaces import anti_diagonal, surface_quadrature
+from s2xs2.surfaces import anti_diagonal, great_torus, latitude_torus, surface_quadrature
 
 # 8 quadrature nodes of the anti-diagonal: the diagonal of chart 0's 8 x 8 grid
 _NODES = next(surface_quadrature(anti_diagonal(), 8))
@@ -61,3 +64,42 @@ def test_one_row_is_row_zero_of_the_batch(name):
         single, rows = np.asarray(single), np.asarray(rows)
         assert single.shape == rows.shape[1:] and single.dtype == rows.dtype
         assert single.tobytes() == rows[0].tobytes()
+
+
+# the counting kernels take a batch of group samples (r1, r2), each (S, 3, 3),
+# and sample i alone is group_matrices(seed, i, 1): given that one row, a
+# kernel returns bitwise row i of the batch, for every i of a 64-sample batch
+SAMPLES = group_matrices(5, 0, 64)
+PAIR = (latitude_torus(0.3, -0.2), latitude_torus(0.1, 0.4))
+
+
+COUNTERS = {
+    "counts_product_batch": lambda: lambda r1, r2: counts_product_batch(PAIR[0], r1, r2, PAIR[1]),
+    "transversality_product_batch":
+        lambda: lambda r1, r2: transversality_product_batch(PAIR[0], r1, r2, PAIR[1]),
+    "run_batch-anti-diagonal": lambda: _CountingProblem(anti_diagonal(), great_torus(), 128).run_batch,
+    "run_batch-anti-diagonal-latitude":
+        lambda: _CountingProblem(anti_diagonal(), latitude_torus(0.3, -0.5), 128).run_batch,
+    "run_batch-deformed-chain":
+        lambda: _CountingProblem(deform_surface(H, great_torus(), PARAMS, m=128), great_torus(), 128).run_batch,
+}
+
+
+def sample_rows(result):
+    """Per-sample byte strings of a counting kernel's result: arrays or tuples
+    of arrays indexed by sample, or run_batch's list of outcomes."""
+    if isinstance(result, list):
+        return [(status, count, np.float64(trans).tobytes(), np.array(points).tobytes())
+                for status, count, trans, points in result]
+    parts = result if isinstance(result, tuple) else (result,)
+    return [tuple(np.asarray(p)[i].tobytes() for p in parts) for i in range(len(parts[0]))]
+
+
+@pytest.mark.parametrize("name", COUNTERS)
+def test_one_sample_is_its_row_of_the_batch(name):
+    kernel = COUNTERS[name]()
+    r1, r2 = SAMPLES
+    batch = sample_rows(kernel(r1, r2))
+    assert len(batch) == 64
+    for i in range(64):
+        assert sample_rows(kernel(r1[i:i + 1], r2[i:i + 1])) == [batch[i]]

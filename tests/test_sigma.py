@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     ellipse_perimeter_fixed_agm,
     ellipse_perimeter_quadrature,
+    group_sample,
     kahler_angle,
     normal_plane,
     plane_from_invariants,
@@ -17,7 +18,6 @@ from helpers import (
     wedge,
 )
 from s2xs2.errors import NegativeAxis
-from s2xs2.rotations import group_element_at
 from s2xs2.sigma import (
     DEGENERATE_AXIS,
     CellInvariants,
@@ -364,7 +364,7 @@ class TestInvariantExtraction:
 
 LAGRANGIAN_SURFACES = {
     "anti-diagonal": anti_diagonal(),
-    "rotated-graph": GraphSurface(group_element_at(3, 0).first, antipodal=True),
+    "rotated-graph": GraphSurface(group_sample(3, 0)[0], antipodal=True),
     "latitude-torus": latitude_torus(0.3, -0.6),
 }
 NODE_GRID = 8
