@@ -22,6 +22,7 @@ from .sigma import (
     CellInvariants,
     ellipse_perimeter,
     sigma_general,
+    sigma_general_batch,
 )
 from .surfaces import (
     Circle,

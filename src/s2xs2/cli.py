@@ -255,9 +255,22 @@ def _cmd_sigma_table(args) -> int:
     return 0 if worst < 1e-6 else 1
 
 
+def _count_grid(args, n_surface) -> int:
+    """The contour counter's --grid, MIN_COUNT_GRID when omitted.  Given
+    explicitly for a product-torus N it is refused: that count is closed-form
+    and builds no grid, so the option would be silently ignored."""
+    if args.grid is None:
+        return MIN_COUNT_GRID
+    if isinstance(n_surface, ProductTorusSurface):
+        raise UsageError("--grid does not apply: N is a product torus, whose count is closed-form "
+                         "and builds no grid")
+    return args.grid
+
+
 def _cmd_count(args) -> int:
     n_surface = parse_surface_spec(args.n_spec)
     l_surface = _parse_l_spec(args.l_spec)
+    grid = _count_grid(args, n_surface)
     r1, r2 = group_matrices(args.seed, 0, 1)  # Monte Carlo sample 0
     if isinstance(n_surface, ProductTorusSurface):
         (count,), (coaxial,) = counts_product_batch(n_surface, r1, r2, l_surface)
@@ -265,9 +278,9 @@ def _cmd_count(args) -> int:
             raise CoaxialCircles("coincident circle planes: the sample has no point count")
         (min_trans,) = transversality_product_batch(n_surface, r1, r2, l_surface)
     else:
-        (status, count, min_trans, _), = _CountingProblem(n_surface, l_surface, args.grid).run_batch(r1, r2)
+        (status, count, min_trans, _), = _CountingProblem(n_surface, l_surface, grid).run_batch(r1, r2)
         if status == "gridunstable":
-            raise GridUnstable(f"count changed between grids {args.grid} and {2 * args.grid}")
+            raise GridUnstable(f"count changed between grids {grid} and {2 * grid}")
         if status == "nontransversal":
             raise NonTransversalSample("an intersection point failed the transversality gate")
     payload = json.dumps(
@@ -288,10 +301,11 @@ def _cmd_count(args) -> int:
 def _cmd_verify_poincare(args) -> int:
     n_surface = parse_surface_spec(args.surface)
     l_surface = _parse_l_spec(args.against)
+    count_grid = _count_grid(args, n_surface)
     _checked(quadrature_levels, n_surface, args.quad_grid)  # fail before the Monte Carlo run
     report = verify.verify_poincare(
         n_surface, l_surface, args.samples, args.seed,
-        count_grid=args.grid, quad_grid=args.quad_grid, rel_quad_tol=args.tol_rel,
+        count_grid=count_grid, quad_grid=args.quad_grid, rel_quad_tol=args.tol_rel,
     )
     return _emit_report(report, args)
 
@@ -300,7 +314,7 @@ def _cmd_verify_bounds(args) -> int:
     n_surface = parse_surface_spec(args.surface)
     l_surface = _parse_l_spec(args.against)
     report = verify.verify_prop4_bounds(
-        n_surface, l_surface, args.samples, args.seed, count_grid=args.grid,
+        n_surface, l_surface, args.samples, args.seed, count_grid=_count_grid(args, n_surface),
     )
     return _emit_report(report, args)
 
@@ -355,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=_at_least(min_samples), default=10000)
         p.add_argument("--output", type=str, default=None)
 
-    def count_grid(p):
-        p.add_argument("--grid", type=_at_least(MIN_COUNT_GRID), default=MIN_COUNT_GRID)
+    def count_grid(p, default=None):
+        p.add_argument("--grid", type=_at_least(MIN_COUNT_GRID), default=default)
 
     p = sub.add_parser("ellipse", help="perimeter of an ellipse with the given semiaxes")
     p.add_argument("a", type=_finite_float)
@@ -406,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", type=str, required=True)
     p.add_argument("--time", type=_finite_float, default=0.5)
     common(p)
-    count_grid(p)
+    count_grid(p, MIN_COUNT_GRID)  # N is the flowed mesh: always counted on a grid
     p.add_argument("--mesh", type=_at_least(MIN_MESH), default=128)
     p.set_defaults(func=_cmd_verify_chain)
 

@@ -14,10 +14,32 @@ the averaged pairing of the rotated wedges reduces algebraically to
 for constants K, P, Q read off the basis components (see _kernel_coefficients).
 For fixed phi the psi-terms are R cos(psi - alpha), R = sqrt(P^2 cos^2 phi +
 Q^2 sin^2 phi), and the psi-integral is closed-form: 2 pi |K| if |K| >= R,
-else 4 sqrt(R^2 - K^2) + 4 |K| arcsin(|K| / R).  sigma_general integrates that
-over phi in [0, pi/2] (R has period pi and is even about pi/2) by adaptive
-quadrature, with the one kink sin^2 phi* = (K^2 - P^2) / (Q^2 - P^2), where
-|K| = R, as a breakpoint.  Nothing is cached; a call takes under a millisecond.
+else 4 sqrt(R^2 - K^2) + 4 |K| arcsin(|K| / R).  sigma_general_batch
+integrates that over phi in [0, pi/2] (R has period pi and is even about
+pi/2) by a fixed Gauss-Legendre rule, on all rows at once:
+
+* R is monotone in phi.  Measured by sigma, the distance from the end where R
+  is smallest, R = hypot(R_min cos(sigma), R_max sin(sigma)).  Where |K| >= R
+  the psi-integral is the constant 2 pi |K|, integrated exactly: that is all
+  of [0, pi/2] when |K| >= R_max, none of it when |K| <= R_min, and otherwise
+  sigma < sigma*, the kink where |K| = R.
+* The rest, sigma in [sigma*, pi/2], starts with a panel of length h on which
+  sigma = sigma* + h t^2: the (sigma - sigma*)^(3/2) term of the kink becomes
+  analytic in t.  KERNEL_GRADED panels follow, graded geometrically from
+  sigma* + h to pi/2.  h is the distance from sigma* to the nearest other
+  singular point of the integrand (the kink's mirror image -sigma*, the
+  complex zeros of R, or, without a real kink, the complex points where
+  R = |K|), clipped to [KERNEL_FLOOR, pi/2 - sigma*].  So a near-segment
+  integrand (R_min near 0), or a kink near an end, is resolved on the scale
+  of its own singularity, and no breakpoint falls on sigma*.
+* Each panel takes KERNEL_NODES nodes, and the rule is repeated with half as
+  many; a row on which the two miss KERNEL_TOL raises QuadratureNotConverged.
+
+Nothing is cached but the Gauss-Legendre rules; a row costs 15 x (32 + 16) =
+720 integrand evaluations.  On 60 000 random, near-segment and near-end-kink
+rows, and on rows with singular points at two scales, the two levels agree
+to 7e-16; on 519 of them the values agree with a 30-digit mpmath quadrature
+to 5e-16.
 
 For a plane pair in which the first plane is Lagrangian and the second is the
 normal plane of a product of curves, K = 0, P = cos^2, Q = sin^2, and the
@@ -30,27 +52,35 @@ routed through the AGM, so that sweep keeps comparing two routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NegativeAxis, QuadratureNotConverged
 from .geometry import structure_pairing_batch
+from .surfaces import _gauss_legendre
 
 DEGENERATE_AXIS = 1e-8
 AGM_SETTLED = 2.0 ** -53   # AGM gap, relative to the mean, at which the iteration stops
 
-KERNEL_TOL = 1e-12  # relative tolerance of the kernel's phi-quadrature
+KERNEL_TOL = 1e-12   # relative agreement of the kernel rule's two levels
+KERNEL_NODES = 32    # Gauss-Legendre nodes per kernel panel; the check level has half
+# geometrically graded panels after the kink panel: their ratio is at most
+# (pi/2 / KERNEL_FLOOR)^(1/14) = 4.5, so for a singular point anywhere behind
+# or beside them the coarse level's Bernstein-ellipse bound is under 1e-14
+KERNEL_GRADED = 14
+KERNEL_FLOOR = 1e-9  # shortest kink panel: a singular point closer than this moves
+                     # the integral by about its distance squared, under 1e-16 here
+KERNEL_ROW_NODES = (KERNEL_GRADED + 1) * KERNEL_NODES  # a row's nodes at the finer level
 
 
-@dataclass(frozen=True)
-class CellInvariants:
+class CellInvariants(NamedTuple):
     """Angle invariants (theta1, theta2, tau1, tau2) of a plane pair.
 
     The canonical range is 0 <= theta1 +- theta2 <= pi (same for tau); values
     outside it are accepted since the kernel extends smoothly and several
-    reference evaluations use out-of-range representatives.
+    reference evaluations use out-of-range representatives.  As a tuple it
+    is one (4,) row of the kernel's invariant arrays.
     """
 
     theta1: float
@@ -116,66 +146,98 @@ def ellipse_perimeter_batch(a, b):
     return np.where(degenerate, 4.0 * big, out)
 
 
-def _normal_form_bases(inv: CellInvariants):
-    """Explicit bases in angular normal form (4-dimensional model coordinates)."""
-    t1, t2, s1, s2 = inv.theta1, inv.theta2, inv.tau1, inv.tau2
-    u1 = np.array([math.sin(t1), 0.0, math.cos(t1), 0.0])
-    u2 = np.array([0.0, math.sin(t2), 0.0, math.cos(t2)])
-    v1 = np.array([math.cos(s1), 0.0, -math.sin(s1), 0.0])
-    v2 = np.array([0.0, math.cos(s2), 0.0, -math.sin(s2)])
-    return u1, u2, v1, v2
+def _kernel_coefficients(inv):
+    """Constants (K, P, Q) of the reduced integrand for invariant rows (..., 4).
 
-
-def _kernel_coefficients(inv: CellInvariants):
-    """Constants (K, P, Q) of the reduced integrand.
-
-    Expanding the Gram determinant of the rotated bases
+    Expanding the Gram determinant of the rotated normal-form bases
     (phi in the e1-e2 plane against u', psi in the e3-e4 plane against v),
     the cos^2 and sin^2 terms collapse and only three constants survive:
     det = K + P cos(phi) cos(psi) + Q sin(phi) sin(psi).
     """
-    u1, u2, v1, v2 = _normal_form_bases(inv)
-    s1, c1 = u1[0], u1[2]
-    s2, c2 = u2[1], u2[3]
-    ct1, st1 = v1[0], -v1[2]
-    ct2, st2 = v2[1], -v2[3]
-    K = s1 * s2 * ct1 * ct2 + c1 * c2 * st1 * st2
-    P = -(s1 * c2 * ct1 * st2 + c1 * s2 * st1 * ct2)
-    Q = s1 * c2 * st1 * ct2 + c1 * s2 * ct1 * st2
+    t1, t2, s1, s2 = np.moveaxis(np.asarray(inv, dtype=float), -1, 0)
+    sn1, c1, sn2, c2 = np.sin(t1), np.cos(t1), np.sin(t2), np.cos(t2)
+    ct1, st1, ct2, st2 = np.cos(s1), np.sin(s1), np.cos(s2), np.sin(s2)
+    K = sn1 * sn2 * ct1 * ct2 + c1 * c2 * st1 * st2
+    P = -(sn1 * c2 * ct1 * st2 + c1 * sn2 * st1 * ct2)
+    Q = sn1 * c2 * st1 * ct2 + c1 * sn2 * ct1 * st2
     return K, P, Q
 
 
-def _inner_integral(phi: float, K: float, P: float, Q: float) -> float:
-    """INT_0^{2 pi} |K + P cos(phi) cos(psi) + Q sin(phi) sin(psi)| d psi, in closed form."""
-    R = math.hypot(P * math.cos(phi), Q * math.sin(phi))
-    k = abs(K)
-    if k >= R:
-        return 2.0 * math.pi * k
+def _kink_panels(k, r_min, r_max):
+    """Where the psi-integral stops being constant, and the rule's first panel.
+
+    Returns (sigma*, h): the kink sigma* (0 if R > k everywhere, pi/2 if
+    nowhere) and the length h of the panel that starts there (module
+    docstring).  The sines and cosines of the kink and of the complex
+    singular points are ratios of differences of squares, each factored so
+    that it keeps its relative accuracy.
+    """
+    d = (r_max - r_min) * (r_max + r_min)          # R_max^2 - R_min^2
+    flat = d <= 0.0                                # R constant: no singular point
+    d = np.where(flat, 1.0, d)
+    kink = (r_min < k) & (k < r_max)
+    above = np.sqrt(np.maximum(k - r_min, 0.0) * (k + r_min))
+    below = np.sqrt(np.maximum(r_max - k, 0.0) * (r_max + k))
+    start = np.where(kink, np.arctan2(above, below), np.where(k >= r_max, 0.5 * np.pi, 0.0))
+    # the zeros of R sit at +-i y0 and, without a kink, the points R = k at
+    # +-i y_k; with one, the mirror -sigma* is 2 sigma* away
+    y0 = np.arcsinh(r_min / np.sqrt(d))
+    y_k = np.arcsinh(np.sqrt(np.maximum(r_min - k, 0.0) * (r_min + k) / d))
+    h = np.where(kink, np.minimum(2.0 * start, np.hypot(start, y0)), y_k)
+    h = np.where(flat, np.inf, h)
+    return start, np.minimum(np.maximum(h, KERNEL_FLOOR), 0.5 * np.pi - start)
+
+
+def _kernel_rule(k, r_min, r_max, start, h, n):
+    """4 x the phi-integral of the psi-integral on n nodes per panel, per row."""
+    x, w = _gauss_legendre(n)
+    t, wt = 0.5 * (x + 1.0), 0.5 * w
+    start, h, kk = start[:, None], h[:, None], k[:, None]
+    length = 0.5 * np.pi - start
+    grade = length / np.where(h > 0.0, h, 1.0)  # h = 0 only on an empty w-branch
+    edges = start + h * grade ** (np.arange(KERNEL_GRADED + 1) / KERNEL_GRADED)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    sigma = np.concatenate([start + h * (t * t), (a + (b - a) * t).reshape(len(k), -1)], axis=1)
+    weight = np.concatenate([2.0 * h * (t * wt), ((b - a) * wt).reshape(len(k), -1)], axis=1)
+    R = np.hypot(r_min[:, None] * np.cos(sigma), r_max[:, None] * np.sin(sigma))
     # 4 w + 4 k arcsin(k / R) with w = sqrt(R^2 - k^2), written through
     # arcsin(k / R) = pi/2 - atan2(w, k): arcsin near 1 would turn the rounding
-    # of k / R into an error of order sqrt(eps) where the branches meet
-    w = math.sqrt((R - k) * (R + k))
-    return 2.0 * math.pi * k + 4.0 * (w - k * math.atan2(w, k))
+    # of k / R into an error of order sqrt(eps) where the branches meet.
+    # Where R <= k, w = 0 and this is the constant 2 pi k.
+    wv = np.sqrt(np.maximum(R - kk, 0.0) * (R + kk))
+    inner = 2.0 * np.pi * kk + 4.0 * (wv - kk * np.arctan2(wv, kk))
+    return 4.0 * (2.0 * np.pi * k * start[:, 0] + (weight * inner).sum(axis=1))
+
+
+def sigma_general_batch(inv):
+    """Isotropy-averaged angle kernel of invariant rows (..., 4) = (theta1,
+    theta2, tau1, tau2), one value per row.
+
+    The fixed Gauss-Legendre phi-rule of the module docstring, on every row
+    at once: its temporaries hold KERNEL_ROW_NODES floats per row, so a
+    caller with many rows passes them in blocks.  A row whose two levels
+    miss KERNEL_TOL raises QuadratureNotConverged.  Values lie in
+    [0, (2 pi)^2].
+    """
+    inv = np.asarray(inv, dtype=float)
+    K, P, Q = (c.reshape(-1) for c in _kernel_coefficients(inv))
+    k, p, q = np.abs(K), np.abs(P), np.abs(Q)
+    r_min, r_max = np.minimum(p, q), np.maximum(p, q)
+    start, h = _kink_panels(k, r_min, r_max)
+    value = _kernel_rule(k, r_min, r_max, start, h, KERNEL_NODES)
+    check = _kernel_rule(k, r_min, r_max, start, h, KERNEL_NODES // 2)
+    # phrased so that a non-finite row fails it too
+    missed = ~(np.abs(value - check) <= KERNEL_TOL * np.abs(value))
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise QuadratureNotConverged(
+            f"kernel quadrature for K={K[i]:.6g}, P={P[i]:.6g}, Q={Q[i]:.6g} missed {KERNEL_TOL:.0e}")
+    return value.reshape(inv.shape[:-1])
 
 
 def sigma_general(inv: CellInvariants) -> float:
-    """Isotropy-averaged angle kernel for the plane pair with the given invariants.
-
-    4 times the phi-quadrature over [0, pi/2] of the closed-form psi-integral,
-    with the kink phi* as a breakpoint when it lies inside (module docstring).
-    A quadrature that misses KERNEL_TOL raises QuadratureNotConverged.  Values
-    lie in [0, (2 pi)^2].
-    """
-    K, P, Q = (float(c) for c in _kernel_coefficients(inv))
-    s2 = (K * K - P * P) / (Q * Q - P * P) if P * P != Q * Q else 0.0
-    points = (math.asin(math.sqrt(s2)),) if 0.0 < s2 < 1.0 else None
-    value, _, _, *failure = integrate.quad(
-        _inner_integral, 0.0, 0.5 * math.pi, args=(K, P, Q), points=points,
-        epsabs=0.0, epsrel=KERNEL_TOL, limit=200, full_output=1)
-    if failure:
-        raise QuadratureNotConverged(
-            f"kernel quadrature for K={K:.6g}, P={P:.6g}, Q={Q:.6g} missed {KERNEL_TOL:.0e}")
-    return 4.0 * value
+    """The kernel of one plane pair: sigma_general_batch on its one row."""
+    return float(sigma_general_batch(inv))
 
 
 def lagrangian_semiaxes_batch(points, a, b, area):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .geometry import omega_batch, orthonormal_pairs, plane_area
 
@@ -374,14 +373,47 @@ def load_mesh(path) -> MeshSurface:
 # generic operations
 # ---------------------------------------------------------------------------
 
+def _legendre_pair(n: int, x):
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, n >= 1."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        p2 = x * p1
+        p2 *= (2 * j - 1) / j
+        p0 *= (j - 1) / j
+        p2 -= p0
+        p0, p1 = p1, p2
+    return p1, p0
+
+
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Cached: a rule costs O(n^2) time (10 ms at n = 512), and the charts,
-    panels and levels of one quadrature ask for the same few n again.
+    Newton iteration on P_n from Tricomi's asymptotic guess
+    cos(pi (k - 1/4) / (n + 1/2)), for the nonnegative nodes only; the rule is
+    mirrored about 0.  The weight 2 / ((1 - x^2) P_n'(x)^2) is taken at the
+    last iterate and moved to first order by the last Newton step, so a
+    node near +-1, where the rounding of x is large against 1 - x^2, keeps a
+    weight good to about 1e-12 relative up to n = 1024.  Cached: a rule costs
+    O(n^2) time (about 4 ms at n = 512), and the charts, panels, levels and
+    the angle kernel ask for the same few n again.
     """
-    x, w = roots_legendre(n)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos((4.0 * k - 1.0) * math.pi / (4.0 * n + 2.0))
+    for _ in range(8):
+        p, q = _legendre_pair(n, x)
+        s = (1.0 - x) * (1.0 + x)
+        d = n * (q - x * p) / s    # P_n'(x)
+        dx = p / d
+        w = 2.0 / (s * d * d) * (1.0 + 2.0 * x * dx / s)
+        x = x - dx
+        if np.all(np.abs(dx) <= 1e-8 * s):
+            break
+    if n % 2:
+        x[-1] = 0.0
+    half = n // 2
+    x = np.concatenate([-x[:half], x[::-1]])
+    w = np.concatenate([w[:half], w[::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

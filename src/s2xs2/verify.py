@@ -29,13 +29,14 @@ from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from .intersections import _CountingProblem, counts_product_batch
 from .rotations import VOL_G, group_matrices
 from .sigma import (
-    CellInvariants,
+    KERNEL_ROW_NODES,
     cell_angles_batch,
     ellipse_perimeter_batch,
     lagrangian_semiaxes_batch,
-    sigma_general,
+    sigma_general_batch,
 )
 from .surfaces import (
+    QUADRATURE_TILE,
     ProductTorusSurface,
     great_torus,
     lagrangian_defect,
@@ -246,19 +247,20 @@ def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
     """General kernel side: double surface quadrature of the angle kernel.
 
     Works for any supported surface pair (no Lagrangian or product hypothesis).
-    The kernel is evaluated once per distinct pair of invariants, so the cost
-    is the loop over those pairs, at well under a millisecond each; surfaces
-    with constant invariants collapse to a single evaluation.
+    The kernel is evaluated once per distinct pair of invariants, in blocks
+    of pairs sized so that the kernel's temporaries stay near
+    QUADRATURE_TILE nodes each; surfaces with constant invariants collapse
+    to a single row.
     """
     uniq_n, mass_n = _distinct_invariants(*_normal_invariant_samples(n_surface, m))
     uniq_l, mass_l = _distinct_invariants(*_normal_invariant_samples(l_surface, m))
-    total = []
-    for (a_n, b_n), wn in zip(uniq_n, mass_n):
-        for (a_l, b_l), wl in zip(uniq_l, mass_l):
-            inv = CellInvariants(0.5 * (a_n + b_n), 0.5 * (a_n - b_n),
-                                 0.5 * (a_l + b_l), 0.5 * (a_l - b_l))
-            total.append(wn * wl * sigma_general(inv))
-    return math.fsum(total)
+    half_n = 0.5 * np.stack([uniq_n[:, 0] + uniq_n[:, 1], uniq_n[:, 0] - uniq_n[:, 1]], axis=1)
+    half_l = 0.5 * np.stack([uniq_l[:, 0] + uniq_l[:, 1], uniq_l[:, 0] - uniq_l[:, 1]], axis=1)
+    rows = np.concatenate([np.repeat(half_n, len(uniq_l), axis=0), np.tile(half_l, (len(uniq_n), 1))], axis=1)
+    mass = np.outer(mass_n, mass_l).reshape(-1)
+    block = max(1, QUADRATURE_TILE // KERNEL_ROW_NODES)
+    return math.fsum(np.concatenate([mass[s:s + block] * sigma_general_batch(rows[s:s + block])
+                                     for s in range(0, len(rows), block)]))
 
 
 def verify_poincare(n_surface, l_surface, samples: int, seed: int,

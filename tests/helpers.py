@@ -14,7 +14,7 @@ from scipy import integrate
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
 from s2xs2.hamiltonian import flow_points
 from s2xs2.rotations import group_matrices
-from s2xs2.sigma import DEGENERATE_AXIS
+from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import Circle, GraphSurface, MeshSurface, ProductTorusSurface, surface_quadrature
 
 
@@ -198,6 +198,51 @@ def wedge(a, b):
     ])
 
 
+def normal_form_bases(inv):
+    """Explicit bases (u'_1, u'_2, v_1, v_2) in angular normal form, in the
+    4-dimensional model coordinates of the s2xs2.sigma docstring."""
+    t1, t2, s1, s2 = inv
+    u1 = np.array([math.sin(t1), 0.0, math.cos(t1), 0.0])
+    u2 = np.array([0.0, math.sin(t2), 0.0, math.cos(t2)])
+    v1 = np.array([math.cos(s1), 0.0, -math.sin(s1), 0.0])
+    v2 = np.array([0.0, math.cos(s2), 0.0, -math.sin(s2)])
+    return u1, u2, v1, v2
+
+
+def sigma_general_quad(inv):
+    """The angle kernel by adaptive quadrature, the reference for the fixed
+    rule of sigma_general_batch.
+
+    scipy.integrate.quad integrates the closed-form psi-integral over phi in
+    [0, pi/2], split at the kink and at points 10^-j (j = 1, 3, ..., 15) on
+    either side of the kink and of both ends, so that near-segment integrands
+    and kinks near an end are resolved too.
+    """
+    K, P, Q = (float(c) for c in _kernel_coefficients(inv))
+    k = abs(K)
+
+    def inner(phi):
+        R = math.hypot(P * math.cos(phi), Q * math.sin(phi))
+        if k >= R:
+            return 2.0 * math.pi * k
+        w = math.sqrt((R - k) * (R + k))
+        return 2.0 * math.pi * k + 4.0 * (w - k * math.atan2(w, k))
+
+    centres = [0.0, 0.5 * math.pi]
+    s2 = (K * K - P * P) / (Q * Q - P * P) if P * P != Q * Q else 0.0
+    if 0.0 < s2 < 1.0:
+        centres.append(math.asin(math.sqrt(s2)))
+    cuts = set(centres)
+    for c in centres:
+        for j in range(1, 16, 2):
+            cuts.update(x for x in (c - 10.0 ** -j, c + 10.0 ** -j) if 0.0 < x < 0.5 * math.pi)
+    cuts = sorted(cuts)
+    # full_output: quad's roundoff warnings on near-flat pieces are not failures;
+    # the tests judge the value
+    return 4.0 * math.fsum(integrate.quad(inner, a, b, epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)[0]
+                           for a, b in zip(cuts, cuts[1:]))
+
+
 def ellipse_perimeter_quadrature(a, b):
     """Arc length of the ellipse with semiaxes (a, b) by adaptive quadrature:
     the reference for the AGM perimeter."""
@@ -239,20 +284,26 @@ def ellipse_perimeter_fixed_agm(a, b):
     return np.where(degenerate, 4.0 * big, out)
 
 
+def perimeters_by_frames(block):
+    """Each node's perimeter and degenerate mask in a quadrature tile, as the
+    quadrature took them before it read the J' cosine from the raw partials:
+    the node's partials orthonormalized (on C-ordered copies, as the
+    whole-grid arrays were), the frame paired with J', and the perimeter by
+    the fixed 16-iteration AGM."""
+    points, du, dv = (np.ascontiguousarray(block[key]) for key in ("points", "du", "dv"))
+    t1, t2, bad = orthonormal_pairs(du, dv)
+    c = structure_pairing_batch("J'", points, t1, t2)
+    s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
+    return ellipse_perimeter_fixed_agm((1.0 + s) / 2.0, (1.0 - s) / 2.0), bad
+
+
 def perimeter_integral_by_frames(surface, m):
-    """INT_N perim dA as the quadrature took it before it read the J' cosine
-    from the raw partials: each node's partials orthonormalized (on C-ordered
-    copies, as the whole-grid arrays were), the frame paired with J', and the
-    perimeter by the fixed 16-iteration AGM.  The reference for
-    verify._perimeter_integral; the tiles and their measure are the
+    """INT_N perim dA with perimeters_by_frames at each node.  The reference
+    for verify._perimeter_integral; the tiles and their measure are the
     quadrature's own."""
     total = []
     for block in surface_quadrature(surface, m):
-        points, du, dv = (np.ascontiguousarray(block[key]) for key in ("points", "du", "dv"))
-        t1, t2, bad = orthonormal_pairs(du, dv)
-        c = structure_pairing_batch("J'", points, t1, t2)
-        s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
-        per = ellipse_perimeter_fixed_agm((1.0 + s) / 2.0, (1.0 - s) / 2.0)
+        per, bad = perimeters_by_frames(block)
         weights = np.where(bad, 0.0, block["measure"])
         total.append(float(np.sum(weights * per)))
     return math.fsum(total)

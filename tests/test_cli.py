@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import s2xs2
 from helpers import group_sample
+from s2xs2 import cli
 from s2xs2.cli import UsageError, main, parse_surface_spec, print_surface_spec
 from s2xs2.hamiltonian import MAX_STEPS
 from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, diagonal
@@ -212,6 +218,37 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "L spec must be a product torus" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "great-torus", "great-torus", "--seed", "7", "--grid", "4096"),
+        ("count", "latitude-torus 0.5 0.5", "great-torus", "--grid", "128"),
+        ("verify-poincare", "--surface", "latitude-torus 0.5 0.5", "--samples", "1000", "--grid", "4096"),
+        ("verify-bounds", "--surface", "latitude-torus 0.5 0.5", "--samples", "1000", "--grid", "4096"),
+    ], ids=["count", "count-at-the-default", "verify-poincare", "verify-bounds"])
+    def test_usage_error_grid_for_a_product_torus(self, capsys, monkeypatch, argv):
+        # a product-torus N is counted in closed form, so a --grid would be ignored
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "--grid does not apply" in err and "closed-form" in err
+
+    def test_omitted_grid_counts_a_product_torus_and_records_the_default(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "great-torus", "great-torus", "--seed", "7")
+        assert code == 0 and json.loads(out)["count"] == 4
+        code, out, _ = run_cli(capsys, "verify-bounds", "--surface", "latitude-torus 0.5 0.5",
+                               "--samples", "1000", "--seed", "3")
+        assert code == 0 and '"count_grid":128' in out
+
+    def test_explicit_grid_is_kept_for_a_contour_count(self, capsys, monkeypatch):
+        grids = []
+        real = cli._CountingProblem
+        monkeypatch.setattr(cli, "_CountingProblem", lambda n, l, grid: grids.append(grid) or real(n, l, grid))
+        code, out, _ = run_cli(capsys, "count", "anti-diagonal", "great-torus", "--seed", "7", "--grid", "256")
+        assert code == 0 and json.loads(out)["count"] == 2
+        assert grids == [256]
+
     def test_usage_error_negative_haar_samples(self, capsys):
         code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
         assert code == 2
@@ -410,3 +447,39 @@ def test_report_stdout_is_pinned(capsys, argv, code, expected):
     got_code, out, _ = run_cli(capsys, *argv)
     assert got_code == code
     assert normalize_runtime(out) == expected + "\n"
+
+
+# run in a fresh interpreter in which scipy cannot be imported: the package
+# must import, and these commands run, on numpy alone
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # an import of scipy or of any submodule now raises ImportError
+import s2xs2
+from s2xs2.cli import main
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] == "scipy" and module is not None)
+assert not loaded, loaded
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def _count_report():
+    return next(expected for argv, _, expected in PINNED_REPORTS if argv[0] == "count")
+
+
+@pytest.mark.parametrize("argv, check", [
+    (("volume", "anti-diagonal", "--grid", "64"),
+     lambda out: float(out) == pytest.approx(8 * math.pi, rel=1e-14)),
+    (("sigma-table", "--theta-steps", "5"),
+     lambda out: len(out.splitlines()) == 6
+     and max(float(line.split(",")[3]) for line in out.splitlines()[1:]) <= 1e-14),
+    (("ellipse", "1", "0.5"), lambda out: float(out) == pytest.approx(4.844224110273838, abs=1e-12)),
+    (("count", "anti-diagonal", "great-torus", "--seed", "7"), lambda out: out.strip() == _count_report()),
+], ids=["volume", "sigma-table", "ellipse", "count"])
+def test_runs_without_scipy(argv, check):
+    src = Path(s2xs2.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert check(done.stdout), done.stdout

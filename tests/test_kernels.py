@@ -1,7 +1,7 @@
 """A single point is a batch of one row.
 
-Every kernel on ambient (..., 6) arrays, given one row, returns bitwise the
-row-0 value of the same call on a batch of rows.  That is what lets callers
+Every kernel on ambient (..., 6) arrays, given row i alone, returns bitwise
+the row-i value of the same call on a batch of rows.  That is what lets callers
 with one point, one tangent vector or one plane use the batch kernels
 directly, without scalar views on top.  The counting kernels take rows of
 group samples, and one sample gives bitwise its row of a batch.
@@ -14,7 +14,14 @@ from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, field_batch, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch, transversality_product_batch
 from s2xs2.rotations import group_matrices
-from s2xs2.sigma import cell_angles_batch, ellipse_perimeter_batch, lagrangian_semiaxes_batch
+from s2xs2.sigma import (
+    CellInvariants,
+    cell_angles_batch,
+    ellipse_perimeter_batch,
+    lagrangian_semiaxes_batch,
+    sigma_general,
+    sigma_general_batch,
+)
 from s2xs2.surfaces import anti_diagonal, great_torus, latitude_torus, surface_quadrature
 
 # 8 quadrature nodes of the anti-diagonal: the diagonal of chart 0's 8 x 8 grid
@@ -34,6 +41,20 @@ _LAT = np.cross([[1.0, 2.0, 3.0], [-2.0, 1.0, 0.5]], POINTS.reshape(8, 2, 3))
 _LAT /= np.linalg.norm(_LAT, axis=-1, keepdims=True)
 STACKS = np.concatenate([np.stack([T1, T2], axis=1), np.zeros((8, 2, 6))], axis=1)
 STACKS[:, 2, :3], STACKS[:, 3, 3:] = _LAT[:, 0], _LAT[:, 1]
+# invariant rows (theta1, theta2, tau1, tau2) that take each branch of the
+# angle kernel's rule: a generic row, the A5 near-segment at theta = pi/64,
+# a kink inside, kinks 1.9e-5 from either end, |K| >= R everywhere, R
+# constant (P = Q) and all coefficients zero
+INVARIANTS = np.array([
+    [0.7, -0.2, 1.9, 0.4],
+    [np.pi / 64, np.pi / 64 - np.pi / 2, np.pi / 2, 0.0],
+    [-2.341478275900152, -1.3176381689926122, -1.1259437531783743, 4.950916904879859],
+    [1.0, 0.4, 1.0 - 1e-9, 0.0],
+    [0.4, 1.0, 1.0 - 1e-9, 0.0],
+    [np.pi / 2, np.pi / 2 - 0.1, 0.05, 0.0],
+    [np.pi / 4, -np.pi / 4, np.pi / 2, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
 # the Hamiltonian and flow window of the deformed-chain benchmark
 H = HamiltonianFunction({(1, 0, 0, 1, 0, 0): 1.0, (0, 1, 0, 0, 1, 1): 0.5})
 PARAMS = FlowParams.for_time(0.5, 0.0125)
@@ -47,6 +68,10 @@ KERNELS = {
     "lagrangian_semiaxes_batch": (lagrangian_semiaxes_batch, (POINTS, DU, DV, AREA)),
     "cell_angles_batch": (cell_angles_batch, (POINTS, DU, DV, AREA)),
     "ellipse_perimeter_batch": (ellipse_perimeter_batch, SEMIAXES),
+    "sigma_general_batch": (sigma_general_batch, (INVARIANTS,)),
+    # the scalar wrapper on one row, the batch kernel on the batch
+    "sigma_general": (lambda inv: sigma_general(CellInvariants(*inv)) if inv.ndim == 1 else sigma_general_batch(inv),
+                      (INVARIANTS,)),
     "wedge_norm": (wedge_norm, (STACKS,)),
     "field_batch": (lambda x: field_batch(H, x), (POINTS,)),
     "flow_points": (lambda x: flow_points(H, x, PARAMS), (POINTS,)),
@@ -57,13 +82,15 @@ KERNELS = {
 def test_one_row_is_row_zero_of_the_batch(name):
     kernel, args = KERNELS[name]
     assert all(len(a) == 8 for a in args)
-    one = kernel(*(a[0] for a in args))
     batch = kernel(*args)
-    pairs = zip(one, batch) if isinstance(one, tuple) else [(one, batch)]
-    for single, rows in pairs:
-        single, rows = np.asarray(single), np.asarray(rows)
-        assert single.shape == rows.shape[1:] and single.dtype == rows.dtype
-        assert single.tobytes() == rows[0].tobytes()
+    # every row, not only row 0: the rows take different branches
+    for i in range(8):
+        one = kernel(*(a[i] for a in args))
+        pairs = zip(one, batch) if isinstance(one, tuple) else [(one, batch)]
+        for single, rows in pairs:
+            single, rows = np.asarray(single), np.asarray(rows)
+            assert single.shape == rows.shape[1:] and single.dtype == rows.dtype
+            assert single.tobytes() == rows[i].tobytes()
 
 
 # the counting kernels take a batch of group samples (r1, r2), each (S, 3, 3),

@@ -10,24 +10,26 @@ from helpers import (
     ellipse_perimeter_quadrature,
     group_sample,
     kahler_angle,
+    normal_form_bases,
     normal_plane,
     plane_from_invariants,
     random_lagrangian_plane,
     random_product_point,
+    sigma_general_quad,
     tangent_plane,
     wedge,
 )
-from s2xs2.errors import NegativeAxis
+from s2xs2.errors import NegativeAxis, QuadratureNotConverged
 from s2xs2.sigma import (
     DEGENERATE_AXIS,
     CellInvariants,
     _kernel_coefficients,
-    _normal_form_bases,
     cell_angles_batch,
     ellipse_perimeter,
     ellipse_perimeter_batch,
     lagrangian_semiaxes_batch,
     sigma_general,
+    sigma_general_batch,
 )
 from s2xs2.surfaces import (
     GraphSurface,
@@ -47,6 +49,31 @@ FOUR_PI_SQ = 4 * math.pi ** 2
 REGRESSION_DRAWS = np.random.default_rng(1).uniform(0, math.pi, (12, 4))
 
 angles = st.floats(-math.pi, 2 * math.pi)
+small = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -1.0))
+near_zero = st.one_of(st.just(0.0), small)
+
+
+@st.composite
+def near_segment_invariants(draw):
+    """Perturbations of the A5 row (theta, theta - pi/2, pi/2, 0) with theta
+    near 0 or pi/2: K ~ 0, P = cos^2 theta, Q = sin^2 theta, so R(phi) is
+    nearly a segment's |cos phi| or |sin phi|."""
+    theta = draw(st.sampled_from([0.0, math.pi / 2])) + draw(small)
+    return CellInvariants(theta, theta - math.pi / 2 + draw(near_zero),
+                          math.pi / 2 + draw(near_zero), draw(near_zero))
+
+
+@st.composite
+def near_end_kink_invariants(draw):
+    """Rows whose kink |K| = R(phi*) lies near phi = 0 or pi/2.
+
+    With tau2 = 0, K = sin t1 sin t2 cos s1, P = -cos t1 sin t2 sin s1 and
+    Q = sin t1 cos t2 sin s1: |K| = |P|, the kink at phi = 0, where
+    tan s1 = +-tan t1, and |K| = |Q|, the kink at pi/2, where tan s1 = +-tan t2.
+    """
+    t1, t2 = draw(angles), draw(angles)
+    s1 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([t1, t2])) + draw(small)
+    return CellInvariants(t1, t2, s1, draw(near_zero))
 
 
 def semiaxes(x, plane):
@@ -88,7 +115,7 @@ def sigma_general_reference(inv: CellInvariants, n: int = 256) -> float:
     Builds the rotated bases and their wedges explicitly; used to validate the
     algebraic reduction behind sigma_general, not for production accuracy.
     """
-    u1, u2, v1, v2 = _normal_form_bases(inv)
+    u1, u2, v1, v2 = normal_form_bases(inv)
     h = 2.0 * np.pi / n
     t = (np.arange(n) + 0.5) * h
     wedge_u = np.empty((n, 6))
@@ -275,6 +302,32 @@ class TestSigmaGeneral:
     def test_zero_coefficients(self):
         assert _kernel_coefficients(CellInvariants(0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
         assert sigma_general(CellInvariants(0.0, 0.0, 0.0, 0.0)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.builds(CellInvariants, angles, angles, angles, angles),
+                     near_segment_invariants(), near_end_kink_invariants()))
+    # the A5 row at theta = pi/64: K = -3e-18, P = 0.9976, Q = 0.0024, a
+    # near-segment on which a rule without graded panels missed its check
+    @example(CellInvariants(math.pi / 64, math.pi / 64 - math.pi / 2, math.pi / 2, 0.0))
+    @example(CellInvariants(1.0, 0.4, 1.0 - 1e-9, 0.0))     # kink 1.9e-5 from phi = 0
+    @example(CellInvariants(0.4, 1.0, 1.0 - 1e-9, 0.0))     # kink 1.9e-5 from phi = pi/2
+    @example(CellInvariants(1.0, 0.4, 1.0 + 1e-9, 0.0))     # sin^2 phi* = -3.5e-10: just outside
+    def test_batch_matches_adaptive_quadrature(self, inv):
+        value = sigma_general_batch(np.array([inv]))[0]
+        assert 0.0 <= value <= FOUR_PI_SQ
+        # abs: a subnormal value keeps fewer than 16 digits
+        assert value == pytest.approx(sigma_general_quad(inv), rel=1e-12, abs=1e-300)
+
+    def test_batch_keeps_the_leading_axes(self):
+        rows = np.random.default_rng(4).uniform(-math.pi, 2 * math.pi, (2, 3, 4))
+        values = sigma_general_batch(rows)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values.reshape(-1), sigma_general_batch(rows.reshape(6, 4)))
+
+    def test_non_finite_row_is_not_converged(self):
+        rows = np.array([[0.3, 0.2, 1.0, 0.5], [0.3, math.nan, 1.0, 0.5]])
+        with pytest.raises(QuadratureNotConverged, match="kernel quadrature"):
+            sigma_general_batch(rows)
 
     def test_cell_membership_flag(self):
         assert CellInvariants(math.pi / 2, 0.0, math.pi / 2, 0.0).in_cell

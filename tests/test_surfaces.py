@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,26 @@ from s2xs2.surfaces import (
 )
 
 FOUR_PI_SQ = 4 * math.pi ** 2
+
+
+def mp_gauss_legendre(n, guess):
+    """Gauss-Legendre nodes near the given guesses, and their weights, to 50
+    digits: Newton iteration in mpmath, an independent reference for the
+    rule's last bits."""
+    with mpmath.workdps(50):
+        nodes, weights = [], []
+        for g in guess:
+            x, dx = mpmath.mpf(float(g)), 1
+            while abs(dx) > mpmath.mpf(10) ** -45:
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                d = n * (p0 - x * p1) / (1 - x * x)
+                dx = p1 / d
+                x -= dx
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * d * d)))
+    return np.array(nodes), np.array(weights)
 
 
 class TestCircle:
@@ -257,6 +278,37 @@ class TestGraphQuadratureRule:
                 surfaces.quadrature_levels(anti_diagonal(), m)
         # one panel per direction: every grid from 1 is accepted
         assert volume(great_torus(), 1) == pytest.approx(FOUR_PI_SQ, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [18, 256, 1024])
+    def test_gauss_legendre_matches_a_50_digit_rule(self, n):
+        x, w = surfaces._gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        # the upper half (the rule is checked symmetric below); at n = 1024
+        # the 8 nodes nearest 1, where the weights are hardest, and every
+        # 16th node inward
+        upper = np.arange(n // 2, n)
+        if n > 256:
+            upper = np.union1d(upper[::16], upper[-8:])
+        ref_x, ref_w = mp_gauss_legendre(n, x[upper])
+        assert np.abs(x[upper] - ref_x).max() <= 2.3e-16
+        assert (np.abs(w[upper] - ref_w) / ref_w).max() <= 1e-11
+        assert np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert math.fsum(w) == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 23, 32, 511])
+    def test_gauss_legendre_is_exact_to_degree_2n_minus_1(self, n):
+        x, w = surfaces._gauss_legendre(n)
+        for degree in (0, 2 * n - 2, 2 * n - 1):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert math.fsum(w * x ** degree) == pytest.approx(exact, abs=1e-14)
+
+    def test_gauss_legendre_rule_is_cached_read_only(self):
+        x, w = surfaces._gauss_legendre(64)
+        assert surfaces._gauss_legendre(64)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
     def test_levels(self):
         mesh = MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16)

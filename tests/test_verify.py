@@ -6,14 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import group_sample, moved_surface, perimeter_integral_by_frames
+from helpers import group_sample, moved_surface, perimeter_integral_by_frames, perimeters_by_frames
 from s2xs2 import verify
 from s2xs2.errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import _CountingProblem, counts_product_batch
 from s2xs2.rotations import VOL_G, group_matrices
-from s2xs2.surfaces import GraphSurface, anti_diagonal, diagonal, great_torus, latitude_torus, volume
+from s2xs2.sigma import (
+    KERNEL_ROW_NODES,
+    CellInvariants,
+    ellipse_perimeter_batch,
+    lagrangian_semiaxes_batch,
+    sigma_general,
+)
+from s2xs2.surfaces import (
+    QUADRATURE_TILE,
+    GraphSurface,
+    anti_diagonal,
+    diagonal,
+    great_torus,
+    latitude_torus,
+    surface_quadrature,
+    volume,
+)
 from s2xs2.verify import (
     kernel_rhs_general,
     mc_expected_count,
@@ -162,9 +178,20 @@ class TestKernelSideRoute:
         monkeypatch.setattr(verify, "_perimeter_integral", perimeter_integral_by_frames)
         assert got == rhs_theorem6(surface, great_torus())
 
-    def test_anti_diagonal_perimeter_integral_equals_the_frame_route(self):
-        for m in (64, 130):
-            assert verify._perimeter_integral(anti_diagonal(), m) == perimeter_integral_by_frames(anti_diagonal(), m)
+    def test_anti_diagonal_perimeter_integral_agrees_with_the_frame_route(self):
+        # node by node the routes round the J' cosine differently at about a
+        # fifth of the nodes, so a perimeter may differ by up to 2 ulps; the
+        # totals part by at most one ulp (m = 64) or tie (m = 130)
+        for block in surface_quadrature(anti_diagonal(), 64):
+            frames, bad = perimeters_by_frames(block)
+            assert np.array_equal(bad, block["degenerate"])
+            area = np.where(bad, 1.0, block["area"])
+            per = ellipse_perimeter_batch(
+                *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], area))
+            assert np.all(np.abs(per - frames) <= 2 * np.spacing(frames))
+        got = verify._perimeter_integral(anti_diagonal(), 64)
+        assert abs(got - perimeter_integral_by_frames(anti_diagonal(), 64)) <= math.ulp(got)
+        assert verify._perimeter_integral(anti_diagonal(), 130) == perimeter_integral_by_frames(anti_diagonal(), 130)
 
     @pytest.mark.parametrize("surface", [
         GraphSurface(group_sample(3, 0)[0], antipodal=True),
@@ -199,14 +226,31 @@ class TestHowardGeneral:
         assert got == pytest.approx(PI4_128, rel=1e-12)
 
     @pytest.mark.parametrize("make", [anti_diagonal, great_torus], ids=["anti-diagonal", "great-torus"])
-    def test_constant_invariants_take_one_kernel_call(self, monkeypatch, make):
+    def test_constant_invariants_take_one_kernel_row(self, monkeypatch, make):
         # arccos near 1 spreads the rounding of a constant cosine over angle
-        # steps of 1.5e-8, which must not split it into several kernel calls
-        calls = []
-        real = verify.sigma_general
-        monkeypatch.setattr(verify, "sigma_general", lambda inv: calls.append(inv) or real(inv))
+        # steps of 1.5e-8, which must not split it into several kernel rows
+        rows = []
+        real = verify.sigma_general_batch
+        monkeypatch.setattr(verify, "sigma_general_batch", lambda inv: rows.append(len(inv)) or real(inv))
         kernel_rhs_general(make(), great_torus(), m=128)
-        assert len(calls) == 1
+        assert rows == [1]
+
+    def test_one_kernel_call_per_block_of_pairs(self, monkeypatch, deformed_mesh):
+        rows = []
+        real = verify.sigma_general_batch
+        monkeypatch.setattr(verify, "sigma_general_batch", lambda inv: rows.append(len(inv)) or real(inv))
+        got = kernel_rhs_general(deformed_mesh, great_torus(), m=16)
+        block = QUADRATURE_TILE // KERNEL_ROW_NODES
+        pairs = sum(rows)
+        assert pairs > block and rows == [block] * (pairs // block) + ([pairs % block] if pairs % block else [])
+        # the blocks sum to the kernel of every pair, one row at a time
+        uniq_n, mass_n = verify._distinct_invariants(*verify._normal_invariant_samples(deformed_mesh, 16))
+        uniq_l, mass_l = verify._distinct_invariants(*verify._normal_invariant_samples(great_torus(), 16))
+        assert len(uniq_n) * len(uniq_l) == pairs
+        one_at_a_time = math.fsum(
+            wn * wl * sigma_general(CellInvariants(0.5 * (a + b), 0.5 * (a - b), 0.5 * (c + d), 0.5 * (c - d)))
+            for (a, b), wn in zip(uniq_n, mass_n) for (c, d), wl in zip(uniq_l, mass_l))
+        assert got == one_at_a_time
 
     def test_matches_specialized_form_on_latitude_torus(self):
         n = latitude_torus(0.5, 0.5)
