@@ -11,7 +11,11 @@ on a sphere); every other surface is counted by marching-squares extraction
 of the f1 = 0 contour on a chart grid, sign-change detection of f2 along the
 contour segments, two-variable Newton refinement, ambient deduplication, and
 a transversality gate.  Counts are recomputed on the doubled grid and any
-disagreement is reported as GridUnstable rather than silently resolved.
+disagreement is reported as GridUnstable rather than silently resolved.  From
+Newton on the roots of a batch are flat arrays with their owning sample:
+deduplication is one sort by (sample, coordinates) and the greedy radius rule
+run over each root's rank in its sample, and counts, gates and minima are
+reductions over the owners.
 
 The counter is output sensitive.  Each chart grid is cut into blocks of
 CULL_BLOCK x CULL_BLOCK cells, and each block carries a bounding cap (unit
@@ -40,6 +44,9 @@ COAXIAL_TOL = 1e-12
 SAME_PLANE_TOL = 1e-9
 DEDUP_RADIUS = 1e-6
 NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 30
+NEWTON_FD_STEP = 1e-6     # central-difference step of the Jacobian
+NEWTON_MAX_STEP = 0.5     # largest Newton step per parameter
 RESIDUAL_ACCEPT = 1e-10
 TRANSVERSALITY_MIN = 1e-8
 MIN_COUNT_GRID = 128
@@ -241,8 +248,7 @@ def _cell_seeds(f1c, f2c, cu, cv):
     return cell, u0 + t * (eu[cell, e1] - u0), v0 + t * (ev[cell, e1] - v0)
 
 
-def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2,
-                   max_iter=30, fd_step=1e-6, max_step=0.5):
+def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
     """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed axes.
 
     Returns (U, V, converged, jacobian_sigma_min)."""
@@ -270,26 +276,26 @@ def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2,
     n = U.shape[0]
     active = np.ones(n, dtype=bool)
     sig_min = np.zeros(n)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
         u, v = U[idx], V[idx]
         a1sub, a2sub = a1[idx], a2[idx]
         f1, f2 = residual(u, v)
-        f1u, f2u = residual(*clampwrap(u + fd_step, v))
-        f1mu, f2mu = residual(*clampwrap(u - fd_step, v))
-        f1v, f2v = residual(*clampwrap(u, v + fd_step))
-        f1mv, f2mv = residual(*clampwrap(u, v - fd_step))
-        j11 = (f1u - f1mu) / (2 * fd_step)
-        j21 = (f2u - f2mu) / (2 * fd_step)
-        j12 = (f1v - f1mv) / (2 * fd_step)
-        j22 = (f2v - f2mv) / (2 * fd_step)
+        f1u, f2u = residual(*clampwrap(u + NEWTON_FD_STEP, v))
+        f1mu, f2mu = residual(*clampwrap(u - NEWTON_FD_STEP, v))
+        f1v, f2v = residual(*clampwrap(u, v + NEWTON_FD_STEP))
+        f1mv, f2mv = residual(*clampwrap(u, v - NEWTON_FD_STEP))
+        j11 = (f1u - f1mu) / (2 * NEWTON_FD_STEP)
+        j21 = (f2u - f2mu) / (2 * NEWTON_FD_STEP)
+        j12 = (f1v - f1mv) / (2 * NEWTON_FD_STEP)
+        j22 = (f2v - f2mv) / (2 * NEWTON_FD_STEP)
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
-        du = np.clip((j22 * f1 - j12 * f2) / det, -max_step, max_step)
-        dv = np.clip((-j21 * f1 + j11 * f2) / det, -max_step, max_step)
+        du = np.clip((j22 * f1 - j12 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
+        dv = np.clip((-j21 * f1 + j11 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
         t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
         root = np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))
         sig_min[idx] = np.where(singular, 0.0, np.sqrt(np.maximum(0.5 * (t - root), 0.0)))
@@ -302,19 +308,21 @@ def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2,
     return U, V, converged, sig_min
 
 
-def _dedup(points, quality):
-    """Greedy ambient-radius clustering in a deterministic coordinate order."""
-    if not points:
-        return [], []
-    arr = np.stack(points, axis=0)
-    order = np.lexsort(arr.T[::-1])
-    kept_pts, kept_q = [], []
-    for idx in order:
-        p = points[idx]
-        if all(np.linalg.norm(p - kp) > DEDUP_RADIUS for kp in kept_pts):
-            kept_pts.append(p)
-            kept_q.append(quality[idx])
-    return kept_pts, kept_q
+def _dedup(owner, points):
+    """Indices of the roots (owner (R,), points (R, 6)) that greedy clustering keeps.
+
+    In (sample, coordinates) order, equal rows in input order, a root is dropped
+    when an earlier kept root of its sample lies within DEDUP_RADIUS."""
+    order = np.lexsort((*points.T[::-1], owner))
+    owner, points = owner[order], points[order]
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    kept = rank == 0
+    for k in range(1, rank.max(initial=0) + 1):
+        i = np.nonzero(rank == k)[0]
+        earlier = i[:, None] - np.arange(1, k + 1)
+        dist = np.linalg.norm(points[i][:, None] - points[earlier], axis=-1)
+        kept[i] = np.all(~kept[earlier] | (dist > DEDUP_RADIUS), axis=1)
+    return order[kept]
 
 
 class _CountingProblem:
@@ -335,33 +343,29 @@ class _CountingProblem:
         """Per-sample outcomes over a batch of group samples.
 
         Each outcome is (status, count, min_transversality, points) with
-        status in {'ok', 'nontransversal', 'gridunstable'}; points is the
-        list of deduplicated ambient 6-vectors from the fine grid, empty
-        unless the status is 'ok'.
+        status in {'ok', 'nontransversal', 'gridunstable'}, decided over the
+        per-sample arrays of both grid levels; points is the list of
+        deduplicated ambient 6-vectors from the fine grid, empty unless the
+        status is 'ok'.
         """
         S = r1.shape[0]
         a1 = r1 @ self.l_surface.circle1.axis
         a2 = r2 @ self.l_surface.circle2.axis
         c1 = self.l_surface.circle1.offset
         c2 = self.l_surface.circle2.offset
-        coarse = self._count_level(self.grids[self.m], a1, a2, c1, c2, S)
-        fine = self._count_level(self.grids[2 * self.m], a1, a2, c1, c2, S)
-        out = []
-        for s in range(S):
-            ok0, count0, _, _ = coarse[s]
-            ok1, count1, trans1, pts1 = fine[s]
-            if not (ok0 and ok1):
-                out.append(("nontransversal", 0, 0.0, []))
-            elif count0 != count1:
-                out.append(("gridunstable", 0, 0.0, []))
-            else:
-                out.append(("ok", count1, trans1, pts1))
-        return out
+        ok0, count0, _, _, _ = self._count_level(self.grids[self.m], a1, a2, c1, c2, S)
+        ok1, count1, min_trans, owner, points = self._count_level(self.grids[2 * self.m], a1, a2, c1, c2, S)
+        status = np.where(ok0 & ok1, np.where(count0 == count1, "ok", "gridunstable"), "nontransversal")
+        groups = np.split(points, np.searchsorted(owner, np.arange(1, S)))
+        outcomes = zip(status.tolist(), count1.tolist(), min_trans.tolist(), groups)
+        return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
+                for st, count, trans, pts in outcomes]
 
     def _count_level(self, grids, a1, a2, c1, c2, S):
-        roots = [[] for _ in range(S)]
-        quality = [[] for _ in range(S)]
+        """(ok, count, min_trans) per sample at one grid level, and the kept
+        roots' (owner, points), grouped by sample."""
         failed = np.zeros(S, dtype=bool)
+        roots = []   # each chart's converged seeds: owner, points, min(sigma_min, trans), trans
         for grid in grids:
             # only (sample, block) pairs whose caps reach both circles can hold
             # a cell where both residuals change sign
@@ -375,8 +379,6 @@ class _CountingProblem:
                 np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
                 np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
             )
-            if not cell.size:
-                continue
             sidx = ks[k[cell]]
             U, V, converged, smin = _newton_refine(
                 self.n_surface, grid.chart_index, grid.chart,
@@ -385,21 +387,17 @@ class _CountingProblem:
             pts = self.n_surface.points(grid.chart_index, U, V)
             trans = self._transversality(grid.chart_index, U, V, pts, a1[sidx], a2[sidx])
             failed[sidx[~converged]] = True
-            for r in np.nonzero(converged)[0]:
-                roots[sidx[r]].append(pts[r])
-                quality[sidx[r]].append((float(smin[r]), float(trans[r])))
-        out = []
-        for s in range(S):
-            if failed[s]:
-                out.append((False, 0, 0.0, []))
-                continue
-            pts, qual = _dedup(roots[s], quality[s])
-            if any(sig <= TRANSVERSALITY_MIN or tr <= TRANSVERSALITY_MIN for sig, tr in qual):
-                out.append((False, 0, 0.0, []))
-                continue
-            min_trans = min((tr for _, tr in qual), default=1.0)
-            out.append((True, len(pts), min_trans, pts))
-        return out
+            quality = np.minimum(smin, trans)
+            roots.append((sidx[converged], pts[converged], quality[converged], trans[converged]))
+        owner, points, quality, trans = map(np.concatenate, zip(*roots))
+        keep = _dedup(owner, points)
+        owner, points, quality, trans = owner[keep], points[keep], quality[keep], trans[keep]
+        ok = ~failed
+        ok[owner[quality <= TRANSVERSALITY_MIN]] = False
+        count = np.bincount(owner, minlength=S)
+        min_trans = np.ones(S)   # trans lies in [0, 1], so a sample without roots keeps 1.0
+        np.minimum.at(min_trans, owner, trans)
+        return ok, count, min_trans, owner, points
 
     def _transversality(self, chart_index, U, V, pts, a1, a2):
         """Wedge angle between the N tangent plane and the moved-L tangent plane."""

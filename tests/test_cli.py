@@ -249,6 +249,22 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["count"] == 2
         assert grids == [256]
 
+    def test_grid_unstable_count_exits_2(self, capsys):
+        # Monte Carlo sample 0 of seed 751 is counted differently on grids 128 and 256
+        code, out, err = run_cli(capsys, "count", "anti-diagonal", "latitude-torus 0.95 -0.95",
+                                 "--seed", "751")
+        assert code == 2
+        assert out == ""
+        assert "GridUnstable" in err and "128" in err and "256" in err
+
+    def test_nontransversal_count_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli._CountingProblem, "run_batch",
+                            lambda self, r1, r2: [("nontransversal", 0, 0.0, [])])
+        code, out, err = run_cli(capsys, "count", "anti-diagonal", "great-torus", "--seed", "7")
+        assert code == 2
+        assert out == ""
+        assert "NonTransversalSample" in err
+
     def test_usage_error_negative_haar_samples(self, capsys):
         code, out, err = run_cli(capsys, "haar-stats", "--samples", "-5")
         assert code == 2

@@ -3,19 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import moved_circle, moved_surface
+from s2xs2 import intersections
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
     _CORNER_OFFSETS,
     _EDGES,
+    DEDUP_RADIUS,
     _cap_straddles,
     _cell_seeds,
     _ChartGrid,
     _CountingProblem,
+    _dedup,
     _node_values,
     counts_product_batch,
     transversality_product_batch,
@@ -64,6 +67,12 @@ def contour_outcome(n_surface, r1, r2, l_surface, grid=128):
     """The contour counter's outcome for the one sample (r1, r2), each (1, 3, 3)."""
     (outcome,) = _CountingProblem(n_surface, l_surface, grid).run_batch(r1, r2)
     return outcome
+
+
+def outcome_bytes(outcomes):
+    """run_batch outcomes with min_transversality and the points as bytes."""
+    return [(status, count, np.float64(trans).tobytes(), np.array(points).tobytes())
+            for status, count, trans, points in outcomes]
 
 
 class TestCircleCircle:
@@ -206,6 +215,43 @@ class TestContourCounter:
         r1, r2 = group_matrices(PARTNER_SEED, 150, 1)
         assert contour_outcome(anti_diagonal(), r1, r2, latitude_torus(0.3, -0.5))[:2] == ("ok", 2)
 
+    def test_an_unconverged_seed_discards_its_sample_alone(self, monkeypatch):
+        problem = _CountingProblem(anti_diagonal(), great_torus(), 128)
+        r1, r2 = group_matrices(6, 0, 16)
+        before = problem.run_batch(r1, r2)
+        target = 5
+        axis = (r1 @ great_torus().circle1.axis)[target]
+        real = intersections._newton_refine
+        flagged = []
+
+        def refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
+            U, V, converged, smin = real(surface, chart_index, chart, U, V, a1, a2, c1, c2)
+            seeds = np.nonzero((a1 == axis).all(axis=1) & converged)[0]
+            if seeds.size and not flagged:   # one seed of the target, at its first chart
+                flagged.append(seeds[0])
+                converged = converged.copy()
+                converged[seeds[0]] = False
+            return U, V, converged, smin
+
+        monkeypatch.setattr(intersections, "_newton_refine", refine)
+        after = problem.run_batch(r1, r2)
+        assert len(flagged) == 1 and before[target][:2] == ("ok", 2)
+        assert after[target] == ("nontransversal", 0, 0.0, [])
+        del before[target], after[target]
+        assert outcome_bytes(after) == outcome_bytes(before)
+
+    def test_the_transversality_gate_discards_its_sample_alone(self, monkeypatch):
+        problem = _CountingProblem(anti_diagonal(), great_torus(), 128)
+        r1, r2 = group_matrices(6, 0, 16)
+        before = problem.run_batch(r1, r2)
+        assert all(status == "ok" for status, *_ in before)
+        (lowest, target), (second, _) = sorted((trans, k) for k, (_, _, trans, _) in enumerate(before))[:2]
+        monkeypatch.setattr(intersections, "TRANSVERSALITY_MIN", 0.5 * (lowest + second))
+        after = problem.run_batch(r1, r2)
+        assert after[target] == ("nontransversal", 0, 0.0, [])
+        del before[target], after[target]
+        assert outcome_bytes(after) == outcome_bytes(before)
+
     def test_undeformed_mesh_counts_four(self):
         mesh = deform_surface(HamiltonianFunction.zero(), great_torus(), FlowParams(0.5, 40), m=64)
         outcomes = _CountingProblem(mesh, great_torus(), 128).run_batch(*group_matrices(33, 0, 5))
@@ -329,6 +375,77 @@ class TestSeedExtraction:
                         for u, v in reference_cell_seeds(f1c[a], f2c[a], cu[a], cv[a]))
         assert len(looped) > 1000
         assert vectorized == looped
+
+
+def reference_dedup(points, quality):
+    """The per-sample clustering the array _dedup replaced: roots in
+    lexicographic coordinate order, each kept unless an earlier kept root lies
+    within DEDUP_RADIUS; returns the kept points and their quality entries."""
+    if not points:
+        return [], []
+    arr = np.stack(points, axis=0)
+    order = np.lexsort(arr.T[::-1])
+    kept_pts, kept_q = [], []
+    for idx in order:
+        p = points[idx]
+        if all(np.linalg.norm(p - kp) > DEDUP_RADIUS for kp in kept_pts):
+            kept_pts.append(p)
+            kept_q.append(quality[idx])
+    return kept_pts, kept_q
+
+
+coordinates = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+
+@st.composite
+def root_batches(draw):
+    """(owner, points) for the roots of a few samples, in shuffled order.
+
+    Roots come in chains from a small pool of base points, each chain moving
+    only in its trailing coordinates, so chain members tie exactly in the
+    leading ones and chains of one or several samples can share points.  A
+    chain is spaced 0, 1e-10 to 1e-8, 0.51 to 0.99 or 1.01 to 3 radii apart;
+    in a chain spaced under one radius, but over half of it, greedy
+    clustering keeps every second root, where comparing each root with its
+    sorted neighbour alone would keep only the first.  Some samples own no
+    root, and the batch may be empty.
+    """
+    samples = draw(st.integers(0, 5))
+    bases = draw(st.lists(coordinates, min_size=1, max_size=3))
+    owner, points = [], []
+    for _ in range(draw(st.integers(0, 6)) if samples else 0):
+        sample = draw(st.integers(0, samples - 1))
+        base = np.array(draw(st.sampled_from(bases)))
+        lead = draw(st.integers(0, 5))
+        step = np.zeros(6)
+        step[lead:] = draw(st.lists(st.floats(-1.0, 1.0), min_size=6 - lead, max_size=6 - lead))
+        step[-1] += 1.0 if np.linalg.norm(step) < 0.1 else 0.0
+        spacing = draw(st.one_of(st.just(0.0), st.floats(1e-10, 1e-8),
+                                 st.floats(0.51, 0.99), st.floats(1.01, 3.0)))
+        step *= spacing * DEDUP_RADIUS / np.linalg.norm(step)
+        for j in range(draw(st.integers(1, 5))):
+            owner.append(sample)
+            points.append(base + j * step)
+    shuffle = draw(st.permutations(range(len(owner))))
+    return np.array(owner, dtype=np.intp)[shuffle], np.reshape(points, (-1, 6))[shuffle]
+
+
+# three roots 0.6 radii apart in one sample: the first and the third are kept
+CHAIN = (np.zeros(3, dtype=np.intp), np.outer([0.0, 0.6, 1.2], np.eye(6)[2]) * DEDUP_RADIUS)
+
+
+class TestDedup:
+    @settings(max_examples=300)
+    @given(batch=root_batches())
+    @example(batch=CHAIN)
+    @example(batch=(np.zeros(0, dtype=np.intp), np.zeros((0, 6))))
+    def test_array_dedup_keeps_what_the_sample_loop_keeps(self, batch):
+        owner, points = batch
+        expected = []
+        for sample in range(owner.max(initial=-1) + 1):
+            roots = np.nonzero(owner == sample)[0]
+            expected += reference_dedup([points[r] for r in roots], roots.tolist())[1]
+        assert _dedup(owner, points).tolist() == expected
 
 
 @functools.lru_cache(maxsize=None)
