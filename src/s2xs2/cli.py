@@ -1,9 +1,9 @@
 """Command-line front end: surface specs, batch verification runs, report emission.
 
 Exit codes: 0 on success/pass, 1 on a failed verification verdict, 2 on usage
-errors.  Verification commands print one JSON report object to stdout (the
-seed is part of the record) and optionally write it to --output; sigma-table
-emits CSV.
+errors (an unwritable --output or --emit-mesh path among them).  Verification
+commands print one JSON report object to stdout (the seed is part of the
+record) and optionally write it to --output; sigma-table emits CSV.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .intersections import (
 from .rotations import group_matrices, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
 from .surfaces import (
-    GraphSurface,
-    MeshSurface,
     ProductTorusSurface,
     anti_diagonal,
     great_torus,
@@ -113,23 +111,6 @@ def _parse_l_spec(text: str) -> ProductTorusSurface:
     return surface
 
 
-def print_surface_spec(surface, mesh_path: str | None = None) -> str:
-    if isinstance(surface, ProductTorusSurface):
-        c1, c2 = surface.circle1, surface.circle2
-        default_axis = np.array([0.0, 0.0, 1.0])
-        if c1.offset == 0.0 and c2.offset == 0.0 \
-                and np.array_equal(c1.axis, default_axis) and np.array_equal(c2.axis, default_axis):
-            return "great-torus"
-        ax = lambda a: ",".join(repr(float(x)) for x in a)
-        return f"latitude-torus {c1.offset!r} {c2.offset!r} {ax(c1.axis)} {ax(c2.axis)}"
-    if isinstance(surface, GraphSurface) and surface.antipodal \
-            and np.array_equal(surface.rotation, np.eye(3)):
-        return "anti-diagonal"
-    if isinstance(surface, MeshSurface):
-        return f"mesh {mesh_path}" if mesh_path else f"mesh <m={surface.m}>"
-    raise UsageError(f"cannot print spec for {surface!r}")
-
-
 def _at_least(floor: int):
     """argparse type: an integer no smaller than floor, else a usage error."""
 
@@ -176,10 +157,18 @@ def _seed(text: str) -> int:
 # output helpers
 # ---------------------------------------------------------------------------
 
+def _write(path, write):
+    """Run write(), which writes the file at path; an OSError is a usage error."""
+    try:
+        write()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: str, output: str | None):
-    sys.stdout.write(payload + "\n")
     if output:
-        Path(output).write_text(payload + "\n")
+        _write(output, lambda: Path(output).write_text(payload + "\n"))
+    sys.stdout.write(payload + "\n")
 
 
 def _emit_report(report: verify.VerificationReport, args) -> int:
@@ -338,7 +327,7 @@ def _cmd_flow(args) -> int:
     else:
         params = _checked(FlowParams, args.time, args.steps)
     mesh = deform_surface(expr.polynomial(), great_torus(), params, m=args.mesh)
-    save_mesh(mesh, args.emit_mesh)
+    _write(args.emit_mesh, lambda: save_mesh(mesh, args.emit_mesh))
     payload = json.dumps(
         {
             "mesh": args.emit_mesh,

@@ -3,20 +3,19 @@
 The ambient model is R^3 x R^3: a point is a (..., 6) array holding a pair
 (p, q) of unit vectors, and a tangent vector at (p, q) is a (..., 6) array
 (u, v) with u perpendicular to p and v perpendicular to q.  A 2-plane at a
-point is a pair of spanning rows (a, b) with its area element |a ^ b|, or
-an orthonormal row pair (t1, t2), whose area element is 1.  Two orthogonal
-complex structures act on each tangent space,
+point is a pair of spanning rows (a, b) with its area element |a ^ b|.  Two
+orthogonal complex structures act on each tangent space,
 
     J (u, v) = (p x u,  q x v),        J'(u, v) = (p x u, -q x v),
 
-and the symplectic form is the sum of the unit-sphere area forms,
-
-    omega((u1,v1), (u2,v2)) = <p, u1 x u2> + <q, v1 x v2>.
+and the symplectic form, the sum of the unit-sphere area forms, is the J
+pairing omega(a, b) = <J a, b>, computed by structure_pairing_batch("J", ...).
 
 A 2-plane has angle arccos(|<J a, b>| / |a ^ b|) with respect to a
 structure: 0 for complex lines, pi/2 for Lagrangian planes.  J is skew, so
 a change of basis scales <J a, b> and |a ^ b| alike, up to the sign of the
-orientation.  Every
+orientation.  Only the contour counter's transversality gate orthonormalizes
+a pair (orthonormal_pairs), to compare two planes by their wedge norm.  Every
 kernel here broadcasts over leading axes, so a single point is a batch of
 one row.  The kernels read their inputs by component, x[..., k], so they run
 on contiguous rows when the (..., 6) arrays are views of component-major
@@ -99,16 +98,6 @@ def _dot(a, b):
     odd += a[..., 5] * b[..., 5]
     even += odd
     return even
-
-
-def omega_batch(points, a, b):
-    """Symplectic form on rows of tangent vectors a, b at base points (all (n, 6))."""
-    points = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.sum(points[..., :3] * np.cross(a[..., :3], b[..., :3]), axis=-1)
-    out += np.sum(points[..., 3:] * np.cross(a[..., 3:], b[..., 3:]), axis=-1)
-    return out
 
 
 def structure_pairing_batch(structure, points, a, b):

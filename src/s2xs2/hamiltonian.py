@@ -86,16 +86,6 @@ class HamiltonianFunction:
             for j in range(6)
         ]
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def coordinate(cls, name: str, coeff: float = 1.0):
-        exp = [0] * 6
-        exp[VARIABLES.index(name)] = 1
-        return cls({tuple(exp): coeff})
-
     def value(self, X):
         """Evaluate at ambient points; X is (..., 6), the result X.shape[:-1]."""
         X = _points(X)
@@ -110,9 +100,6 @@ class HamiltonianFunction:
         for j, table in enumerate(self._gradient_tables):
             out[..., j] = _evaluate(table, X)
         return out
-
-    def __call__(self, X):
-        return self.value(X)
 
     def __repr__(self):
         return f"HamiltonianFunction({self.terms!r})"
@@ -171,12 +158,6 @@ def _field(H: HamiltonianFunction, S):
         out[k + 1] = g2 * x0 - g0 * x2
         out[k + 2] = g0 * x1 - g1 * x0
     return out
-
-
-def field_batch(H: HamiltonianFunction, X):
-    """X_H at ambient points X of shape (..., 6)."""
-    X = _points(X)
-    return np.ascontiguousarray(_field(H, _component_major(X)).T).reshape(X.shape)
 
 
 def flow_points(H: HamiltonianFunction, X, params: FlowParams):

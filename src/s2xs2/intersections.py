@@ -144,7 +144,6 @@ class _ChartGrid:
             u_lo, u_hi = 0.0, GRAPH_COUNT_BAND
         else:
             u_lo, u_hi = ch.u_min, ch.u_max
-        self.chart = ch
         self.chart_index = chart
         u_nodes = np.linspace(u_lo, u_hi, m + 1)
         v_nodes = np.linspace(ch.v_min, ch.v_max, m + 1)
@@ -248,10 +247,12 @@ def _cell_seeds(f1c, f2c, cu, cv):
     return cell, u0 + t * (eu[cell, e1] - u0), v0 + t * (ev[cell, e1] - v0)
 
 
-def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
+def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
     """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed axes.
 
-    Returns (U, V, converged, jacobian_sigma_min)."""
+    Returns (U, V, points, converged, jacobian_sigma_min), where points are
+    the surface points at the returned (U, V), from the final residual."""
+    chart = surface.charts[chart_index]
 
     def clampwrap(u, v):
         if chart.periodic_u:
@@ -264,11 +265,12 @@ def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
             v = np.clip(v, chart.v_min + 1e-9, chart.v_max - 1e-9)
         return u, v
 
-    def residual(u, v):
+    def residual(u, v, a1, a2):
+        """(f1, f2) at (u, v) for the axis rows a1, a2, and the points they read."""
         pts = surface.points(chart_index, u, v)
-        f1 = np.sum(pts[..., :3] * a1sub, axis=-1) - c1
-        f2 = np.sum(pts[..., 3:] * a2sub, axis=-1) - c2
-        return f1, f2
+        f1 = np.sum(pts[..., :3] * a1, axis=-1) - c1
+        f2 = np.sum(pts[..., 3:] * a2, axis=-1) - c2
+        return f1, f2, pts
 
     U = np.array(U, dtype=float)
     V = np.array(V, dtype=float)
@@ -282,11 +284,11 @@ def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
         idx = np.nonzero(active)[0]
         u, v = U[idx], V[idx]
         a1sub, a2sub = a1[idx], a2[idx]
-        f1, f2 = residual(u, v)
-        f1u, f2u = residual(*clampwrap(u + NEWTON_FD_STEP, v))
-        f1mu, f2mu = residual(*clampwrap(u - NEWTON_FD_STEP, v))
-        f1v, f2v = residual(*clampwrap(u, v + NEWTON_FD_STEP))
-        f1mv, f2mv = residual(*clampwrap(u, v - NEWTON_FD_STEP))
+        f1, f2, _ = residual(u, v, a1sub, a2sub)
+        f1u, f2u, _ = residual(*clampwrap(u + NEWTON_FD_STEP, v), a1sub, a2sub)
+        f1mu, f2mu, _ = residual(*clampwrap(u - NEWTON_FD_STEP, v), a1sub, a2sub)
+        f1v, f2v, _ = residual(*clampwrap(u, v + NEWTON_FD_STEP), a1sub, a2sub)
+        f1mv, f2mv, _ = residual(*clampwrap(u, v - NEWTON_FD_STEP), a1sub, a2sub)
         j11 = (f1u - f1mu) / (2 * NEWTON_FD_STEP)
         j21 = (f2u - f2mu) / (2 * NEWTON_FD_STEP)
         j12 = (f1v - f1mv) / (2 * NEWTON_FD_STEP)
@@ -302,10 +304,9 @@ def _newton_refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
         U[idx], V[idx] = clampwrap(u - du, v - dv)
         done = ((np.maximum(np.abs(f1), np.abs(f2)) < NEWTON_TOL) & ~singular) | singular
         active[idx[done]] = False
-    a1sub, a2sub = a1, a2
-    f1, f2 = residual(U, V)
+    f1, f2, pts = residual(U, V, a1, a2)
     converged = np.maximum(np.abs(f1), np.abs(f2)) < RESIDUAL_ACCEPT
-    return U, V, converged, sig_min
+    return U, V, pts, converged, sig_min
 
 
 def _dedup(owner, points):
@@ -380,11 +381,9 @@ class _CountingProblem:
                 np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
             )
             sidx = ks[k[cell]]
-            U, V, converged, smin = _newton_refine(
-                self.n_surface, grid.chart_index, grid.chart,
-                seeds_u, seeds_v, a1[sidx], a2[sidx], c1, c2,
+            U, V, pts, converged, smin = _newton_refine(
+                self.n_surface, grid.chart_index, seeds_u, seeds_v, a1[sidx], a2[sidx], c1, c2,
             )
-            pts = self.n_surface.points(grid.chart_index, U, V)
             trans = self._transversality(grid.chart_index, U, V, pts, a1[sidx], a2[sidx])
             failed[sidx[~converged]] = True
             quality = np.minimum(smin, trans)

@@ -51,7 +51,6 @@ routed through the AGM, so that sweep keeps comparing two routes.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -87,15 +86,6 @@ class CellInvariants(NamedTuple):
     theta2: float
     tau1: float
     tau2: float
-
-    @property
-    def in_cell(self) -> bool:
-        return (
-            0.0 <= self.theta1 + self.theta2 <= math.pi
-            and 0.0 <= self.theta1 - self.theta2 <= math.pi
-            and 0.0 <= self.tau1 + self.tau2 <= math.pi
-            and 0.0 <= self.tau1 - self.tau2 <= math.pi
-        )
 
 
 def ellipse_perimeter(a: float, b: float) -> float:

@@ -38,13 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import omega_batch, orthonormal_pairs, plane_area
+from .geometry import plane_area, structure_pairing_batch
 
 TWO_PI = 2.0 * math.pi
 CAP_RADIUS = 0.2          # polar cap excluded from each graph chart
 RAMP_HALF_WIDTH = 0.3     # partition-of-unity ramp around the equator
 MIN_CIRCLE_RADIUS = 1e-6
 ROTATION_TOL = 1e-10      # largest entry of R^T R - I accepted for a graph's rotation
+MIN_MESH_LATTICE = 5      # smallest mesh lattice whose +-2h stencil lands on four distinct nodes
 # nodes per streamed quadrature tile.  A per-node temporary is then 64 KiB,
 # under glibc's default 128 KiB mmap threshold, and the tile fixes the order
 # of the partial sums, so every total stays bitwise what it was.  Measured on
@@ -123,9 +124,6 @@ class Circle:
     def derivatives(self, s):
         s = np.asarray(s, dtype=float)
         return self.radius * (-np.sin(s)[..., None] * self._b1 + np.cos(s)[..., None] * self._b2)
-
-    def length(self):
-        return TWO_PI * self.radius
 
     def __repr__(self):
         return f"Circle(axis={self.axis.tolist()}, offset={self.offset})"
@@ -267,13 +265,18 @@ class MeshSurface:
 
     Evaluation between nodes is bilinear followed by renormalization to each
     sphere; parameter derivatives use a 5-point central-difference stencil at
-    the lattice spacing.
+    the lattice spacing.  A lattice under MIN_MESH_LATTICE is refused: its
+    stencil wraps onto repeated nodes (at m = 4 the +2h and -2h shifts are
+    one node), so the partials are no central difference.
     """
 
     def __init__(self, nodes):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[0] != nodes.shape[1] or nodes.shape[2] != 6:
             raise ValueError(f"nodes must be (m, m, 6), got {nodes.shape}")
+        if nodes.shape[0] < MIN_MESH_LATTICE:
+            raise ValueError(f"mesh lattice {nodes.shape[0]} is smaller than its difference "
+                             f"stencil; m must be at least {MIN_MESH_LATTICE}")
         if not np.isfinite(nodes).all():
             raise ValueError("mesh nodes must be finite")
         n1 = np.linalg.norm(nodes[..., :3], axis=-1)
@@ -331,13 +334,6 @@ class MeshSurface:
 
     def weights(self, chart, u, v):
         return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
-
-    @classmethod
-    def sample_from(cls, surface, m: int) -> "MeshSurface":
-        """Sample a single-chart periodic surface on its node lattice."""
-        if len(surface.charts) != 1:
-            raise ValueError("sample_from requires a single-chart periodic surface")
-        return cls(lattice_points(surface, m))
 
     def __repr__(self):
         return f"MeshSurface(m={self.m})"
@@ -537,25 +533,23 @@ def volume(surface, m: int | None = None) -> float:
     return float(math.fsum(float(block["measure"].sum()) for block in surface_quadrature(surface, m)))
 
 
-def lagrangian_defect(surface, samples: int = 1024) -> float:
-    """Max of |omega(t1, t2)| over orthonormal tangent bases at grid samples.
+def lagrangian_defect(surface) -> float:
+    """Max of |<J du, dv>| / |du ^ dv| over the grid nodes of every chart.
 
-    Meshes are sampled on their own node lattice (where the difference stencil
-    is exact); other surfaces on the quadrature grid closest to the requested
-    sample count.
+    The J cosine of each node, read from the raw partials and their area
+    element as the perimeter integral reads the J' cosine; nodes that
+    plane_area marks degenerate are skipped.  The grid is _default_grid's: a
+    mesh's own node lattice (where the difference stencil is exact), 64
+    nodes per direction otherwise.
     """
-    if isinstance(surface, MeshSurface):
-        per_chart = surface.m
-    else:
-        per_chart = max(4, int(math.ceil(math.sqrt(samples / len(surface.charts)))))
+    m = _default_grid(surface, None)
     worst = 0.0
     for chart in range(len(surface.charts)):
-        (us, _), (vs, _) = chart_axes(surface, chart, per_chart)
+        (us, _), (vs, _) = chart_axes(surface, chart, m)
         u, v = us[:, None], vs[None, :]
         pts = surface.points(chart, u, v).reshape(-1, 6)
-        du, dv = surface.partials(chart, u, v)
-        t1, t2, bad = orthonormal_pairs(du.reshape(-1, 6), dv.reshape(-1, 6))
-        vals = np.abs(omega_batch(pts, t1, t2))
-        if np.any(~bad):
-            worst = max(worst, float(vals[~bad].max()))
+        du, dv = (d.reshape(-1, 6) for d in surface.partials(chart, u, v))
+        area, bad = plane_area(du, dv)
+        cosine = np.abs(structure_pairing_batch("J", pts, du, dv)) / np.where(bad, 1.0, area)
+        worst = max(worst, float(np.max(cosine, where=~bad, initial=0.0)))
     return worst

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,22 +88,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def as_dict(self) -> dict:
-        rhs = list(self.rhs) if isinstance(self.rhs, (tuple, list)) else self.rhs
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": rhs,
-            "stderr": self.stderr,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-            "config": self.config,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _mean_stderr(counts):
@@ -160,7 +146,7 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
 
 
 def _require_lagrangian(n_surface):
-    defect = lagrangian_defect(n_surface, 4096)
+    defect = lagrangian_defect(n_surface)
     if defect >= LAGRANGIAN_GATE:
         raise NotLagrangian(f"Lagrangian defect {defect:.3e} >= {LAGRANGIAN_GATE:.1e}")
 

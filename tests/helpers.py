@@ -12,10 +12,18 @@ import numpy as np
 from scipy import integrate
 
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
-from s2xs2.hamiltonian import flow_points
+from s2xs2.hamiltonian import _component_major, _field, _points, flow_points
 from s2xs2.rotations import group_matrices
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
-from s2xs2.surfaces import Circle, GraphSurface, MeshSurface, ProductTorusSurface, surface_quadrature
+from s2xs2.surfaces import (
+    Circle,
+    GraphSurface,
+    MeshSurface,
+    ProductTorusSurface,
+    _default_grid,
+    chart_axes,
+    surface_quadrature,
+)
 
 
 def random_sphere_point(rng):
@@ -68,6 +76,47 @@ def kahler_angle(x, plane, structure):
     """arccos |<J t1, t2>| of the plane (t1, t2) at x, in [0, pi/2], from the batch pairing."""
     c = structure_pairing_batch(structure, x, plane[0], plane[1])
     return float(np.arccos(min(abs(float(c)), 1.0)))
+
+
+def omega_by_triple_product(points, a, b):
+    """The symplectic form as the sum of the factors' triple products,
+    <p, a x b> + <q, a' x b'>, on (..., 6) rows: the reference for the J
+    pairing <J a, b>, which equals it term by term."""
+    out = np.sum(points[..., :3] * np.cross(a[..., :3], b[..., :3]), axis=-1)
+    out += np.sum(points[..., 3:] * np.cross(a[..., 3:], b[..., 3:]), axis=-1)
+    return out
+
+
+def lagrangian_defect_by_frames(surface):
+    """Max of |omega(t1, t2)| over the orthonormalized partials at the nodes
+    lagrangian_defect reads: the gate as it was before it read the J cosine
+    from the raw partials, kept as its reference."""
+    m = _default_grid(surface, None)
+    worst = 0.0
+    for chart in range(len(surface.charts)):
+        (us, _), (vs, _) = chart_axes(surface, chart, m)
+        u, v = us[:, None], vs[None, :]
+        pts = surface.points(chart, u, v).reshape(-1, 6)
+        du, dv = surface.partials(chart, u, v)
+        t1, t2, bad = orthonormal_pairs(du.reshape(-1, 6), dv.reshape(-1, 6))
+        vals = np.abs(omega_by_triple_product(pts, t1, t2))
+        if np.any(~bad):
+            worst = max(worst, float(vals[~bad].max()))
+    return worst
+
+
+def field_batch(H, X):
+    """The Hamiltonian field X_H at ambient points X (..., 6), from the
+    flow's own field on component-major rows."""
+    X = _points(X)
+    return np.ascontiguousarray(_field(H, _component_major(X)).T).reshape(X.shape)
+
+
+def in_cell(inv):
+    """Whether invariants (theta1, theta2, tau1, tau2) lie in the canonical
+    cell 0 <= theta1 +- theta2 <= pi, 0 <= tau1 +- tau2 <= pi."""
+    theta1, theta2, tau1, tau2 = inv
+    return all(0.0 <= s <= math.pi for s in (theta1 + theta2, theta1 - theta2, tau1 + tau2, tau1 - tau2))
 
 
 def projector(plane):

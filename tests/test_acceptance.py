@@ -21,7 +21,7 @@ from helpers import (
 )
 import s2xs2 as s
 from s2xs2.expressions import parse_hamiltonian
-from s2xs2.geometry import omega_batch
+from s2xs2.geometry import structure_pairing_batch
 from s2xs2.hamiltonian import FlowParams, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch
 from s2xs2.rotations import VOL_G, group_matrices, haar_matrices
@@ -158,7 +158,8 @@ def test_a6_volume_chain_battery():
             y = flow_points(h, x, params)
             du = pushforward(h, x, u, params)
             dv = pushforward(h, x, v, params)
-            sym_err = max(sym_err, abs(omega_batch(y, du, dv) - omega_batch(x, u, v)))
+            sym_err = max(sym_err, abs(structure_pairing_batch("J", y, du, dv)
+                                       - structure_pairing_batch("J", x, u, v)))
         est = s.mc_expected_count(mesh, s.great_torus(), 1500, seed=7000 + k)
         a = 16.0 * vol * s.volume(s.great_torus())
         b = est.integral

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 import s2xs2
-from helpers import group_sample
 from s2xs2 import cli
-from s2xs2.cli import UsageError, main, parse_surface_spec, print_surface_spec
+from s2xs2.cli import UsageError, main, parse_surface_spec
 from s2xs2.hamiltonian import MAX_STEPS
-from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, diagonal
+from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, great_torus, lattice_points, save_mesh
 
 
 def run_cli(capsys, *argv):
@@ -29,39 +28,20 @@ def normalize_runtime(text):
 
 
 class TestSurfaceSpecs:
-    def test_roundtrip_great_torus(self):
-        surf = parse_surface_spec("great-torus")
-        assert isinstance(surf, ProductTorusSurface)
-        assert print_surface_spec(surf) == "great-torus"
-
-    def test_roundtrip_latitude(self):
-        text = "latitude-torus 0.5 -0.25 0,0,1 1,0,0"
-        surf = parse_surface_spec(text)
-        canon = print_surface_spec(surf)
-        again = parse_surface_spec(canon)
-        assert print_surface_spec(again) == canon
-        assert again.circle1.offset == 0.5
-        assert np.allclose(again.circle2.axis, [1, 0, 0])
-
-    def test_roundtrip_anti_diagonal(self):
-        surf = parse_surface_spec("anti-diagonal")
-        assert isinstance(surf, GraphSurface)
-        assert print_surface_spec(surf) == "anti-diagonal"
-
-    @pytest.mark.parametrize("surf", [
-        diagonal(),
-        GraphSurface(group_sample(3, 0)[0], antipodal=True),
-    ], ids=["diagonal", "rotated-anti-diagonal"])
-    def test_other_graphs_have_no_spec(self, surf):
-        # "anti-diagonal" would parse back to a different surface
-        with pytest.raises(UsageError, match="cannot print spec"):
-            print_surface_spec(surf)
+    def test_parses_each_torus_and_graph_kind(self):
+        great = parse_surface_spec("great-torus")
+        assert isinstance(great, ProductTorusSurface)
+        assert (great.circle1.offset, great.circle2.offset) == (0.0, 0.0)
+        lat = parse_surface_spec("latitude-torus 0.5 -0.25 0,0,1 1,0,0")
+        assert (lat.circle1.offset, lat.circle2.offset) == (0.5, -0.25)
+        assert np.allclose(lat.circle2.axis, [1, 0, 0])
+        anti = parse_surface_spec("anti-diagonal")
+        assert isinstance(anti, GraphSurface) and anti.antipodal
+        assert np.array_equal(anti.rotation, np.eye(3))
 
     def test_mesh_spec(self, tmp_path):
-        from s2xs2.surfaces import MeshSurface, great_torus, save_mesh
-
         path = tmp_path / "m.mesh"
-        save_mesh(MeshSurface.sample_from(great_torus(), 24), path)
+        save_mesh(MeshSurface(lattice_points(great_torus(), 24)), path)
         surf = parse_surface_spec(f"mesh {path}")
         assert isinstance(surf, MeshSurface)
         assert surf.m == 24
@@ -296,10 +276,8 @@ class TestExitCodes:
         assert "axis must be finite" in err
 
     def test_usage_error_non_finite_mesh_node(self, capsys, tmp_path):
-        from s2xs2.surfaces import great_torus, save_mesh
-
         path = tmp_path / "nan.mesh"
-        save_mesh(MeshSurface.sample_from(great_torus(), 8), path)
+        save_mesh(MeshSurface(lattice_points(great_torus(), 8)), path)
         lines = path.read_text().splitlines()
         lines[5] = " ".join(["nan"] + lines[5].split()[1:])
         path.write_text("\n".join(lines) + "\n")
@@ -307,6 +285,33 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "mesh nodes must be finite" in err
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    @pytest.mark.parametrize("command", ["volume", "count"])
+    def test_usage_error_mesh_below_its_stencil(self, capsys, tmp_path, command, m):
+        # below the floor the stencil wraps: unrefused, a 1 x 1 mesh has volume 0.0
+        # and count 0, and a 4 x 4 one reads 0.72 x 4 pi^2 as its volume
+        path = tmp_path / "small.mesh"
+        rows = lattice_points(great_torus(), m).reshape(-1, 6) if m else []
+        path.write_text("\n".join([f"mesh {m}"] + [" ".join(map(repr, row.tolist())) for row in rows]) + "\n")
+        argv = ("volume", f"mesh {path}") if command == "volume" else ("count", f"mesh {path}", "great-torus")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "m must be at least 5" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("ellipse", "1", "1", "--output", "{missing}/x.txt"),
+        ("flow", "--hamiltonian", "z1", "--mesh", "64", "--emit-mesh", "{missing}/out.mesh"),
+    ], ids=["ellipse-output", "flow-emit-mesh"])
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, argv):
+        missing = tmp_path / "no-such-dir"
+        argv = [arg.format(missing=missing) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {missing}/")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, flag, value", [
         (("ellipse", "nan", "1"), "a", "nan"),

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     kahler_angle,
     normal_plane,
+    omega_by_triple_product,
     orthonormalize,
     plane_from_invariants,
     projector,
@@ -19,7 +20,7 @@ from helpers import (
     tangent_frame,
     wedge,
 )
-from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
+from s2xs2.geometry import orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
 
 E4 = np.eye(4)
 
@@ -227,27 +228,36 @@ class TestPlaneArea:
 
 
 class TestSymplecticForm:
+    @settings(max_examples=300)
+    @given(vectors=arrays(float, (6, 3), elements=st.floats(-1.0, 1.0)), log_sin=st.floats(-6.0, 0.0))
+    def test_j_pairing_is_the_triple_product(self, vectors, log_sin):
+        # omega(a, b) = <J a, b> = <p x a1, b1> + <q x a2, b2>, which is the
+        # sum of triple products <p, a1 x b1> + <q, a2 x b2> term by term
+        x, du, dv, _ = tangent_pair(vectors, log_sin, (0.0, 0.0))
+        a = du / np.linalg.norm(du)
+        assert abs(structure_pairing_batch("J", x, a, dv) - omega_by_triple_product(x, a, dv)) <= 1e-15
+
     def test_antisymmetry_on_equal_args(self):
         rng = np.random.default_rng(3)
         x = random_product_point(rng)
         u = random_tangent_vector(rng, x)
-        assert omega_batch(x, u, u) == pytest.approx(0.0, abs=1e-12)
+        assert structure_pairing_batch("J", x, u, u) == pytest.approx(0.0, abs=1e-12)
 
     def test_oriented_frame_value(self):
         e1, e2, _, _ = tangent_frame(ORIGIN)
         # e2 = p x e1, so omega(e1, e2) = <p, e1 x (p x e1)> = 1
-        assert omega_batch(ORIGIN, e1, e2) == pytest.approx(1.0, abs=1e-12)
+        assert structure_pairing_batch("J", ORIGIN, e1, e2) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishes_on_product_torus_tangents(self):
         e1, _, e3, _ = tangent_frame(ORIGIN)
-        assert omega_batch(ORIGIN, e1, e3) == pytest.approx(0.0, abs=1e-14)
+        assert structure_pairing_batch("J", ORIGIN, e1, e3) == pytest.approx(0.0, abs=1e-14)
 
     def test_vanishes_on_lagrangian_planes(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             x = random_product_point(rng)
             plane = random_lagrangian_plane(rng, x)
-            val = omega_batch(x, plane[0], plane[1])
+            val = structure_pairing_batch("J", x, plane[0], plane[1])
             assert abs(val) < 1e-10
 
 

@@ -224,14 +224,14 @@ class TestContourCounter:
         real = intersections._newton_refine
         flagged = []
 
-        def refine(surface, chart_index, chart, U, V, a1, a2, c1, c2):
-            U, V, converged, smin = real(surface, chart_index, chart, U, V, a1, a2, c1, c2)
+        def refine(surface, chart_index, U, V, a1, a2, c1, c2):
+            U, V, pts, converged, smin = real(surface, chart_index, U, V, a1, a2, c1, c2)
             seeds = np.nonzero((a1 == axis).all(axis=1) & converged)[0]
             if seeds.size and not flagged:   # one seed of the target, at its first chart
                 flagged.append(seeds[0])
                 converged = converged.copy()
                 converged[seeds[0]] = False
-            return U, V, converged, smin
+            return U, V, pts, converged, smin
 
         monkeypatch.setattr(intersections, "_newton_refine", refine)
         after = problem.run_batch(r1, r2)
@@ -253,7 +253,7 @@ class TestContourCounter:
         assert outcome_bytes(after) == outcome_bytes(before)
 
     def test_undeformed_mesh_counts_four(self):
-        mesh = deform_surface(HamiltonianFunction.zero(), great_torus(), FlowParams(0.5, 40), m=64)
+        mesh = deform_surface(HamiltonianFunction({}), great_torus(), FlowParams(0.5, 40), m=64)
         outcomes = _CountingProblem(mesh, great_torus(), 128).run_batch(*group_matrices(33, 0, 5))
         assert [o[:2] for o in outcomes] == [("ok", 4)] * 5
 

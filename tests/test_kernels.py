@@ -10,8 +10,9 @@ group samples, and one sample gives bitwise its row of a batch.
 import numpy as np
 import pytest
 
-from s2xs2.geometry import omega_batch, orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
-from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, field_batch, flow_points
+from helpers import field_batch
+from s2xs2.geometry import orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
+from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch, transversality_product_batch
 from s2xs2.rotations import group_matrices
 from s2xs2.sigma import (
@@ -62,7 +63,6 @@ PARAMS = FlowParams.for_time(0.5, 0.0125)
 KERNELS = {
     "structure_pairing_batch-J": (lambda x, a, b: structure_pairing_batch("J", x, a, b), (POINTS, T1, T2)),
     "structure_pairing_batch-J'": (lambda x, a, b: structure_pairing_batch("J'", x, a, b), (POINTS, T1, T2)),
-    "omega_batch": (omega_batch, (POINTS, T1, T2)),
     "orthonormal_pairs": (orthonormal_pairs, (DU, DV)),
     "plane_area": (plane_area, (DU, DV)),
     "lagrangian_semiaxes_batch": (lagrangian_semiaxes_batch, (POINTS, DU, DV, AREA)),

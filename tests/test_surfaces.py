@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import group_sample, kahler_angle, moved_surface, tangent_plane
+from helpers import group_sample, kahler_angle, lagrangian_defect_by_frames, moved_surface, tangent_plane
 from s2xs2 import surfaces, verify
+from s2xs2.expressions import parse_hamiltonian
 from s2xs2.geometry import orthonormal_pairs
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.surfaces import (
@@ -19,6 +20,7 @@ from s2xs2.surfaces import (
     great_torus,
     lagrangian_defect,
     latitude_torus,
+    lattice_points,
     load_mesh,
     save_mesh,
     volume,
@@ -148,11 +150,27 @@ class TestVolume:
         target = volume(latitude_torus(0.35, -0.2))
         errs = []
         for m in (16, 32, 64):
-            mesh = MeshSurface.sample_from(latitude_torus(0.35, -0.2), m)
+            mesh = MeshSurface(lattice_points(latitude_torus(0.35, -0.2), m))
             errs.append(abs(volume(mesh) - target))
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 >= 2.0 and order2 >= 2.0
+
+
+# surfaces on which the gate is checked against its orthonormal-frame form:
+# the deformed-chain mesh is A4's (x1*x2 + 0.5*y1*y2*z2 at t = 0.5, m = 128)
+DEFECT_SURFACES = {
+    "great-torus": great_torus,
+    "latitude-torus": lambda: latitude_torus(0.5, 0.7),
+    "anti-diagonal": anti_diagonal,
+    "diagonal": diagonal,
+    "deformed-chain-mesh": lambda: deform_surface(
+        parse_hamiltonian("x1*x2 + 0.5*y1*y2*z2").polynomial(), great_torus(),
+        FlowParams.for_time(0.5, 0.0125), m=128),
+    "cubic-flow-mesh": lambda: deform_surface(
+        parse_hamiltonian("z1*z2 + 0.3*x1*y2 - 0.2*y1*y1*x2").polynomial(), great_torus(),
+        FlowParams(0.5, 40), m=64),
+}
 
 
 class TestLagrangianDefect:
@@ -167,21 +185,53 @@ class TestLagrangianDefect:
         d = lagrangian_defect(diagonal())
         assert d == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("name", DEFECT_SURFACES)
+    def test_raw_partials_match_the_orthonormal_frames(self, name):
+        surface = DEFECT_SURFACES[name]()
+        assert abs(lagrangian_defect(surface) - lagrangian_defect_by_frames(surface)) <= 1e-15
+
+    def test_isometric_flow_is_exactly_lagrangian_both_ways(self):
+        mesh = deform_surface(parse_hamiltonian("0.1*z1").polynomial(), great_torus(), FlowParams(0.5, 40), m=64)
+        assert lagrangian_defect(mesh) == lagrangian_defect_by_frames(mesh) == 0.0
+
 
 class TestMeshSurface:
     def test_rejects_off_sphere_nodes(self):
-        nodes = np.ones((4, 4, 6))
-        with pytest.raises(ValueError):
+        nodes = np.ones((5, 5, 6))
+        with pytest.raises(ValueError, match="off the spheres"):
             MeshSurface(nodes)
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_rejects_a_lattice_below_its_stencil(self, m):
+        with pytest.raises(ValueError, match="m must be at least 5"):
+            MeshSurface(lattice_points(great_torus(), m))
+
+    def test_accepts_the_smallest_lattice_its_stencil_fits(self):
+        # at m = 5 the stencil's four shifts are distinct nodes, so at a node
+        # of the great torus's lattice the partials are the exact ones times
+        # the stencil's factor for a circle, (8 sin h - sin 2h) / (6h)
+        mesh = MeshSurface(lattice_points(great_torus(), 5))
+        h = 2 * math.pi / 5
+        du, dv = mesh.partials(0, h, 2 * h)
+        want_du, want_dv = great_torus().partials(0, h, 2 * h)
+        stencil = (8 * math.sin(h) - math.sin(2 * h)) / (6 * h)
+        assert np.allclose(du, stencil * want_du, atol=1e-14)
+        assert np.allclose(dv, stencil * want_dv, atol=1e-14)
+
+    def test_load_refuses_an_empty_lattice_with_the_floor(self, tmp_path):
+        path = tmp_path / "empty.mesh"
+        path.write_text("mesh 0\n")
+        with pytest.raises(ValueError, match="m must be at least 5"):
+            load_mesh(path)
+
     def test_rejects_non_finite_node(self):
-        nodes = MeshSurface.sample_from(great_torus(), 8).nodes.copy()
+        nodes = MeshSurface(lattice_points(great_torus(), 8)).nodes.copy()
         nodes[2, 5, 4] = math.nan
         with pytest.raises(ValueError, match="finite"):
             MeshSurface(nodes)
 
     def test_interpolation_matches_nodes(self):
-        surf = MeshSurface.sample_from(great_torus(), 32)
+        surf = MeshSurface(lattice_points(great_torus(), 32))
         h = 2 * math.pi / 32
         for i, j in [(0, 0), (3, 7), (31, 31)]:
             a = surf.points(0, i * h, j * h)
@@ -189,7 +239,7 @@ class TestMeshSurface:
             assert np.abs(a - b).max() < 1e-12
 
     def test_io_roundtrip(self, tmp_path):
-        surf = MeshSurface.sample_from(latitude_torus(0.25, 0.75), 24)
+        surf = MeshSurface(lattice_points(latitude_torus(0.25, 0.75), 24))
         path = tmp_path / "grid.mesh"
         save_mesh(surf, path)
         text = path.read_text().splitlines()
@@ -311,7 +361,7 @@ class TestGraphQuadratureRule:
             x[0] = 0.0
 
     def test_levels(self):
-        mesh = MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16)
+        mesh = MeshSurface(lattice_points(latitude_torus(0.35, -0.2), 16))
         assert surfaces.quadrature_levels(anti_diagonal(), 4) == (2, 4)
         assert surfaces.quadrature_levels(anti_diagonal(), 1025) == (512, 1025)
         assert surfaces.quadrature_levels(anti_diagonal()) == (32, 64)
@@ -474,7 +524,7 @@ class TestSeparableEvaluation:
         (anti_diagonal(), 1),
         (GraphSurface(group_sample(3, 0)[0], antipodal=False), 1),
         (moved_surface(latitude_torus(0.3, -0.6), *group_sample(7, 2)), 0),
-        (MeshSurface.sample_from(latitude_torus(0.35, -0.2), 16), 0),
+        (MeshSurface(lattice_points(latitude_torus(0.35, -0.2), 16)), 0),
     ])
     def test_axes_evaluation_equals_the_meshgrid(self, surface, chart):
         (us, _), (vs, _) = chart_axes(surface, chart, 37)

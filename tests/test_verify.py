@@ -315,7 +315,7 @@ class TestNegativeControl:
 
 class TestMainChain:
     def test_zero_hamiltonian_saturates_chain(self):
-        report = verify_main_chain(HamiltonianFunction.zero(), 0.5, 1000, seed=41, m=128)
+        report = verify_main_chain(HamiltonianFunction({}), 0.5, 1000, seed=41, m=128)
         assert report.passed
         cfg = report.config
         assert cfg["b"] == pytest.approx(cfg["c"], rel=1e-12)
