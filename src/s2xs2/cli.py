@@ -1,9 +1,10 @@
 """Command-line front end: surface specs, batch verification runs, report emission.
 
 Exit codes: 0 on success/pass, 1 on a failed verification verdict, 2 on usage
-errors (an unwritable --output or --emit-mesh path among them).  Verification
-commands print one JSON report object to stdout (the seed is part of the
-record) and optionally write it to --output; sigma-table emits CSV.
+errors (an unwritable --output or --emit-mesh path among them, refused before
+the run).  Verification commands print one JSON report object to stdout (the
+seed is part of the record) and optionally write it to --output; sigma-table
+emits CSV.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -163,6 +165,19 @@ def _write(path, write):
         write()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path):
+    """Refuse a path that the run could not write, before the run: its
+    directory must exist and be writable, and the path must not be a
+    directory.  Nothing is created; _write still reports a later failure."""
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise UsageError(f"cannot write {path}: no directory {target.parent}")
+    if not os.access(target.parent, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write {path}: directory {target.parent} is not writable")
 
 
 def _emit(payload: str, output: str | None):
@@ -432,6 +447,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for path in (args.output, getattr(args, "emit_mesh", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

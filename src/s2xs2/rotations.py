@@ -7,6 +7,13 @@ turned into four Gaussians by Box-Muller, normalized to a unit quaternion);
 a group-element stream consumes blocks 2i and 2i+1.  A group element is a
 pair of rotation matrices, so sample i alone is group_matrices(seed, i, 1),
 bitwise row i of every batch that holds it.
+
+Rotations are built component-major: the nine entries of a batch are the
+rows of one (9, count) array, filled HAAR_CHUNK rotations at a time so that
+the temporaries of a large draw stay cache-sized.  The (count, 3, 3)
+matrices handed out are strided views of that array, so a product such as
+r @ axis runs in numpy's own loop, which adds the three products in order,
+rather than in a BLAS kernel whose rounding depends on the machine.
 """
 
 from __future__ import annotations
@@ -23,22 +30,33 @@ VOL_G = VOL_SO3 * VOL_SO3
 VOL_K = 4.0 * _PI2
 VOL_GK = 16.0 * _PI2
 
+HAAR_CHUNK = 1 << 15  # rotations per fill step; bounds the temporaries of a large draw
 
-def quaternion_to_matrix(q):
-    """3 x 3 rotation matrices from unit quaternions (w, x, y, z); broadcasts over leading axes."""
+
+def quaternion_to_matrix(q, out=None):
+    """3 x 3 rotation matrices from unit quaternions (w, x, y, z); broadcasts over leading axes.
+
+    The nine row-major entries are written to the rows of out, a (9, ...)
+    array (a fresh one when out is None), of which the (..., 3, 3) view is
+    returned.
+    """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    R[..., 0, 1] = 2 * (x * y - w * z)
-    R[..., 0, 2] = 2 * (x * z + w * y)
-    R[..., 1, 0] = 2 * (x * y + w * z)
-    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    R[..., 1, 2] = 2 * (y * z - w * x)
-    R[..., 2, 0] = 2 * (x * z - w * y)
-    R[..., 2, 1] = 2 * (y * z + w * x)
-    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    R = np.empty((9,) + q.shape[:-1]) if out is None else out
+    xx, yy, zz = x * x, y * y, z * z
+    R[0] = 1 - 2 * (yy + zz)
+    R[4] = 1 - 2 * (xx + zz)
+    R[8] = 1 - 2 * (xx + yy)
+    xy, wz = x * y, w * z
+    R[1] = 2 * (xy - wz)
+    R[3] = 2 * (xy + wz)
+    xz, wy = x * z, w * y
+    R[2] = 2 * (xz + wy)
+    R[6] = 2 * (xz - wy)
+    yz, wx = y * z, w * x
+    R[5] = 2 * (yz - wx)
+    R[7] = 2 * (yz + wx)
+    return np.moveaxis(R.reshape((3, 3) + q.shape[:-1]), (0, 1), (-2, -1))
 
 
 def _uniform_blocks(seed: int, start: int, count: int):
@@ -49,32 +67,54 @@ def _uniform_blocks(seed: int, start: int, count: int):
 
 
 def _box_muller(u):
+    """Unit quaternions from the uniform blocks u (n, 4), as the rows of a (4, n) array.
+
+    The norm sums its squares in the order np.linalg.norm does, so every
+    quaternion keeps its bits.
+    """
+    u0, u1, u2, u3 = u.T
     tiny = np.finfo(float).tiny
-    r1 = np.sqrt(-2.0 * np.log(np.maximum(u[..., 0], tiny)))
-    r2 = np.sqrt(-2.0 * np.log(np.maximum(u[..., 2], tiny)))
-    a1 = 2.0 * np.pi * u[..., 1]
-    a2 = 2.0 * np.pi * u[..., 3]
-    return np.stack([r1 * np.cos(a1), r1 * np.sin(a1), r2 * np.cos(a2), r2 * np.sin(a2)], axis=-1)
+    r1 = np.sqrt(-2.0 * np.log(np.maximum(u0, tiny)))
+    r2 = np.sqrt(-2.0 * np.log(np.maximum(u2, tiny)))
+    a1 = 2.0 * np.pi * u1
+    a2 = 2.0 * np.pi * u3
+    z = np.empty((4, len(u)))
+    np.multiply(r1, np.cos(a1), out=z[0])
+    np.multiply(r1, np.sin(a1), out=z[1])
+    np.multiply(r2, np.cos(a2), out=z[2])
+    np.multiply(r2, np.sin(a2), out=z[3])
+    z /= np.sqrt(((z[0] * z[0] + z[1] * z[1]) + z[2] * z[2]) + z[3] * z[3])
+    return z
 
 
 def haar_quaternions(seed: int, start: int, count: int):
-    """(count, 4) unit quaternions for stream indices start..start+count."""
-    z = _box_muller(_uniform_blocks(seed, start, count))
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    """(count, 4) unit quaternions for stream indices start..start+count,
+    the transposed view of their (4, count) component rows."""
+    return _box_muller(_uniform_blocks(seed, start, count)).T
+
+
+def _haar_entries(seed: int, start: int, count: int):
+    """(9, count) row-major matrix entries of the rotations at stream indices
+    start..start+count, filled HAAR_CHUNK rotations at a time."""
+    entries = np.empty((9, count))
+    for lo in range(0, count, HAAR_CHUNK):
+        hi = min(lo + HAAR_CHUNK, count)
+        quaternion_to_matrix(haar_quaternions(seed, start + lo, hi - lo), entries[:, lo:hi])
+    return entries
+
+
+def _matrices(entries):
+    """The (count, 3, 3) view of (9, count) component-major entries."""
+    return entries.reshape(3, 3, -1).transpose(2, 0, 1)
 
 
 def haar_matrices(seed: int, start: int, count: int):
     """(count, 3, 3) Haar-uniform rotation matrices, one per stream index."""
-    return quaternion_to_matrix(haar_quaternions(seed, start, count))
-
-
-def group_quaternions(seed: int, start: int, count: int):
-    """Two (count, 4) quaternion arrays for group-element stream indices."""
-    q = haar_quaternions(seed, 2 * start, 2 * count).reshape(count, 2, 4)
-    return q[:, 0, :], q[:, 1, :]
+    return _matrices(_haar_entries(seed, start, count))
 
 
 def group_matrices(seed: int, start: int, count: int):
-    """Two (count, 3, 3) rotation-matrix arrays for group-element stream indices."""
-    q1, q2 = group_quaternions(seed, start, count)
-    return quaternion_to_matrix(q1), quaternion_to_matrix(q2)
+    """Two (count, 3, 3) rotation-matrix arrays for group-element stream indices:
+    the even and odd rotations of the stream from 2 start, as strided views."""
+    both = _matrices(_haar_entries(seed, 2 * start, 2 * count))
+    return both[0::2], both[1::2]

@@ -8,7 +8,8 @@ Three concrete models are supported:
   with the antipodal map), parameterized by two polar charts with a smooth
   partition of unity;
 * MeshSurface -- a periodic lattice of points, evaluated by bilinear
-  interpolation with renormalization, differentiated by central differences.
+  interpolation with renormalization, differentiated by central differences;
+  its nodes are stored component-major.
 
 Area quadrature is a product rule over chart grids: the trapezoid rule along
 periodic directions (spectrally accurate on their smooth periodic
@@ -25,8 +26,8 @@ node gets the same value as in a whole-grid evaluation.
 A tile's points and partials are component-major (6, n) rows, handed out as
 their (n, 6) transposes: each coordinate is one contiguous row, which the
 kernels read by component.  GraphSurface writes that storage directly (its
-points and partials are views of it); tori and meshes evaluate (..., 6)
-arrays, which the tile copies into rows.
+points and partials are views of it), and so do meshes; tori evaluate
+(..., 6) arrays, which the tile copies into rows.
 """
 
 from __future__ import annotations
@@ -286,49 +287,64 @@ class MeshSurface:
             raise ValueError(f"mesh node off the spheres by {worst:.3e}")
         nodes[..., :3] /= n1[..., None]
         nodes[..., 3:] /= n2[..., None]
-        nodes.flags.writeable = False
-        self.nodes = nodes
         self.m = nodes.shape[0]
         self.spacing = TWO_PI / self.m
+        # component-major storage: row k holds coordinate k of node (i, j) at i*m + j
+        self._rows = np.ascontiguousarray(nodes.reshape(-1, 6).T)
+        self._rows.flags.writeable = False
+
+    @property
+    def nodes(self):
+        """The (m, m, 6) read-only view of the nodes."""
+        return self._rows.T.reshape(self.m, self.m, 6)
 
     @property
     def charts(self):
         return (Chart(0.0, TWO_PI, 0.0, TWO_PI, True, True),)
 
-    def points(self, chart, u, v):
+    def _component_points(self, u, v):
+        """(6, ...) rows of the renormalized bilinear interpolant at (u, v)."""
         u = np.asarray(u, dtype=float) / self.spacing
         v = np.asarray(v, dtype=float) / self.spacing
         u, v = np.broadcast_arrays(u, v)
         i0 = np.floor(u).astype(int)
         j0 = np.floor(v).astype(int)
-        fu = (u - i0)[..., None]
-        fv = (v - j0)[..., None]
-        i0 %= self.m
-        j0 %= self.m
-        i1 = (i0 + 1) % self.m
-        j1 = (j0 + 1) % self.m
-        nd = self.nodes
+        fu = u - i0
+        fv = v - j0
+        m = self.m
+        i0 %= m
+        j0 %= m
+        i1 = (i0 + 1) % m
+        j1 = (j0 + 1) % m
+        i0 *= m  # flat node index i*m + j
+        i1 *= m
+        rows = self._rows
         pts = (
-            nd[i0, j0] * (1 - fu) * (1 - fv)
-            + nd[i1, j0] * fu * (1 - fv)
-            + nd[i0, j1] * (1 - fu) * fv
-            + nd[i1, j1] * fu * fv
+            rows[:, i0 + j0] * (1 - fu) * (1 - fv)
+            + rows[:, i1 + j0] * fu * (1 - fv)
+            + rows[:, i0 + j1] * (1 - fu) * fv
+            + rows[:, i1 + j1] * fu * fv
         )
-        pts = pts.copy()
-        pts[..., :3] /= np.linalg.norm(pts[..., :3], axis=-1, keepdims=True)
-        pts[..., 3:] /= np.linalg.norm(pts[..., 3:], axis=-1, keepdims=True)
+        # squares summed in np.linalg.norm's order, so the bits are the (..., 6) form's
+        pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
+        pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
         return pts
+
+    def points(self, chart, u, v):
+        return np.moveaxis(self._component_points(u, v), 0, -1)
 
     def partials(self, chart, u, v):
         h = self.spacing
+        u = np.asarray(u)
+        v = np.asarray(v)
 
         def d(axis_u):
             def shift(k):
                 if axis_u:
-                    return self.points(chart, np.asarray(u) + k * h, v)
-                return self.points(chart, u, np.asarray(v) + k * h)
+                    return self._component_points(u + k * h, v)
+                return self._component_points(u, v + k * h)
 
-            return (-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2)) / (12 * h)
+            return np.moveaxis((-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2)) / (12 * h), 0, -1)
 
         return d(True), d(False)
 
@@ -355,6 +371,8 @@ def save_mesh(surface: MeshSurface, path):
 
 def load_mesh(path) -> MeshSurface:
     text = Path(path).read_text().strip().splitlines()
+    if not text:
+        raise ValueError(f"empty mesh file {str(path)!r}")
     head = text[0].split()
     if len(head) != 2 or head[0] != "mesh":
         raise ValueError(f"bad mesh header: {text[0]!r}")

@@ -93,10 +93,21 @@ class VerificationReport:
 
 
 def _mean_stderr(counts):
-    n = len(counts)
-    mean = math.fsum(counts) / n
+    """Sample mean and standard error of an integer count array, from its histogram.
+
+    Both sums are exact before their one rounding, as math.fsum over the
+    counts would make them: the total is an integer, and each squared
+    deviation (k - mean) ** 2, rounded as a float, enters the variance sum
+    as an exact dyadic fraction weighted by its frequency.
+    """
+    n = counts.size
+    values, freq = np.unique(counts, return_counts=True)
+    values, freq = values.tolist(), freq.tolist()
+    mean = sum(k * f for k, f in zip(values, freq)) / n
     if n > 1:
-        var = math.fsum((c - mean) ** 2 for c in counts) / (n - 1)
+        ratios = [((k - mean) ** 2).as_integer_ratio() for k in values]
+        denom = max(q for _, q in ratios)  # the denominators are powers of 2
+        var = sum(f * p * (denom // q) for f, (p, q) in zip(freq, ratios)) / denom / (n - 1)
     else:
         var = 0.0
     return mean, math.sqrt(var / n)
@@ -141,7 +152,7 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
             raise ExcessiveDiscards(f"{discards} discards against {samples} requested samples")
     if discards > DISCARD_LIMIT * samples:
         raise ExcessiveDiscards(f"{discards}/{samples} samples discarded")
-    mean, stderr = _mean_stderr(np.concatenate(kept).astype(float).tolist())
+    mean, stderr = _mean_stderr(np.concatenate(kept))
     return MonteCarloEstimate(mean, stderr, samples, discards)
 
 

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
 from s2xs2.hamiltonian import _component_major, _field, _points, flow_points
-from s2xs2.rotations import group_matrices
+from s2xs2.rotations import group_matrices, haar_quaternions
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import (
     Circle,
@@ -45,6 +45,23 @@ def group_sample(seed, index):
     """Sample index of a group-element stream as two (3, 3) rotation matrices."""
     r1, r2 = group_matrices(seed, index, 1)
     return r1[0], r2[0]
+
+
+def group_quaternions(seed, start, count):
+    """Two (count, 4) quaternion arrays for group-element stream indices:
+    rotation blocks 2i and 2i+1 of the stream."""
+    q = haar_quaternions(seed, 2 * start, 2 * count).reshape(count, 2, 4)
+    return q[:, 0, :], q[:, 1, :]
+
+
+def mean_stderr_by_fsum(counts):
+    """Sample mean and standard error of counts, by math.fsum over the counts
+    as floats one at a time: the reference for verify._mean_stderr."""
+    counts = [float(c) for c in counts]
+    n = len(counts)
+    mean = math.fsum(counts) / n
+    var = math.fsum((c - mean) ** 2 for c in counts) / (n - 1) if n > 1 else 0.0
+    return mean, math.sqrt(var / n)
 
 
 def act(r1, r2, x):

@@ -286,6 +286,15 @@ class TestExitCodes:
         assert out == ""
         assert "mesh nodes must be finite" in err
 
+    def test_usage_error_empty_mesh_file(self, capsys, tmp_path):
+        path = tmp_path / "empty.mesh"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "volume", f"mesh {path}")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "empty mesh file" in err
+
     @pytest.mark.parametrize("m", [0, 1, 4])
     @pytest.mark.parametrize("command", ["volume", "count"])
     def test_usage_error_mesh_below_its_stencil(self, capsys, tmp_path, command, m):
@@ -303,15 +312,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("ellipse", "1", "1", "--output", "{missing}/x.txt"),
         ("flow", "--hamiltonian", "z1", "--mesh", "64", "--emit-mesh", "{missing}/out.mesh"),
-    ], ids=["ellipse-output", "flow-emit-mesh"])
-    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, argv):
-        missing = tmp_path / "no-such-dir"
-        argv = [arg.format(missing=missing) for arg in argv]
+        ("verify-poincare", "--surface", "anti-diagonal", "--samples", "2000", "--output", "{missing}/r.json"),
+        ("verify-poincare", "--surface", "anti-diagonal", "--samples", "2000", "--output", "{directory}"),
+        ("flow", "--hamiltonian", "z1", "--mesh", "64", "--emit-mesh", "{directory}"),
+    ], ids=["ellipse-output", "flow-emit-mesh", "verify-output", "verify-output-directory",
+            "flow-emit-mesh-directory"])
+    def test_unwritable_path_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # refused before the run: neither a Monte Carlo run nor a flow starts
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        monkeypatch.setattr(cli, "deform_surface", lambda *args, **kwargs: pytest.fail("the flow started"))
+        argv = [arg.format(missing=tmp_path / "no-such-dir", directory=tmp_path) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: cannot write {missing}/")
+        assert err.startswith(f"error: cannot write {argv[-1]}: ")
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag, value", [
         (("ellipse", "nan", "1"), "a", "nan"),
@@ -456,6 +473,11 @@ PINNED_REPORTS = [
      '"discards":0,"flow_time":0.5,"mean":4.0,"mesh":64,"samples":1000,"stat_tolerance":0.0,'
      '"steps":40},"lhs":39.47817339119813,"name":"volume-chain","rhs":39.47841760435743,'
      '"runtime_ms":0,"seed":13,"stderr":0.0,"tolerance":0.001,"verdict":"fail"}'),
+    (("haar-stats", "--samples", "100000", "--seed", "21"), 0,
+     '{"config":{"mean_r11":-0.0028068119689256764,"mean_trace":-0.0018095730369109208,"samples":100000,'
+     '"stderr_r11":0.0018288479719275848,"stderr_trace":0.0031673965759981735},"lhs":0.3344730239508886,'
+     '"name":"haar-moments","rhs":0.3333333333333333,"runtime_ms":0,"seed":21,"stderr":0.0009445630643691263,'
+     '"tolerance":0.002833689193107379,"verdict":"pass"}'),
     (("count", "anti-diagonal", "great-torus", "--seed", "7"), 0,
      '{"count":2,"l":"great-torus","min_transversality":0.33398877893572493,"n":"anti-diagonal",'
      '"seed":7}'),

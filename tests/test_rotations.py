@@ -1,17 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import act, group_sample, random_product_point, random_tangent_vector
+from helpers import act, group_quaternions, group_sample, random_product_point, random_tangent_vector
 from s2xs2.rotations import (
+    HAAR_CHUNK,
     VOL_G,
     VOL_GK,
     VOL_K,
     VOL_SO3,
     group_matrices,
-    group_quaternions,
     haar_matrices,
     haar_quaternions,
     quaternion_to_matrix,
@@ -62,8 +63,39 @@ class TestDeterminism:
                 r1, r2 = group_matrices(seed, i, 1)
                 assert r1.tobytes() == m1[i].tobytes() and r2.tobytes() == m2[i].tobytes()
 
+    def test_index_addressing_across_a_chunk_boundary(self):
+        # rotations HAAR_CHUNK - 3 .. HAAR_CHUNK + 3 straddle the first chunk
+        # boundary of the batch, and lie inside the single chunk of the short draw
+        start, count = HAAR_CHUNK - 3, 7
+        batch = haar_matrices(41, 0, 2 * HAAR_CHUNK)
+        assert batch[start:start + count].tobytes() == haar_matrices(41, start, count).tobytes()
+        m1, m2 = group_matrices(43, 0, 2 * HAAR_CHUNK)
+        r1, r2 = group_matrices(43, start, count)
+        assert m1[start:start + count].tobytes() == r1.tobytes()
+        assert m2[start:start + count].tobytes() == r2.tobytes()
+
+    def test_moved_axes_add_their_products_in_order(self):
+        # the matrices are strided views, so r @ a is numpy's loop, not a BLAS kernel
+        axis = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+        for r in (*group_matrices(47, 0, 5000), haar_matrices(47, 0, 5000)):
+            in_order = (r[:, :, 0] * axis[0] + r[:, :, 1] * axis[1]) + r[:, :, 2] * axis[2]
+            assert (r @ axis).tobytes() == in_order.tobytes()
+
     def test_seeds_differ(self):
         assert not np.array_equal(haar_quaternions(1, 0, 4), haar_quaternions(2, 0, 4))
+
+
+class TestMemory:
+    def test_large_draw_peaks_at_its_output_plus_chunk_temporaries(self):
+        count = 2 ** 20
+        tracemalloc.start()
+        try:
+            mats = haar_matrices(5, 0, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mats.shape == (count, 3, 3)
+        assert peak <= mats.nbytes + 8 * 2 ** 20
 
 
 class TestHaarMoments:

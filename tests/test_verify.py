@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import group_sample, moved_surface, perimeter_integral_by_frames, perimeters_by_frames
+from helpers import (
+    group_sample,
+    mean_stderr_by_fsum,
+    moved_surface,
+    perimeter_integral_by_frames,
+    perimeters_by_frames,
+)
 from s2xs2 import verify
 from s2xs2.errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
 from s2xs2.expressions import parse_hamiltonian
@@ -101,6 +107,12 @@ class TestMonteCarlo:
         monkeypatch.setattr(verify, "counts_product_batch", flagging)
         with pytest.raises(ExcessiveDiscards, match=message):
             mc_expected_count(latitude_torus(0.5, 0.5), great_torus(), 1000, seed=11)
+
+    @given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=3000))
+    def test_count_moments_match_fsum_bitwise(self, counts):
+        mean, stderr = verify._mean_stderr(np.array(counts))
+        ref_mean, ref_stderr = mean_stderr_by_fsum(counts)
+        assert (mean, stderr) == (ref_mean, ref_stderr)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
