@@ -26,9 +26,21 @@ CULL_MARGIN, contain zero.  The padding lies far above the rounding of the
 bound and of the node values, so a block is skipped only when every node
 value the counter would compute there has one sign for f1 or for f2, and no
 cell of it could carry the sign changes of both that a seed needs: the count
-is the one the dense grid gives.  Node values, sign tests and seed
-extraction then run over the kept blocks alone, all samples of a batch at
-once.
+is the one the dense grid gives.
+
+The culling is hierarchical.  The children of a level-m block are the
+level-2m blocks that tile it, and its super-cap holds their nodes, which
+include its own.  Each batch tests the super-caps against the first circle
+for every (sample, block) pair, then against the second on the pairs that
+remain; the survivors are the level-m pairs.  Their children are tested
+against their own caps, pair by pair, for the level-2m pairs.  A pair that
+a looser cap keeps has no cell where both residuals change sign, so it
+yields no seed; a dropped pair has one sign for f1 or for f2 on every node
+of the block and its children.  Pairs stay in (sample, block) order, so the
+seeds and every outcome are those of the per-block test on both grids.
+Node values, sign tests and seed extraction then run over the kept blocks
+alone, all samples of a batch at once, and each Newton iteration evaluates
+the centre and its four finite-difference points in one call.
 """
 
 from __future__ import annotations
@@ -162,35 +174,94 @@ class _ChartGrid:
         self.u = u_nodes[side[bu]]                        # (blocks, B+1)
         self.v = v_nodes[side[bv]]
         self.cells = cells[bu][:, :, None] & cells[bv][:, None, :]   # (blocks, B, B)
-        self.cap1 = _bounding_cap(self.p1)
-        self.cap2 = _bounding_cap(self.p2)
+        self.side = len(span)                             # blocks along each direction
+        self.cap1 = _cap(*_bounding_cap(self.p1))
+        self.cap2 = _cap(*_bounding_cap(self.p2))
+
+
+class _BlockHierarchy:
+    """One chart's grids at levels m and 2m, with each level-m block's children.
+
+    The children of a level-m block are the <= 4 level-2m blocks that tile
+    its cells.  Per factor, the block's super-cap has the block's own cap
+    centre and the largest, over the children, of the angle to the child's
+    centre plus the child's radius: it holds every node of the children,
+    and so every node of the block, since level-m nodes are level-2m nodes.
+    """
+
+    def __init__(self, surface, chart: int, m: int):
+        self.coarse = coarse = _ChartGrid(surface, chart, m)
+        self.fine = fine = _ChartGrid(surface, chart, 2 * m)
+        bu, bv = np.divmod(np.arange(coarse.side ** 2), coarse.side)
+        cu = 2 * bu[:, None] + (0, 0, 1, 1)
+        cv = 2 * bv[:, None] + (0, 1, 0, 1)
+        self.real = (cu < fine.side) & (cv < fine.side)   # a ragged last block may have fewer
+        self.children = np.where(self.real, cu * fine.side + cv, 0)        # (blocks, 4)
+        self.super1 = self._super_cap(coarse.cap1[0], fine.cap1)
+        self.super2 = self._super_cap(coarse.cap2[0], fine.cap2)
+
+    def _super_cap(self, centre, child_cap):
+        child_centre, cos_r, sin_r = child_cap
+        chord = np.linalg.norm(child_centre[self.children] - centre[:, None, :], axis=-1)
+        reach = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + np.arctan2(sin_r, cos_r)[self.children]
+        return _cap(centre, np.minimum(np.where(self.real, reach, 0.0).max(axis=1), math.pi))
+
+    def kept_blocks(self, a1, a2, c1, c2):
+        """((grid, samples, blocks) at level m, the same at level 2m): the
+        (sample, block) pairs that can hold a cell where both residuals
+        change sign, in (sample, block) order.
+
+        Level m keeps the pairs whose super-caps straddle both circles;
+        level 2m keeps the children of those pairs whose own caps do.
+        """
+        ks, kb = np.nonzero(_cap_straddles(self.super1, a1, c1))
+        keep = _cap_straddles(self.super2, a2[ks], c2, kb)
+        ks, kb = ks[keep], kb[keep]
+        real = self.real[kb]
+        fs = np.broadcast_to(ks[:, None], real.shape)[real]
+        fb = self.children[kb][real]
+        keep = _cap_straddles(self.fine.cap1, a1[fs], c1, fb) & _cap_straddles(self.fine.cap2, a2[fs], c2, fb)
+        fs, fb = fs[keep], fb[keep]
+        order = np.argsort(fs * self.fine.side ** 2 + fb)
+        return (self.coarse, ks, kb), (self.fine, fs[order], fb[order])
 
 
 def _bounding_cap(pts):
-    """(centre, cos r, sin r) of a spherical cap about each block's middle
-    node that holds every node of the block; pts is (blocks, B+1, B+1, 3).
-    The angular radius r comes from the largest chord, which stays accurate
-    for small blocks."""
+    """(centre, r) of a spherical cap about each block's middle node that
+    holds every node of the block; pts is (blocks, B+1, B+1, 3).  The
+    angular radius r comes from the largest chord, which stays accurate for
+    small blocks."""
     mid = pts.shape[1] // 2
     centre = pts[:, mid, mid]
     diff = pts - centre[:, None, None, :]
     chord = np.sqrt(np.einsum("bijx,bijx->bij", diff, diff).max(axis=(1, 2)))
-    radius = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    return centre, 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+
+
+def _cap(centre, radius):
+    """A cap as _cap_straddles reads it: (centre, cos r, sin r)."""
     return centre, np.cos(radius), np.sin(radius)
 
 
-def _cap_straddles(cap, axes, offset):
-    """(S, blocks) mask: offset lies in the cap interval of <x, a> for the axis rows a.
+def _cap_straddles(cap, axes, offset, blocks=None):
+    """Mask of the pairs of an axis row a and a block whose cap interval of
+    <x, a> holds offset: (S, blocks) over every pair, or (S,) when blocks
+    names one block per row.
 
     With theta the angle from the cap centre to a, a node within angle r of
     the centre has <x, a> in [cos(min(theta + r, pi)), cos(max(theta - r, 0))].
     The interval is padded by CULL_MARGIN, well above its worst rounding
     (sin theta = sqrt(1 - cos^2 theta) moves by up to ~6e-8 near the poles,
     every other term by ~1e-15), so a block left out has every node value,
-    as _node_values computes it, of one sign.
+    as _node_values computes it, of one sign.  Both forms take <centre, a>
+    in one order of terms, so they keep the same pairs.
     """
     centre, cos_r, sin_r = cap
-    d = axes @ centre.T
+    if blocks is None:
+        axes, centre = axes[:, None, :], centre[None, :, :]
+    else:
+        centre, cos_r, sin_r = centre[blocks], cos_r[blocks], sin_r[blocks]
+    d = axes[..., 0] * centre[..., 0] + axes[..., 1] * centre[..., 1] + axes[..., 2] * centre[..., 2]
     e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
     hi = np.where(d < cos_r, d * cos_r + e * sin_r, 1.0)
     lo = np.where(d > -cos_r, d * cos_r - e * sin_r, -1.0)
@@ -283,12 +354,11 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
             break
         idx = np.nonzero(active)[0]
         u, v = U[idx], V[idx]
-        a1sub, a2sub = a1[idx], a2[idx]
-        f1, f2, _ = residual(u, v, a1sub, a2sub)
-        f1u, f2u, _ = residual(*clampwrap(u + NEWTON_FD_STEP, v), a1sub, a2sub)
-        f1mu, f2mu, _ = residual(*clampwrap(u - NEWTON_FD_STEP, v), a1sub, a2sub)
-        f1v, f2v, _ = residual(*clampwrap(u, v + NEWTON_FD_STEP), a1sub, a2sub)
-        f1mv, f2mv, _ = residual(*clampwrap(u, v - NEWTON_FD_STEP), a1sub, a2sub)
+        # the centre and its four finite-difference points in one evaluation
+        su = np.stack([u, u + NEWTON_FD_STEP, u - NEWTON_FD_STEP, u, u])
+        sv = np.stack([v, v, v, v + NEWTON_FD_STEP, v - NEWTON_FD_STEP])
+        su[1:], sv[1:] = clampwrap(su[1:], sv[1:])
+        (f1, f1u, f1mu, f1v, f1mv), (f2, f2u, f2mu, f2v, f2mv), _ = residual(su, sv, a1[idx], a2[idx])
         j11 = (f1u - f1mu) / (2 * NEWTON_FD_STEP)
         j21 = (f2u - f2mu) / (2 * NEWTON_FD_STEP)
         j12 = (f1v - f1mv) / (2 * NEWTON_FD_STEP)
@@ -334,11 +404,7 @@ class _CountingProblem:
             raise ValueError(f"counting grid m must be >= {MIN_COUNT_GRID}, got {m}")
         self.n_surface = n_surface
         self.l_surface = l_surface
-        self.m = m
-        self.grids = {
-            level: [_ChartGrid(n_surface, chart, level) for chart in range(len(n_surface.charts))]
-            for level in (m, 2 * m)
-        }
+        self.hierarchies = [_BlockHierarchy(n_surface, chart, m) for chart in range(len(n_surface.charts))]
 
     def run_batch(self, r1, r2):
         """Per-sample outcomes over a batch of group samples.
@@ -354,23 +420,25 @@ class _CountingProblem:
         a2 = r2 @ self.l_surface.circle2.axis
         c1 = self.l_surface.circle1.offset
         c2 = self.l_surface.circle2.offset
-        ok0, count0, _, _, _ = self._count_level(self.grids[self.m], a1, a2, c1, c2, S)
-        ok1, count1, min_trans, owner, points = self._count_level(self.grids[2 * self.m], a1, a2, c1, c2, S)
+        coarse, fine = zip(*(h.kept_blocks(a1, a2, c1, c2) for h in self.hierarchies))
+        ok0, count0, _, _, _ = self._count_level(coarse, a1, a2, c1, c2, S)
+        ok1, count1, min_trans, owner, points = self._count_level(fine, a1, a2, c1, c2, S)
         status = np.where(ok0 & ok1, np.where(count0 == count1, "ok", "gridunstable"), "nontransversal")
         groups = np.split(points, np.searchsorted(owner, np.arange(1, S)))
         outcomes = zip(status.tolist(), count1.tolist(), min_trans.tolist(), groups)
         return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
                 for st, count, trans, pts in outcomes]
 
-    def _count_level(self, grids, a1, a2, c1, c2, S):
+    def _count_level(self, level, a1, a2, c1, c2, S):
         """(ok, count, min_trans) per sample at one grid level, and the kept
-        roots' (owner, points), grouped by sample."""
+        roots' (owner, points), grouped by sample.
+
+        level holds each chart's (grid, samples, blocks): the (sample, block)
+        pairs, in (sample, block) order, outside which no cell has a sign
+        change of both residuals."""
         failed = np.zeros(S, dtype=bool)
         roots = []   # each chart's converged seeds: owner, points, min(sigma_min, trans), trans
-        for grid in grids:
-            # only (sample, block) pairs whose caps reach both circles can hold
-            # a cell where both residuals change sign
-            ks, kb = np.nonzero(_cap_straddles(grid.cap1, a1, c1) & _cap_straddles(grid.cap2, a2, c2))
+        for grid, ks, kb in level:
             f1 = _node_values(grid.p1[kb], a1[ks], c1)
             f2 = _node_values(grid.p2[kb], a2[ks], c2)
             k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])

@@ -52,7 +52,7 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
 CHAIN_DT = 0.0125         # target RK4 step of the deformation chain's flow
 ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
-CONTOUR_BATCH = 64        # samples per contour-counter call
+CONTOUR_BATCH = 128       # samples per contour-counter call
 MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
 QUAD_REL_TOL = 1e-6       # slack, relative to the bound, for the deterministic volume error
 
@@ -263,8 +263,15 @@ def kernel_rhs_general(n_surface, l_surface, m: int = 16) -> float:
 def verify_poincare(n_surface, l_surface, samples: int, seed: int,
                     count_grid: int = 128, quad_grid: int | None = None,
                     rel_quad_tol: float = 1e-3) -> VerificationReport:
-    """Identity report: Monte Carlo integral against the kernel quadrature."""
+    """Identity report: Monte Carlo integral against the kernel quadrature.
+
+    N must pass the Lagrangian gate of rhs_theorem6, checked before the
+    Monte Carlo run so that a refused N costs no samples.
+    """
     t0 = time.perf_counter()
+    if not isinstance(l_surface, ProductTorusSurface):
+        raise ValueError("L must be a product torus")
+    _require_lagrangian(n_surface)
     est = mc_expected_count(n_surface, l_surface, samples, seed, grid=count_grid)
     rhs = rhs_theorem6(n_surface, l_surface, m=quad_grid)
     tol = Z_SCORE * est.stderr * VOL_G + rel_quad_tol * abs(rhs)
