@@ -28,7 +28,7 @@ from .intersections import (
     counts_product_batch,
     transversality_product_batch,
 )
-from .rotations import group_matrices, haar_matrices
+from .rotations import HAAR_CHUNK, group_matrices, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
 from .surfaces import (
     ProductTorusSurface,
@@ -216,11 +216,15 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_haar_stats(args) -> int:
+    """The moments of r11 and of the trace, from a stream drawn HAAR_CHUNK
+    rotations at a time: only those two columns are kept, not the matrices."""
     t0 = time.perf_counter()
-    mats = haar_matrices(args.seed, 0, args.samples)
-    r11 = mats[:, 0, 0]
+    r11, trace = np.empty(args.samples), np.empty(args.samples)
+    for lo in range(0, args.samples, HAAR_CHUNK):
+        mats = haar_matrices(args.seed, lo, min(HAAR_CHUNK, args.samples - lo))
+        r11[lo:lo + len(mats)] = mats[:, 0, 0]
+        trace[lo:lo + len(mats)] = np.trace(mats, axis1=1, axis2=2)
     sq = r11 ** 2
-    trace = np.trace(mats, axis1=1, axis2=2)
     mean_sq = float(sq.mean())
     se_sq = float(sq.std(ddof=1) / math.sqrt(args.samples))
     tol = 3.0 * se_sq

@@ -494,7 +494,15 @@ def surface_quadrature(surface, m: int):
     The (n, 6) arrays are transposes of component-major (6, n) rows, so
     x[:, k] is contiguous and the kernels, which read by component, run on
     whole rows.  A node's values do not depend on the tile it falls in.
+    lagrangian_defect reads the same tiles from _quadrature_tiles: it
+    integrates nothing, so a tracer wrapping this function sees quadrature
+    nodes only.
     """
+    return _quadrature_tiles(surface, m)
+
+
+def _quadrature_tiles(surface, m: int):
+    """The generator behind surface_quadrature."""
     if m < 1:
         raise ValueError(f"quadrature grid must be at least 1, got {m}")
     rows = max(1, QUADRATURE_TILE // m)
@@ -558,16 +566,13 @@ def lagrangian_defect(surface) -> float:
     element as the perimeter integral reads the J' cosine; nodes that
     plane_area marks degenerate are skipped.  The grid is _default_grid's: a
     mesh's own node lattice (where the difference stencil is exact), 64
-    nodes per direction otherwise.
+    nodes per direction otherwise, streamed in surface_quadrature's tiles,
+    so the working set is one tile.
     """
-    m = _default_grid(surface, None)
     worst = 0.0
-    for chart in range(len(surface.charts)):
-        (us, _), (vs, _) = chart_axes(surface, chart, m)
-        u, v = us[:, None], vs[None, :]
-        pts = surface.points(chart, u, v).reshape(-1, 6)
-        du, dv = (d.reshape(-1, 6) for d in surface.partials(chart, u, v))
-        area, bad = plane_area(du, dv)
-        cosine = np.abs(structure_pairing_batch("J", pts, du, dv)) / np.where(bad, 1.0, area)
+    for block in _quadrature_tiles(surface, _default_grid(surface, None)):
+        bad = block["degenerate"]
+        cosine = np.abs(structure_pairing_batch("J", block["points"], block["du"], block["dv"]))
+        cosine /= np.where(bad, 1.0, block["area"])
         worst = max(worst, float(np.max(cosine, where=~bad, initial=0.0)))
     return worst

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
 from s2xs2.hamiltonian import _component_major, _field, _points, flow_points
-from s2xs2.rotations import group_matrices, haar_quaternions
+from s2xs2.rotations import group_matrices, haar_matrices, haar_quaternions
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import (
     Circle,
@@ -62,6 +62,24 @@ def mean_stderr_by_fsum(counts):
     mean = math.fsum(counts) / n
     var = math.fsum((c - mean) ** 2 for c in counts) / (n - 1) if n > 1 else 0.0
     return mean, math.sqrt(var / n)
+
+
+def haar_stats_by_one_batch(seed, n):
+    """The six numbers of a haar-stats report, by the formulas it used when
+    it drew all n rotations as one haar_matrices batch: the reference for
+    the chunked stream."""
+    mats = haar_matrices(seed, 0, n)
+    r11 = mats[:, 0, 0]
+    sq = r11 ** 2
+    trace = np.trace(mats, axis1=1, axis2=2)
+    return {
+        "lhs": float(sq.mean()),
+        "stderr": float(sq.std(ddof=1) / math.sqrt(n)),
+        "mean_r11": float(r11.mean()),
+        "stderr_r11": float(r11.std(ddof=1) / math.sqrt(n)),
+        "mean_trace": float(trace.mean()),
+        "stderr_trace": float(trace.std(ddof=1) / math.sqrt(n)),
+    }
 
 
 def act(r1, r2, x):

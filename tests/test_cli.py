@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,10 @@ import s2xs2
 from s2xs2 import cli
 from s2xs2.cli import UsageError, main, parse_surface_spec
 from s2xs2.hamiltonian import MAX_STEPS
+from s2xs2.rotations import HAAR_CHUNK
 from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, great_torus, lattice_points, save_mesh
+
+from helpers import haar_stats_by_one_batch
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,31 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["verdict"] == "pass"
         assert abs(payload["lhs"] - 1 / 3) < 3 * payload["stderr"]
+
+    @pytest.mark.parametrize("n", [2, HAAR_CHUNK, 2 * HAAR_CHUNK + 7])
+    def test_haar_stats_stream_matches_one_batch(self, capsys, n):
+        code, out, _ = run_cli(capsys, "haar-stats", "--samples", str(n), "--seed", "8")
+        assert code in (0, 1)
+        payload = json.loads(out)
+        got = {key: payload[key] for key in ("lhs", "stderr")}
+        got.update((key, payload["config"][key])
+                   for key in ("mean_r11", "stderr_r11", "mean_trace", "stderr_trace"))
+        expected = haar_stats_by_one_batch(8, n)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}
+
+    def test_haar_stats_holds_two_columns_per_sample(self, capsys):
+        n = 1_000_000
+        run_cli(capsys, "haar-stats", "--samples", "10")  # imports and caches outside the window
+        tracemalloc.start()
+        try:
+            code = main(["haar-stats", "--samples", str(n), "--seed", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        # two (n,) columns plus the moments' temporaries; the (9, n) matrix array alone takes 72 bytes a sample
+        assert peak < 48 * n
 
     def test_sigma_table(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
