@@ -31,6 +31,7 @@ from .intersections import (
 from .rotations import HAAR_CHUNK, group_matrices, haar_matrices
 from .sigma import CellInvariants, ellipse_perimeter, sigma_general
 from .surfaces import (
+    MeshSurface,
     ProductTorusSurface,
     anti_diagonal,
     great_torus,
@@ -310,6 +311,9 @@ def _cmd_verify_poincare(args) -> int:
     n_surface = parse_surface_spec(args.surface)
     l_surface = _parse_l_spec(args.against)
     count_grid = _count_grid(args, n_surface)
+    if args.quad_grid is not None and isinstance(n_surface, MeshSurface):
+        raise UsageError("--quad-grid does not apply: N is a mesh, whose quadrature runs on its own "
+                         "node lattice")
     _checked(quadrature_levels, n_surface, args.quad_grid)  # fail before the Monte Carlo run
     report = verify.verify_poincare(
         n_surface, l_surface, args.samples, args.seed,
@@ -370,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True, min_samples=verify.MIN_SAMPLES):
-        if seeded:
-            p.add_argument("--seed", type=_seed, default=0)
+    def common(p, min_samples=verify.MIN_SAMPLES):
+        p.add_argument("--seed", type=_seed, default=0)
         if min_samples:
             p.add_argument("--samples", type=_at_least(min_samples), default=10000)
         p.add_argument("--output", type=str, default=None)

@@ -8,8 +8,10 @@ Grammar (whitespace insensitive):
     atom   := NUMBER | VARIABLE | '(' expr ')'
 
 Variables are x1, y1, z1, x2, y2, z2.  There is no division and there are no
-function calls; after expansion the total degree must not exceed 3.  Error
-positions are reported as byte offsets into the UTF-8 input.
+function calls; after expansion the total degree must not exceed 3.  The
+parser builds no syntax tree: each rule expands its polynomial and prints its
+canonical text as it parses.  Error positions are reported as byte offsets
+into the UTF-8 input.
 """
 
 from __future__ import annotations
@@ -27,42 +29,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*()]))"
 )
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-Node = Num | Var | Neg | Add | Sub | Mul
 
 
 def _byte_offset(text: str, char_pos: int) -> int:
@@ -100,11 +66,23 @@ def _tokenize(text: str):
     return tokens
 
 
+_ZERO_EXP = (0, 0, 0, 0, 0, 0)
+
+
+def _paren(text: str, wrap: bool) -> str:
+    return f"({text})" if wrap else text
+
+
 class _Parser:
+    """Expands and prints as it parses: each rule returns (terms, text, kind),
+    the expanded polynomial, its canonical text and its precedence class
+    (sum, mul, neg or atom), which decides where the text needs parentheses."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.overflow = None  # the first DegreeTooHigh, raised once the whole text has parsed
 
     @property
     def cur(self) -> _Token:
@@ -121,129 +99,90 @@ class _Parser:
             return True
         return False
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def _product(self, a, b):
+        out: dict[tuple, float] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if sum(e) > MAX_DEGREE:
+                    # a later syntax error or unknown variable still wins, and the
+                    # empty product keeps every term within the degree cap
+                    self.overflow = self.overflow or DegreeTooHigh(
+                        f"monomial of degree {sum(e)} exceeds the limit {MAX_DEGREE}"
+                    )
+                    return {}
+                out[e] = out.get(e, 0.0) + ca * cb
+        return {e: c for e, c in out.items() if c != 0.0}
+
+    def parse(self) -> HamiltonianExpr:
+        terms, text, _ = self.expr()
         if self.cur.kind != "end":
             self._fail(("+", "-", "*", "end of input"))
-        return node
+        if self.overflow is not None:
+            raise self.overflow
+        return HamiltonianExpr(text, tuple(sorted(terms.items())))
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self):
+        terms, text, kind = self.term()
         while True:
             if self._eat_op("+"):
-                node = Add(node, self.term())
+                op, sign = "+", 1.0
             elif self._eat_op("-"):
-                node = Sub(node, self.term())
+                op, sign = "-", -1.0
             else:
-                return node
+                return terms, text, kind
+            right, right_text, right_kind = self.term()
+            out = dict(terms)
+            for e, c in right.items():
+                out[e] = out.get(e, 0.0) + sign * c
+            terms = {e: c for e, c in out.items() if c != 0.0}
+            text, kind = f"{text} {op} {_paren(right_text, right_kind == 'sum')}", "sum"
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self):
+        terms, text, kind = self.factor()
         while self._eat_op("*"):
-            node = Mul(node, self.factor())
-        return node
+            right, right_text, right_kind = self.factor()
+            terms = self._product(terms, right)
+            text = f"{_paren(text, kind == 'sum')}*{_paren(right_text, right_kind == 'sum')}"
+            kind = "mul"
+        return terms, text, kind
 
-    def factor(self) -> Node:
+    def factor(self):
         if self._eat_op("-"):
-            return Neg(self.factor())
+            terms, text, kind = self.factor()
+            return {e: -c for e, c in terms.items()}, "-" + _paren(text, kind in ("sum", "mul")), "neg"
         return self.atom()
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.cur
         if tok.kind == "number":
             self.i += 1
-            return Num(float(tok.text))
+            value = float(tok.text)
+            return ({_ZERO_EXP: value} if value != 0.0 else {}), repr(value), "atom"
         if tok.kind == "ident":
             if tok.text not in VARIABLES:
                 raise UnknownVariable(tok.text, _byte_offset(self.text, tok.pos))
             self.i += 1
-            return Var(tok.text)
+            exp = [0] * 6
+            exp[VARIABLES.index(tok.text)] = 1
+            return {tuple(exp): 1.0}, tok.text, "atom"
         if self._eat_op("("):
-            node = self.expr()
+            inner = self.expr()
             if not self._eat_op(")"):
                 self._fail((")",))
-            return node
+            return inner
         self._fail(("number", "variable", "(", "-"))
-
-
-def _to_text(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _to_text(node.operand)
-        if isinstance(node.operand, (Add, Sub, Mul)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Mul):
-        left = _to_text(node.left)
-        right = _to_text(node.right)
-        if isinstance(node.left, (Add, Sub)):
-            left = f"({left})"
-        if isinstance(node.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = _to_text(node.left)
-        right = _to_text(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    raise TypeError(f"unknown node {node!r}")
-
-
-_ZERO_EXP = (0, 0, 0, 0, 0, 0)
-
-
-def _poly_add(a, b, sign=1.0):
-    out = dict(a)
-    for exp, c in b.items():
-        out[exp] = out.get(exp, 0.0) + sign * c
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
-def _poly_mul(a, b):
-    out: dict[tuple, float] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if sum(e) > MAX_DEGREE:
-                raise DegreeTooHigh(
-                    f"monomial of degree {sum(e)} exceeds the limit {MAX_DEGREE}"
-                )
-            out[e] = out.get(e, 0.0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
-def _expand(node: Node) -> dict[tuple, float]:
-    if isinstance(node, Num):
-        return {_ZERO_EXP: node.value} if node.value != 0.0 else {}
-    if isinstance(node, Var):
-        exp = [0] * 6
-        exp[VARIABLES.index(node.name)] = 1
-        return {tuple(exp): 1.0}
-    if isinstance(node, Neg):
-        return {e: -c for e, c in _expand(node.operand).items()}
-    if isinstance(node, Add):
-        return _poly_add(_expand(node.left), _expand(node.right))
-    if isinstance(node, Sub):
-        return _poly_add(_expand(node.left), _expand(node.right), sign=-1.0)
-    if isinstance(node, Mul):
-        return _poly_mul(_expand(node.left), _expand(node.right))
-    raise TypeError(f"unknown node {node!r}")
 
 
 @dataclass(frozen=True)
 class HamiltonianExpr:
-    """Parsed expression: syntax tree plus its expanded polynomial."""
+    """Parsed expression: its canonical text and its expanded polynomial."""
 
-    ast: Node
+    text: str
     terms: tuple
 
     def to_text(self) -> str:
-        return _to_text(self.ast)
+        return self.text
 
     def polynomial(self) -> HamiltonianFunction:
         return HamiltonianFunction(dict(self.terms))
@@ -257,6 +196,4 @@ def parse_hamiltonian(text: str) -> HamiltonianExpr:
         raise ExpressionSyntaxError(
             f"source too large ({len(data)} bytes > {MAX_SOURCE_BYTES})", MAX_SOURCE_BYTES
         )
-    ast = _Parser(text).parse()
-    terms = _expand(ast)
-    return HamiltonianExpr(ast=ast, terms=tuple(sorted(terms.items())))
+    return _Parser(text).parse()

@@ -114,7 +114,7 @@ def _mean_stderr(counts):
 
 
 def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, seed: int,
-                      grid: int = 128, force_contour: bool = False) -> MonteCarloEstimate:
+                      grid: int = 128) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[count(N, g L)] over Haar-distributed g.
 
     Product-torus N uses the closed-form factor counts; everything else goes
@@ -126,7 +126,7 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
         raise ValueError("L must be a product torus")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    analytic = isinstance(n_surface, ProductTorusSurface) and not force_contour
+    analytic = isinstance(n_surface, ProductTorusSurface)
     problem = None if analytic else _CountingProblem(n_surface, l_surface, grid)
 
     kept = []

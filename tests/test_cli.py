@@ -243,6 +243,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "--grid does not apply" in err and "closed-form" in err
 
+    def test_usage_error_quad_grid_for_a_mesh(self, capsys, monkeypatch, tmp_path):
+        # a mesh is integrated on its own node lattice, so a --quad-grid would be ignored
+        path = tmp_path / "torus.mesh"
+        save_mesh(MeshSurface(lattice_points(great_torus(), 64)), path)
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        code, out, err = run_cli(capsys, "verify-poincare", "--surface", f"mesh {path}",
+                                 "--samples", "1000", "--quad-grid", "8")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "--quad-grid does not apply: N is a mesh" in err
+
     def test_omitted_grid_counts_a_product_torus_and_records_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "count", "great-torus", "great-torus", "--seed", "7")
         assert code == 0 and json.loads(out)["count"] == 4

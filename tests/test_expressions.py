@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from s2xs2.errors import DegreeTooHigh, ExpressionSyntaxError, UnknownVariable
-from s2xs2.expressions import Add, Mul, Neg, Num, Sub, Var, parse_hamiltonian
+from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import VARIABLES
+
+ZERO = (0, 0, 0, 0, 0, 0)
 
 
 def poly_eval(text, X):
@@ -23,13 +27,15 @@ class TestParsing:
 
     def test_single_variable(self):
         expr = parse_hamiltonian("z1")
-        assert expr.ast == Var("z1")
+        assert expr.to_text() == "z1"
+        assert expr.terms == (((0, 0, 1, 0, 0, 0), 1.0),)
         grad = expr.polynomial().gradient(np.zeros((1, 6)))[0]
         assert np.array_equal(grad, [0, 0, 1, 0, 0, 0])
 
     def test_two_term_expression(self):
         expr = parse_hamiltonian("0.3*z1*z2 + 0.2*x1")
-        assert expr.ast == Add(Mul(Mul(Num(0.3), Var("z1")), Var("z2")), Mul(Num(0.2), Var("x1")))
+        assert expr.to_text() == "0.3*z1*z2 + 0.2*x1"
+        assert expr.terms == (((0, 0, 1, 0, 0, 1), 0.3), ((1, 0, 0, 0, 0, 0), 0.2))
         H = expr.polynomial()
         rng = np.random.default_rng(0)
         X = rng.normal(size=(100, 6))
@@ -42,10 +48,14 @@ class TestParsing:
             assert np.abs(fd - G[:, j]).max() < 1e-8
 
     def test_precedence_and_unary_minus(self):
+        # (-x1)*y1 prints unparenthesized; -(x1*y1) would print as "-(x1*y1)"
         expr = parse_hamiltonian("-x1*y1")
-        assert expr.ast == Mul(Neg(Var("x1")), Var("y1"))
+        assert expr.to_text() == "-x1*y1"
+        assert expr.terms == (((1, 1, 0, 0, 0, 0), -1.0),)
+        # left associative: x1 - (y1 - z1) would give z1 the coefficient +1
         expr2 = parse_hamiltonian("x1 - y1 - z1")
-        assert expr2.ast == Sub(Sub(Var("x1"), Var("y1")), Var("z1"))
+        assert expr2.to_text() == "x1 - y1 - z1"
+        assert dict(expr2.terms)[(0, 0, 1, 0, 0, 0)] == -1.0
 
     def test_parenthesized_grouping(self):
         rng = np.random.default_rng(1)
@@ -58,7 +68,8 @@ class TestParsing:
     def test_number_formats(self):
         for text, value in (("1.5", 1.5), (".5", 0.5), ("2e-3", 2e-3), ("1.25E+2", 125.0)):
             expr = parse_hamiltonian(text)
-            assert expr.ast == Num(value)
+            assert expr.terms == ((ZERO, value),)
+            assert expr.to_text() == repr(value)
 
 
 class TestPrinting:
@@ -76,8 +87,54 @@ class TestPrinting:
         once = parse_hamiltonian(text)
         printed = once.to_text()
         twice = parse_hamiltonian(printed)
-        assert twice.ast == once.ast
         assert twice.to_text() == printed
+        assert twice.terms == once.terms
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("-(x1*y1)", "-(x1*y1)"),
+        ("-(x1 + y1)", "-(x1 + y1)"),
+        ("-(-x1)", "--x1"),
+        ("(x1 - y1) - z1", "x1 - y1 - z1"),
+        ("x1*(y1*z1)", "x1*y1*z1"),
+        ("2*(x1+y1)*(-z2)", "2.0*(x1 + y1)*-z2"),
+        ("(x1+y1)", "x1 + y1"),
+    ])
+    def test_canonical_text(self, text, canonical):
+        assert parse_hamiltonian(text).to_text() == canonical
+
+
+# rows of eighths and dyadic constants keep both evaluations below exact or
+# nearly so: a wrong coefficient shows up far above the 1e-12 tolerance
+DYADIC_ROWS = np.random.default_rng(2).integers(-8, 9, size=(8, 6)) / 8.0
+LEAVES = st.sampled_from(VARIABLES + ("0", "1", "3", "1.5", ".25", "1e0", "5E-1"))
+
+
+def expressions(depth=4):
+    """expr := term (('+' | '-') term)*, with parentheses nested at most depth deep."""
+    base = LEAVES if depth == 0 else st.one_of(LEAVES, expressions(depth - 1).map("({})".format))
+    factor = st.tuples(st.sampled_from(("", "-", "--")), base).map("".join)
+    term = st.lists(factor, min_size=1, max_size=2).map("*".join)
+    rest = st.lists(st.tuples(st.sampled_from((" + ", " - ")), term).map("".join), max_size=1)
+    return st.tuples(term, rest).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+# hypothesis' explain phase replays a failing example under a line tracer,
+# which on these nested draws takes four times as long as finding and
+# shrinking it; the shrunk example is reported without it
+@settings(phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(expressions())
+def test_print_reparse_fixpoint_and_value(text):
+    try:
+        expr = parse_hamiltonian(text)
+    except DegreeTooHigh:
+        return
+    printed = expr.to_text()
+    again = parse_hamiltonian(printed)
+    assert again.to_text() == printed
+    assert again.terms == expr.terms
+    values = expr.polynomial().value(DYADIC_ROWS)
+    expected = np.array([python_eval(text, row) for row in DYADIC_ROWS], dtype=float)
+    assert np.abs(values - expected).max() <= 1e-12
 
 
 class TestErrors:
@@ -114,6 +171,24 @@ class TestErrors:
         with pytest.raises(DegreeTooHigh):
             parse_hamiltonian("(x1*x1)*(y1*y1)")
 
+    def test_first_degree_overflow_is_the_one_raised(self):
+        with pytest.raises(DegreeTooHigh, match="degree 4 exceeds"):
+            parse_hamiltonian("(x1*x1*x1)*x1 + (y1*y1*y1)*(y1*y1)")
+        with pytest.raises(DegreeTooHigh, match="degree 5 exceeds"):
+            parse_hamiltonian("(y1*y1*y1)*(y1*y1) + (x1*x1*x1)*x1")
+
+    def test_syntax_error_after_a_degree_overflow_wins(self):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_hamiltonian("x1*x1*x1*x1 + )")
+        assert err.value.position == 14
+        assert err.value.expected == {"number", "variable", "(", "-"}
+
+    def test_unknown_variable_after_a_degree_overflow_wins(self):
+        with pytest.raises(UnknownVariable) as err:
+            parse_hamiltonian("x1*x1*x1*x1*q3")
+        assert err.value.name == "q3"
+        assert err.value.position == 12
+
     def test_source_size_cap(self):
         text = "x1 + " * 1000 + "x1"
         with pytest.raises(ExpressionSyntaxError):
@@ -132,3 +207,9 @@ class TestExpansion:
     def test_degree_three_allowed(self):
         expr = parse_hamiltonian("x1*y1*z1")
         assert expr.polynomial().terms == {(1, 1, 1, 0, 0, 0): 1.0}
+
+    def test_long_flat_chain_within_the_size_cap(self):
+        # 1200 operators at one level: the parse loops, it does not recurse per operator
+        expr = parse_hamiltonian("x1+" * 800 + "0.5*x1*y1" + "-y1" * 400)
+        assert expr.terms == (((0, 1, 0, 0, 0, 0), -400.0), ((1, 0, 0, 0, 0, 0), 800.0),
+                              ((1, 1, 0, 0, 0, 0), 0.5))

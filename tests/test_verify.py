@@ -94,11 +94,14 @@ class TestMonteCarlo:
         assert est.stderr == 0.0
 
     def test_contour_matches_analytic_path(self):
-        direct = mc_expected_count(latitude_torus(0.5, 0.5), great_torus(), 1000, seed=13)
-        contour = mc_expected_count(latitude_torus(0.5, 0.5), great_torus(), 1000, seed=13,
-                                    force_contour=True)
-        assert contour.mean == direct.mean
-        assert contour.stderr == direct.stderr
+        # the contour counter on a product torus, sample by sample against its closed form
+        n_surface, l_surface = latitude_torus(0.5, 0.5), great_torus()
+        r1, r2 = group_matrices(13, 0, 1000)
+        counts, coaxial = counts_product_batch(n_surface, r1, r2, l_surface)
+        outcomes = _CountingProblem(n_surface, l_surface, 128).run_batch(r1, r2)
+        assert not coaxial.any()
+        assert [status for status, *_ in outcomes] == ["ok"] * 1000
+        assert [count for _, count, *_ in outcomes] == counts.tolist()
 
     @pytest.mark.parametrize("threshold, message", [
         (-2.0, "discards against 1000 requested samples"),  # every sample: the in-loop cap
