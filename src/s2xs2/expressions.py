@@ -4,14 +4,14 @@ Grammar (whitespace insensitive):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := '-' factor | atom
+    factor := '-'* atom
     atom   := NUMBER | VARIABLE | '(' expr ')'
 
 Variables are x1, y1, z1, x2, y2, z2.  There is no division and there are no
 function calls; after expansion the total degree must not exceed 3.  The
 parser builds no syntax tree: each rule expands its polynomial and prints its
-canonical text as it parses.  Error positions are reported as byte offsets
-into the UTF-8 input.
+canonical text as it parses; it recurses only into parentheses, at most
+MAX_NESTING deep.  Error positions are byte offsets into the UTF-8 input.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import DegreeTooHigh, ExpressionSyntaxError, UnknownVariable
 from .hamiltonian import MAX_DEGREE, VARIABLES, HamiltonianFunction
 
 MAX_SOURCE_BYTES = 4096
+MAX_NESTING = 100   # parenthesis depth; each level is four frames of recursion
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -82,6 +83,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0   # open parentheses around the current token
         self.overflow = None  # the first DegreeTooHigh, raised once the whole text has parsed
 
     @property
@@ -148,10 +150,14 @@ class _Parser:
         return terms, text, kind
 
     def factor(self):
-        if self._eat_op("-"):
-            terms, text, kind = self.factor()
-            return {e: -c for e, c in terms.items()}, "-" + _paren(text, kind in ("sum", "mul")), "neg"
-        return self.atom()
+        minuses = 0
+        while self._eat_op("-"):
+            minuses += 1
+        terms, text, kind = self.atom()
+        if minuses:   # the chain's parity is its sign
+            terms = {e: -c for e, c in terms.items()} if minuses % 2 else terms
+            text, kind = "-" * minuses + _paren(text, kind in ("sum", "mul")), "neg"
+        return terms, text, kind
 
     def atom(self):
         tok = self.cur
@@ -167,9 +173,14 @@ class _Parser:
             exp[VARIABLES.index(tok.text)] = 1
             return {tuple(exp): 1.0}, tok.text, "atom"
         if self._eat_op("("):
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}",
+                                            _byte_offset(self.text, tok.pos))
+            self.depth += 1
             inner = self.expr()
             if not self._eat_op(")"):
                 self._fail((")",))
+            self.depth -= 1
             return inner
         self._fail(("number", "variable", "(", "-"))
 

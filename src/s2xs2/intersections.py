@@ -10,12 +10,16 @@ admits a closed-form count (each factor pair is a circle-circle intersection
 on a sphere); every other surface is counted by marching-squares extraction
 of the f1 = 0 contour on a chart grid, sign-change detection of f2 along the
 contour segments, two-variable Newton refinement, ambient deduplication, and
-a transversality gate.  Counts are recomputed on the doubled grid and any
-disagreement is reported as GridUnstable rather than silently resolved.  From
-Newton on the roots of a batch are flat arrays with their owning sample:
-deduplication is one sort by (sample, coordinates) and the greedy radius rule
-run over each root's rank in its sample, and counts, gates and minima are
-reductions over the owners.
+a transversality gate.  Every sample is counted at grid m and at grid 2m, and
+a disagreement is reported as GridUnstable rather than silently resolved.
+
+Each chart is evaluated once, on its level-2m nodes; level m is every second
+node, bitwise the grid of m + 1 nodes per direction.  Both levels are counted
+in one pass: a root's owner is its sample at level m and S + its sample at
+level 2m, so per chart one Newton and one transversality call take both
+levels' seeds, and per batch one deduplication (a sort by owner and
+coordinates, then the greedy radius rule over each root's rank in its owner)
+and one bincount count both; the status compares the two halves.
 
 The counter is output sensitive.  Each chart grid is cut into blocks of
 CULL_BLOCK x CULL_BLOCK cells, and each block carries a bounding cap (unit
@@ -30,17 +34,12 @@ is the one the dense grid gives.
 
 The culling is hierarchical.  The children of a level-m block are the
 level-2m blocks that tile it, and its super-cap holds their nodes, which
-include its own.  Each batch tests the super-caps against the first circle
-for every (sample, block) pair, then against the second on the pairs that
-remain; the survivors are the level-m pairs.  Their children are tested
-against their own caps, pair by pair, for the level-2m pairs.  A pair that
-a looser cap keeps has no cell where both residuals change sign, so it
-yields no seed; a dropped pair has one sign for f1 or for f2 on every node
-of the block and its children.  Pairs stay in (sample, block) order, so the
-seeds and every outcome are those of the per-block test on both grids.
-Node values, sign tests and seed extraction then run over the kept blocks
-alone, all samples of a batch at once, and each Newton iteration evaluates
-the centre and its four finite-difference points in one call.
+include its own.  The level-m pairs are those whose super-caps straddle both
+circles (the second tested only where the first holds); the level-2m pairs
+are their children whose own caps do.  Pairs stay in (sample, block) order,
+so the seeds and every outcome are those of the per-block test on both
+grids.  Each Newton iteration evaluates the centre and its four
+finite-difference points in one call.
 """
 
 from __future__ import annotations
@@ -142,28 +141,17 @@ def transversality_product_batch(n_surface: ProductTorusSurface, r1, r2,
 class _ChartGrid:
     """Node grid of one chart at one resolution, cut into blocks of cells.
 
-    Along periodic directions the wrap row/column of nodes repeats the opening
-    one, so sign bookkeeping is exact at the seam.  A block is CULL_BLOCK x
+    pts holds the chart's surface points at the nodes u_nodes x v_nodes;
+    along periodic directions the wrap row/column repeats the opening one,
+    so sign bookkeeping is exact at the seam.  A block is CULL_BLOCK x
     CULL_BLOCK cells with their boundary nodes; the last block along each
     direction may be ragged, its node indices clamped to the grid and its
     missing cells masked out.  Each block carries, per factor, a bounding cap
     of its nodes.
     """
 
-    def __init__(self, surface, chart: int, m: int):
-        ch = surface.charts[chart]
-        if isinstance(surface, GraphSurface):
-            u_lo, u_hi = 0.0, GRAPH_COUNT_BAND
-        else:
-            u_lo, u_hi = ch.u_min, ch.u_max
-        self.chart_index = chart
-        u_nodes = np.linspace(u_lo, u_hi, m + 1)
-        v_nodes = np.linspace(ch.v_min, ch.v_max, m + 1)
-        pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
-        if ch.periodic_u:
-            pts[-1, :] = pts[0, :]
-        if ch.periodic_v:
-            pts[:, -1] = pts[:, 0]
+    def __init__(self, pts, u_nodes, v_nodes):
+        m = len(u_nodes) - 1
         span = np.arange(0, m, CULL_BLOCK)[:, None] + np.arange(CULL_BLOCK + 1)
         side = np.minimum(span, m)                 # node indices along one block side
         cells = span[:, :-1] < m                   # real cells along one block side
@@ -180,7 +168,8 @@ class _ChartGrid:
 
 
 class _BlockHierarchy:
-    """One chart's grids at levels m and 2m, with each level-m block's children.
+    """One chart's grids at levels m and 2m, both read from one evaluation of
+    its level-2m nodes, with each level-m block's children.
 
     The children of a level-m block are the <= 4 level-2m blocks that tile
     its cells.  Per factor, the block's super-cap has the block's own cap
@@ -190,8 +179,19 @@ class _BlockHierarchy:
     """
 
     def __init__(self, surface, chart: int, m: int):
-        self.coarse = coarse = _ChartGrid(surface, chart, m)
-        self.fine = fine = _ChartGrid(surface, chart, 2 * m)
+        ch = surface.charts[chart]
+        graph = isinstance(surface, GraphSurface)
+        u_lo, u_hi = (0.0, GRAPH_COUNT_BAND) if graph else (ch.u_min, ch.u_max)
+        self.chart = chart
+        u_nodes = np.linspace(u_lo, u_hi, 2 * m + 1)
+        v_nodes = np.linspace(ch.v_min, ch.v_max, 2 * m + 1)
+        pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
+        if ch.periodic_u:
+            pts[-1, :] = pts[0, :]
+        if ch.periodic_v:
+            pts[:, -1] = pts[:, 0]
+        self.coarse = coarse = _ChartGrid(pts[::2, ::2], u_nodes[::2], v_nodes[::2])
+        self.fine = fine = _ChartGrid(pts, u_nodes, v_nodes)
         bu, bv = np.divmod(np.arange(coarse.side ** 2), coarse.side)
         cu = 2 * bu[:, None] + (0, 0, 1, 1)
         cv = 2 * bv[:, None] + (0, 1, 0, 1)
@@ -318,6 +318,21 @@ def _cell_seeds(f1c, f2c, cu, cv):
     return cell, u0 + t * (eu[cell, e1] - u0), v0 + t * (ev[cell, e1] - v0)
 
 
+def _block_seeds(grid, ks, kb, a1, a2, c1, c2):
+    """(sample, u, v) of the Newton seeds in the kept (sample, block) pairs
+    ks, kb of one grid level, in pair order."""
+    f1 = _node_values(grid.p1[kb], a1[ks], c1)
+    f2 = _node_values(grid.p2[kb], a2[ks], c2)
+    k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])
+    corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
+    cell, seeds_u, seeds_v = _cell_seeds(
+        corners(f1), corners(f2),
+        np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
+        np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
+    )
+    return ks[k[cell]], seeds_u, seeds_v
+
+
 def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
     """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed axes.
 
@@ -326,14 +341,8 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
     chart = surface.charts[chart_index]
 
     def clampwrap(u, v):
-        if chart.periodic_u:
-            u = np.mod(u, TWO_PI)
-        else:
-            u = np.clip(u, chart.u_min + 1e-9, chart.u_max - 1e-9)
-        if chart.periodic_v:
-            v = np.mod(v, TWO_PI)
-        else:
-            v = np.clip(v, chart.v_min + 1e-9, chart.v_max - 1e-9)
+        u = np.mod(u, TWO_PI) if chart.periodic_u else np.clip(u, chart.u_min + 1e-9, chart.u_max - 1e-9)
+        v = np.mod(v, TWO_PI) if chart.periodic_v else np.clip(v, chart.v_min + 1e-9, chart.v_max - 1e-9)
         return u, v
 
     def residual(u, v, a1, a2):
@@ -343,9 +352,7 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
         f2 = np.sum(pts[..., 3:] * a2, axis=-1) - c2
         return f1, f2, pts
 
-    U = np.array(U, dtype=float)
-    V = np.array(V, dtype=float)
-    U, V = clampwrap(U, V)
+    U, V = clampwrap(U, V)   # new arrays, updated in place below
     n = U.shape[0]
     active = np.ones(n, dtype=bool)
     sig_min = np.zeros(n)
@@ -418,53 +425,34 @@ class _CountingProblem:
         S = r1.shape[0]
         a1 = r1 @ self.l_surface.circle1.axis
         a2 = r2 @ self.l_surface.circle2.axis
-        c1 = self.l_surface.circle1.offset
-        c2 = self.l_surface.circle2.offset
-        coarse, fine = zip(*(h.kept_blocks(a1, a2, c1, c2) for h in self.hierarchies))
-        ok0, count0, _, _, _ = self._count_level(coarse, a1, a2, c1, c2, S)
-        ok1, count1, min_trans, owner, points = self._count_level(fine, a1, a2, c1, c2, S)
-        status = np.where(ok0 & ok1, np.where(count0 == count1, "ok", "gridunstable"), "nontransversal")
-        groups = np.split(points, np.searchsorted(owner, np.arange(1, S)))
-        outcomes = zip(status.tolist(), count1.tolist(), min_trans.tolist(), groups)
-        return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
-                for st, count, trans, pts in outcomes]
-
-    def _count_level(self, level, a1, a2, c1, c2, S):
-        """(ok, count, min_trans) per sample at one grid level, and the kept
-        roots' (owner, points), grouped by sample.
-
-        level holds each chart's (grid, samples, blocks): the (sample, block)
-        pairs, in (sample, block) order, outside which no cell has a sign
-        change of both residuals."""
-        failed = np.zeros(S, dtype=bool)
+        c1, c2 = self.l_surface.circle1.offset, self.l_surface.circle2.offset
+        failed = np.zeros(2 * S, dtype=bool)
         roots = []   # each chart's converged seeds: owner, points, min(sigma_min, trans), trans
-        for grid, ks, kb in level:
-            f1 = _node_values(grid.p1[kb], a1[ks], c1)
-            f2 = _node_values(grid.p2[kb], a2[ks], c2)
-            k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])
-            corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
-            cell, seeds_u, seeds_v = _cell_seeds(
-                corners(f1), corners(f2),
-                np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
-                np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
-            )
-            sidx = ks[k[cell]]
-            U, V, pts, converged, smin = _newton_refine(
-                self.n_surface, grid.chart_index, seeds_u, seeds_v, a1[sidx], a2[sidx], c1, c2,
-            )
-            trans = self._transversality(grid.chart_index, U, V, pts, a1[sidx], a2[sidx])
-            failed[sidx[~converged]] = True
+        for h in self.hierarchies:
+            levels = [_block_seeds(grid, ks, kb, a1, a2, c1, c2)
+                      for grid, ks, kb in h.kept_blocks(a1, a2, c1, c2)]
+            sidx, U, V = map(np.concatenate, zip(*levels))
+            owner = np.concatenate([levels[0][0], S + levels[1][0]])
+            A1, A2 = a1[sidx], a2[sidx]
+            U, V, pts, converged, smin = _newton_refine(self.n_surface, h.chart, U, V, A1, A2, c1, c2)
+            trans = self._transversality(h.chart, U, V, pts, A1, A2)
+            failed[owner[~converged]] = True
             quality = np.minimum(smin, trans)
-            roots.append((sidx[converged], pts[converged], quality[converged], trans[converged]))
+            roots.append((owner[converged], pts[converged], quality[converged], trans[converged]))
         owner, points, quality, trans = map(np.concatenate, zip(*roots))
         keep = _dedup(owner, points)
         owner, points, quality, trans = owner[keep], points[keep], quality[keep], trans[keep]
-        ok = ~failed
-        ok[owner[quality <= TRANSVERSALITY_MIN]] = False
-        count = np.bincount(owner, minlength=S)
-        min_trans = np.ones(S)   # trans lies in [0, 1], so a sample without roots keeps 1.0
+        failed[owner[quality <= TRANSVERSALITY_MIN]] = True
+        count = np.bincount(owner, minlength=2 * S)
+        min_trans = np.ones(2 * S)   # trans lies in [0, 1], so a sample without roots keeps 1.0
         np.minimum.at(min_trans, owner, trans)
-        return ok, count, min_trans, owner, points
+        status = np.where(~failed[:S] & ~failed[S:], np.where(count[:S] == count[S:], "ok", "gridunstable"),
+                          "nontransversal")
+        # owners are sorted, so level m's roots come first and the rest split by sample
+        groups = np.split(points, np.searchsorted(owner, np.arange(S, 2 * S)))[1:]
+        outcomes = zip(status.tolist(), count[S:].tolist(), min_trans[S:].tolist(), groups)
+        return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
+                for st, count, trans, pts in outcomes]
 
     def _transversality(self, chart_index, U, V, pts, a1, a2):
         """Wedge angle between the N tangent plane and the moved-L tangent plane."""

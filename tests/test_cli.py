@@ -14,6 +14,7 @@ import pytest
 import s2xs2
 from s2xs2 import cli
 from s2xs2.cli import UsageError, main, parse_surface_spec
+from s2xs2.expressions import MAX_NESTING
 from s2xs2.hamiltonian import MAX_STEPS
 from s2xs2.rotations import HAAR_CHUNK
 from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, great_torus, lattice_points, save_mesh
@@ -169,6 +170,18 @@ class TestExitCodes:
                                "--emit-mesh", "/tmp/never.mesh")
         assert code == 2
         assert "UnknownVariable" in err
+
+    @pytest.mark.parametrize("text, position", [
+        ("(" * 2047 + "x1" + ")" * 2047, MAX_NESTING),
+        ("-" * 4095, 4095),
+    ], ids=["nested-2047", "minus-4095"])
+    def test_usage_error_deep_expression(self, capsys, tmp_path, text, position):
+        mesh = tmp_path / "out.mesh"
+        # the = form keeps argparse from reading a leading '-' as an option
+        code, out, err = run_cli(capsys, "flow", f"--hamiltonian={text}", "--emit-mesh", str(mesh))
+        assert (code, out) == (2, "")
+        assert "ExpressionSyntaxError" in err and f"at byte {position}" in err
+        assert not mesh.exists()
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2

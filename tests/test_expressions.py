@@ -4,7 +4,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from s2xs2.errors import DegreeTooHigh, ExpressionSyntaxError, UnknownVariable
-from s2xs2.expressions import parse_hamiltonian
+from s2xs2.expressions import MAX_NESTING, MAX_SOURCE_BYTES, parse_hamiltonian
 from s2xs2.hamiltonian import VARIABLES
 
 ZERO = (0, 0, 0, 0, 0, 0)
@@ -193,6 +193,25 @@ class TestErrors:
         text = "x1 + " * 1000 + "x1"
         with pytest.raises(ExpressionSyntaxError):
             parse_hamiltonian(text)
+
+    def test_nesting_past_the_limit_is_a_syntax_error_at_its_parenthesis(self):
+        assert parse_hamiltonian("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING).to_text() == "x1"
+        # 2047 is the deepest nesting within the size cap
+        for text in ("(" * 2047 + "x1" + ")" * 2047, "(-" * 1364 + "x1" + ")" * 1364):
+            assert len(text.encode()) <= MAX_SOURCE_BYTES
+            with pytest.raises(ExpressionSyntaxError, match="nested deeper") as err:
+                parse_hamiltonian(text)
+            assert text[err.value.position] == "("
+            assert text[:err.value.position].count("(") == MAX_NESTING
+
+    def test_unary_minus_chains_within_the_size_cap(self):
+        expr = parse_hamiltonian("-" * (MAX_SOURCE_BYTES - 3) + "x1")
+        assert expr.terms == (((1, 0, 0, 0, 0, 0), -1.0),)
+        assert expr.to_text() == "-" * (MAX_SOURCE_BYTES - 3) + "x1"
+        assert parse_hamiltonian("-" * 4 + "(x1 + y1)").to_text() == "----(x1 + y1)"
+        with pytest.raises(ExpressionSyntaxError, match="end of input") as err:
+            parse_hamiltonian("-" * (MAX_SOURCE_BYTES - 1))
+        assert err.value.position == MAX_SOURCE_BYTES - 1
 
     def test_division_not_in_grammar(self):
         with pytest.raises(ExpressionSyntaxError):

@@ -15,6 +15,7 @@ from s2xs2.intersections import (
     _CORNER_OFFSETS,
     _EDGES,
     DEDUP_RADIUS,
+    GRAPH_COUNT_BAND,
     _BlockHierarchy,
     _cap_straddles,
     _cell_seeds,
@@ -339,9 +340,11 @@ class TestContourCounter:
 # SHA-256 of the outcome_bytes of 1024 samples of each stream, counted in
 # batches of 64.  They were recorded with per-block culling on both grids and
 # five residual calls per Newton iteration: culling and the stencil call are
-# free to change how they work, but not a bit of any outcome.  Two streams
-# hold a grid-unstable sample (anti-diagonal against the latitude torus at
-# sample 275, the ragged latitude pair at 969).
+# free to change how they work, but not a bit of any outcome.  Three streams
+# hold grid-unstable samples (anti-diagonal against the latitude torus at
+# sample 275, the ragged latitude pair at 969, and the ragged two-chart grid
+# 133 at 111 and 924).  The last digest was recorded while each level still
+# evaluated its own node grid and ran its own pass.
 GOLDEN = [
     pytest.param(anti_diagonal, great_torus, 128, 1601, 0,
                  "b88db02bd606ce5e08806fada954d540dcb19ff48558437d890d82df8070c235",
@@ -355,6 +358,9 @@ GOLDEN = [
     pytest.param(chain_mesh, great_torus, 128, 1605, 0,
                  "89c84706ca22d45fb9dbcfbd9bf62dcf2e2d463dc06539c33685fb4f964726b0",
                  id="deformed-chain-great"),
+    pytest.param(anti_diagonal, lambda: latitude_torus(0.3, -0.5), 133, 1640, 2,
+                 "7ba57818548d4466a6487b64851174477ca6a8c56b3ff7f54ca4d5a86cc11da6",
+                 id="anti-diagonal-latitude-ragged-133"),
 ]
 
 
@@ -489,15 +495,13 @@ class TestDedup:
 
 
 @functools.lru_cache(maxsize=None)
-def cull_grid(kind, chart, m):
-    surface = {"anti-diagonal": anti_diagonal(), "latitude": latitude_torus(0.3, -0.6)}[kind]
-    return _ChartGrid(surface, chart, m)
-
-
-@functools.lru_cache(maxsize=None)
 def cull_hierarchy(kind, chart, m):
     surface = {"anti-diagonal": anti_diagonal(), "latitude": latitude_torus(0.3, -0.6)}[kind]
     return _BlockHierarchy(surface, chart, m)
+
+
+def cull_grid(kind, chart, m):
+    return cull_hierarchy(kind, chart, m).coarse
 
 
 def one_sign(pts, axes, offset):
@@ -587,3 +591,72 @@ class TestBlockCulling:
         dropped[ks, kb] = False
         ds, db = np.nonzero(dropped)
         assert (one_sign(nodes1[db], a1[ds], c1) | one_sign(nodes2[db], a2[ds], c2)).all()
+
+
+def direct_grid(surface, chart, m):
+    """The level-m grid evaluated on its own m + 1 nodes per direction, with
+    the periodic wrap, as a counter that evaluates each level apart builds it."""
+    ch = surface.charts[chart]
+    u_lo, u_hi = (0.0, GRAPH_COUNT_BAND) if isinstance(surface, GraphSurface) else (ch.u_min, ch.u_max)
+    u_nodes, v_nodes = np.linspace(u_lo, u_hi, m + 1), np.linspace(ch.v_min, ch.v_max, m + 1)
+    pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
+    if ch.periodic_u:
+        pts[-1, :] = pts[0, :]
+    if ch.periodic_v:
+        pts[:, -1] = pts[:, 0]
+    return _ChartGrid(pts, u_nodes, v_nodes)
+
+
+ONE_GRID_SURFACES = [
+    pytest.param(anti_diagonal, id="graph"),
+    pytest.param(lambda: latitude_torus(0.3, -0.6), id="torus"),
+    pytest.param(chain_mesh, id="mesh"),
+]
+
+
+class TestOneGridOnePass:
+    @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
+    @pytest.mark.parametrize("m", [128, 133])
+    def test_level_m_nodes_are_the_even_nodes_of_level_2m(self, surface, m):
+        surface = surface()
+        for chart in range(len(surface.charts)):
+            coarse = _BlockHierarchy(surface, chart, m).coarse
+            direct = direct_grid(surface, chart, m)
+            for name in ("p1", "p2", "u", "v", "cells"):
+                assert getattr(coarse, name).tobytes() == getattr(direct, name).tobytes(), name
+            for got, want in zip(coarse.cap1 + coarse.cap2, direct.cap1 + direct.cap2):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
+    def test_one_grid_evaluation_per_chart(self, surface, monkeypatch):
+        surface = surface()
+        calls = []
+        real = type(surface).points
+
+        def points(self, chart, u, v):
+            calls.append(chart)
+            return real(self, chart, u, v)
+
+        monkeypatch.setattr(type(surface), "points", points)
+        _CountingProblem(surface, great_torus(), 128)
+        assert calls == list(range(len(surface.charts)))
+
+    def test_one_newton_transversality_and_dedup_call_per_pass(self, monkeypatch):
+        problem = _CountingProblem(anti_diagonal(), latitude_torus(0.3, -0.5), 128)
+        r1, r2 = group_matrices(1627, 0, 64)
+        before = problem.run_batch(r1, r2)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(intersections, "_newton_refine", counted("newton", intersections._newton_refine))
+        monkeypatch.setattr(intersections, "_dedup", counted("dedup", intersections._dedup))
+        monkeypatch.setattr(_CountingProblem, "_transversality",
+                            counted("transversality", _CountingProblem._transversality))
+        after = problem.run_batch(r1, r2)
+        assert calls == ["newton", "transversality"] * 2 + ["dedup"]
+        assert outcome_bytes(after) == outcome_bytes(before)

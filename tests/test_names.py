@@ -1,11 +1,12 @@
 """Nothing in the package exists only for the tests.
 
-Every function, class and method defined in src/s2xs2 (dunders exempt) must
-be named somewhere in the package or in the benchmark harness under
-perfbench/: as a Name, an Attribute or an import alias.  A name used only by
-the test suite belongs in tests/helpers.py.  The check is by name, so a
-definition that shares its name with a variable or an attribute in use
-elsewhere passes it.
+Every function, class and method defined in src/s2xs2, and every name a
+module of it assigns at its top level (dunders exempt), must be named
+somewhere in the package or in the benchmark harness under perfbench/: as a
+Name it reads, an Attribute or an import alias, so a re-export from
+__init__ counts as a use.  A name used only by the test suite belongs in
+tests/helpers.py.  The check is by name, so a definition that shares its
+name with a variable or an attribute in use elsewhere passes it.
 """
 
 import ast
@@ -23,7 +24,7 @@ def _trees(directory):
 
 def _used_names(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -34,8 +35,23 @@ def _used_names(tree):
 def _definitions(path, tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
+            if not _dunder(node.name):
                 yield f"{path.name}:{node.lineno}", node.name
+    for node in tree.body:   # module-level constants
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not _dunder(name.id):
+                    yield f"{path.name}:{node.lineno}", name.id
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_definition_is_named_outside_the_tests():
