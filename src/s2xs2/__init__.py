@@ -7,6 +7,7 @@ from .errors import (
     ExcessiveDiscards,
     ExpressionSyntaxError,
     GridUnstable,
+    InvalidInput,
     NegativeAxis,
     NonTransversalSample,
     NotLagrangian,

@@ -1,10 +1,11 @@
 """Command-line front end: surface specs, batch verification runs, report emission.
 
-Exit codes: 0 on success/pass, 1 on a failed verification verdict, 2 on usage
-errors (an unwritable --output or --emit-mesh path among them, refused before
-the run).  Verification commands print one JSON report object to stdout (the
-seed is part of the record) and optionally write it to --output; sigma-table
-emits CSV.
+Exit codes: 0 on success/pass, 1 on a failed verification verdict, 2 on a
+package error: refused input (InvalidInput, printed as a usage error; an
+unwritable --output or --emit-mesh path among them, refused before the run)
+or a sample that cannot be counted.  Verification commands print one JSON
+report object to stdout (the seed is part of the record) and optionally
+write it to --output; sigma-table emits CSV.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions, verify
-from .errors import CoaxialCircles, GridUnstable, NonTransversalSample, S2xS2Error
+from .errors import CoaxialCircles, GridUnstable, InvalidInput, NonTransversalSample, S2xS2Error
 from .hamiltonian import MIN_MESH, MIN_STEPS, FlowParams, deform_surface
 from .intersections import (
     MIN_COUNT_GRID,
@@ -38,14 +39,9 @@ from .surfaces import (
     lagrangian_defect,
     latitude_torus,
     load_mesh,
-    quadrature_levels,
     save_mesh,
     volume,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +51,15 @@ class UsageError(Exception):
 def _parse_axis(text: str):
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"axis must be three comma-separated numbers, got {text!r}")
+        raise InvalidInput(f"axis must be three comma-separated numbers, got {text!r}")
     try:
         axis = np.array([float(p) for p in parts])
     except ValueError as exc:
-        raise UsageError(f"bad axis component in {text!r}") from exc
+        raise InvalidInput(f"bad axis component in {text!r}") from exc
     if not np.isfinite(axis).all():
-        raise UsageError(f"axis must be finite, got {text!r}")
+        raise InvalidInput(f"axis must be finite, got {text!r}")
     if np.linalg.norm(axis) < 1e-12:
-        raise UsageError(f"axis must be nonzero, got {text!r}")
+        raise InvalidInput(f"axis must be nonzero, got {text!r}")
     return axis / np.linalg.norm(axis)
 
 
@@ -71,46 +67,43 @@ def parse_surface_spec(text: str):
     """great-torus | latitude-torus C1 C2 [AX1 AX2] | anti-diagonal | mesh PATH"""
     tokens = text.split()
     if not tokens:
-        raise UsageError("empty surface spec")
+        raise InvalidInput("empty surface spec")
     kind = tokens[0]
     if kind == "great-torus":
         if len(tokens) != 1:
-            raise UsageError("great-torus takes no arguments")
+            raise InvalidInput("great-torus takes no arguments")
         return great_torus()
     if kind == "latitude-torus":
         if len(tokens) not in (3, 5):
-            raise UsageError("latitude-torus needs: c1 c2 [axis1 axis2]")
+            raise InvalidInput("latitude-torus needs: c1 c2 [axis1 axis2]")
         try:
             c1, c2 = float(tokens[1]), float(tokens[2])
         except ValueError as exc:
-            raise UsageError(f"bad offsets in {text!r}") from exc
+            raise InvalidInput(f"bad offsets in {text!r}") from exc
         if len(tokens) == 5:
             ax1, ax2 = _parse_axis(tokens[3]), _parse_axis(tokens[4])
         else:
             ax1 = ax2 = np.array([0.0, 0.0, 1.0])
-        try:
-            return latitude_torus(c1, c2, ax1, ax2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return latitude_torus(c1, c2, ax1, ax2)
     if kind == "anti-diagonal":
         if len(tokens) != 1:
-            raise UsageError("anti-diagonal takes no arguments")
+            raise InvalidInput("anti-diagonal takes no arguments")
         return anti_diagonal()
     if kind == "mesh":
         if len(tokens) != 2:
-            raise UsageError("mesh needs a path")
+            raise InvalidInput("mesh needs a path")
         try:
             return load_mesh(tokens[1])
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load mesh {tokens[1]!r}: {exc}") from exc
-    raise UsageError(f"unknown surface kind {kind!r}")
+            raise InvalidInput(f"cannot load mesh {tokens[1]!r}: {exc}") from exc
+    raise InvalidInput(f"unknown surface kind {kind!r}")
 
 
 def _parse_l_spec(text: str) -> ProductTorusSurface:
     """A surface spec that must name a product torus, the L of a count."""
     surface = parse_surface_spec(text)
     if not isinstance(surface, ProductTorusSurface):
-        raise UsageError(f"L spec must be a product torus, got {text!r}")
+        raise InvalidInput(f"L spec must be a product torus, got {text!r}")
     return surface
 
 
@@ -165,7 +158,7 @@ def _write(path, write):
     try:
         write()
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
 
 
 def _check_writable(path):
@@ -174,11 +167,11 @@ def _check_writable(path):
     directory.  Nothing is created; _write still reports a later failure."""
     target = Path(path)
     if target.is_dir():
-        raise UsageError(f"cannot write {path}: it is a directory")
+        raise InvalidInput(f"cannot write {path}: it is a directory")
     if not target.parent.is_dir():
-        raise UsageError(f"cannot write {path}: no directory {target.parent}")
+        raise InvalidInput(f"cannot write {path}: no directory {target.parent}")
     if not os.access(target.parent, os.W_OK | os.X_OK):
-        raise UsageError(f"cannot write {path}: directory {target.parent} is not writable")
+        raise InvalidInput(f"cannot write {path}: directory {target.parent} is not writable")
 
 
 def _emit(payload: str, output: str | None):
@@ -201,18 +194,9 @@ def _cmd_ellipse(args) -> int:
     return 0
 
 
-def _checked(build, *args):
-    """build(*args) for an argument the program refuses, such as a flow window
-    or a quadrature grid, with a ValueError reported as a usage error."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_volume(args) -> int:
     surface = parse_surface_spec(args.surface)
-    _emit(repr(_checked(volume, surface, args.grid)), args.output)
+    _emit(repr(volume(surface, args.grid)), args.output)
     return 0
 
 
@@ -271,8 +255,8 @@ def _count_grid(args, n_surface) -> int:
     if args.grid is None:
         return MIN_COUNT_GRID
     if isinstance(n_surface, ProductTorusSurface):
-        raise UsageError("--grid does not apply: N is a product torus, whose count is closed-form "
-                         "and builds no grid")
+        raise InvalidInput("--grid does not apply: N is a product torus, whose count is closed-form "
+                           "and builds no grid")
     return args.grid
 
 
@@ -312,9 +296,8 @@ def _cmd_verify_poincare(args) -> int:
     l_surface = _parse_l_spec(args.against)
     count_grid = _count_grid(args, n_surface)
     if args.quad_grid is not None and isinstance(n_surface, MeshSurface):
-        raise UsageError("--quad-grid does not apply: N is a mesh, whose quadrature runs on its own "
-                         "node lattice")
-    _checked(quadrature_levels, n_surface, args.quad_grid)  # fail before the Monte Carlo run
+        raise InvalidInput("--quad-grid does not apply: N is a mesh, whose quadrature runs on its own "
+                           "node lattice")
     report = verify.verify_poincare(
         n_surface, l_surface, args.samples, args.seed,
         count_grid=count_grid, quad_grid=args.quad_grid, rel_quad_tol=args.tol_rel,
@@ -335,7 +318,6 @@ def _cmd_verify_bounds(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
-    _checked(FlowParams.for_time, args.time, verify.CHAIN_DT)  # fail before any flow starts
     report = verify.verify_main_chain(
         expr.polynomial(), args.time, args.samples, args.seed,
         m=args.mesh, count_grid=args.grid,
@@ -346,9 +328,9 @@ def _cmd_verify_chain(args) -> int:
 def _cmd_flow(args) -> int:
     expr = expressions.parse_hamiltonian(args.hamiltonian)
     if args.steps is None:
-        params = _checked(FlowParams.for_time, args.time)
+        params = FlowParams.for_time(args.time)
     else:
-        params = _checked(FlowParams, args.time, args.steps)
+        params = FlowParams(args.time, args.steps)
     mesh = deform_surface(expr.polynomial(), great_torus(), params, m=args.mesh)
     _write(args.emit_mesh, lambda: save_mesh(mesh, args.emit_mesh))
     payload = json.dumps(
@@ -458,11 +440,9 @@ def main(argv=None) -> int:
             if path:
                 _check_writable(path)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except S2xS2Error as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        kind = "" if isinstance(exc, InvalidInput) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

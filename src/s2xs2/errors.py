@@ -5,6 +5,11 @@ class S2xS2Error(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(S2xS2Error, ValueError):
+    """An argument the program refuses: a malformed or out-of-range value,
+    file or grid, or a surface whose partials span no plane."""
+
+
 class NegativeAxis(S2xS2Error):
     """Ellipse semiaxis must be nonnegative."""
 

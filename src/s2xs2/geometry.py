@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 STRUCTURES = ("J", "J'")
 
 
@@ -103,7 +105,7 @@ def _dot(a, b):
 def structure_pairing_batch(structure, points, a, b):
     """Signed pairing <J a, b> rows for J or J' at the given base points."""
     if structure not in STRUCTURES:
-        raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
+        raise InvalidInput(f"structure must be one of {STRUCTURES}, got {structure!r}")
     points = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

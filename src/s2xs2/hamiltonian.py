@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, StepSizeTooLarge
+from .errors import DegreeTooHigh, InvalidInput, StepSizeTooLarge
 from .surfaces import MeshSurface, ProductTorusSurface, lattice_points
 
 VARIABLES = ("x1", "y1", "z1", "x2", "y2", "z2")
@@ -37,7 +37,7 @@ def _points(X) -> np.ndarray:
     """X as a float array of ambient points (..., 6)."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 0 or X.shape[-1] != 6:
-        raise ValueError(f"points must have shape (..., 6), got {X.shape}")
+        raise InvalidInput(f"points must have shape (..., 6), got {X.shape}")
     return X
 
 
@@ -72,12 +72,14 @@ class HamiltonianFunction:
         for exp, coeff in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != 6 or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent tuple {exp}")
+                raise InvalidInput(f"bad exponent tuple {exp}")
             if sum(exp) > MAX_DEGREE:
                 raise DegreeTooHigh(f"monomial {exp} has total degree {sum(exp)} > {MAX_DEGREE}")
             if coeff != 0.0:
                 clean[exp] = clean.get(exp, 0.0) + float(coeff)
         self.terms = {e: c for e, c in sorted(clean.items()) if c != 0.0}
+        if not all(map(math.isfinite, self.terms.values())):
+            raise InvalidInput(f"coefficients must be finite, got {self.terms!r}")
         self._value_table = [(c, _factors(exp)) for exp, c in self.terms.items()]
         # d/dx_j of c * x^exp is (c * exp_j) * x^(exp - e_j)
         self._gradient_tables = [
@@ -114,18 +116,20 @@ class FlowParams:
 
     def __post_init__(self):
         if self.steps < MIN_STEPS:
-            raise ValueError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
+            raise InvalidInput(f"steps must be >= {MIN_STEPS}, got {self.steps}")
         if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}; shorten the time")
+            raise InvalidInput(f"steps must be <= {MAX_STEPS}, got {self.steps}; shorten the time")
         if abs(self.dt) > 0.05:
-            raise ValueError(f"|dt| = {abs(self.dt):.4f} exceeds 0.05; increase steps")
+            raise InvalidInput(f"|dt| = {abs(self.dt):.4f} exceeds 0.05; increase steps")
 
     @property
     def dt(self) -> float:
         return self.time / self.steps
 
     @classmethod
-    def for_time(cls, time: float, max_dt: float = 0.01):
+    def for_time(cls, time: float, max_dt: float = 0.0125):
+        """The fewest steps, at least MIN_STEPS, of at most max_dt each; the
+        default is the step of `s2xs2 flow` and of the deformation chain."""
         steps = max(MIN_STEPS, int(math.ceil(abs(time) / max_dt))) if time else MIN_STEPS
         return cls(time, steps)
 
@@ -187,5 +191,5 @@ def deform_surface(H: HamiltonianFunction, surface: ProductTorusSurface,
                    params: FlowParams, m: int = 128) -> MeshSurface:
     """Flow every lattice node of a product torus; returns the deformed mesh."""
     if m < MIN_MESH:
-        raise ValueError(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
+        raise InvalidInput(f"mesh resolution m must be >= {MIN_MESH}, got {m}")
     return MeshSurface(flow_points(H, lattice_points(surface, m), params))

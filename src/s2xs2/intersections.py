@@ -48,6 +48,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInput
 from .geometry import orthonormal_pairs, wedge_norm
 from .surfaces import TWO_PI, Circle, GraphSurface, ProductTorusSurface
 
@@ -408,7 +409,7 @@ class _CountingProblem:
 
     def __init__(self, n_surface, l_surface: ProductTorusSurface, m: int):
         if m < MIN_COUNT_GRID:
-            raise ValueError(f"counting grid m must be >= {MIN_COUNT_GRID}, got {m}")
+            raise InvalidInput(f"counting grid m must be >= {MIN_COUNT_GRID}, got {m}")
         self.n_surface = n_surface
         self.l_surface = l_surface
         self.hierarchies = [_BlockHierarchy(n_surface, chart, m) for chart in range(len(n_surface.charts))]

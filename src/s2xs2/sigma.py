@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeAxis, QuadratureNotConverged
+from .errors import InvalidInput, NegativeAxis, QuadratureNotConverged
 from .geometry import structure_pairing_batch
 from .surfaces import _gauss_legendre
 
@@ -101,7 +101,7 @@ def ellipse_perimeter_batch(a, b):
     """Arc length for equal-shape arrays of semiaxes via the AGM form of the
     complete elliptic integral of the second kind.
 
-    Non-finite semiaxes raise ValueError, negative ones NegativeAxis.  The
+    Non-finite semiaxes raise InvalidInput, negative ones NegativeAxis.  The
     AGM stops after the first iteration at which every gap c is at most
     2^-53 x; the later iterations of the fixed 16 that bound it change no
     bit of the result (the test suite keeps that loop as the reference).
@@ -109,7 +109,7 @@ def ellipse_perimeter_batch(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("semiaxes must be finite")
+        raise InvalidInput("semiaxes must be finite")
     if np.any(a < 0) or np.any(b < 0):
         raise NegativeAxis("semiaxes must be nonnegative")
     big = np.maximum(a, b)

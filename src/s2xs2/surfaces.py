@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInput
 from .geometry import plane_area, structure_pairing_batch
 
 TWO_PI = 2.0 * math.pi
@@ -96,13 +97,13 @@ class Circle:
         axis = np.asarray(axis, dtype=float).reshape(3)
         offset = float(offset)
         if not (np.isfinite(axis).all() and math.isfinite(offset)):
-            raise ValueError(f"circle axis and offset must be finite, got {axis}, {offset}")
+            raise InvalidInput(f"circle axis and offset must be finite, got {axis}, {offset}")
         n = np.linalg.norm(axis)
         if n < 1e-14:
-            raise ValueError("circle axis must be nonzero")
+            raise InvalidInput("circle axis must be nonzero")
         axis = axis / n
         if abs(offset) >= 1.0 or math.sqrt(max(0.0, 1.0 - offset * offset)) < MIN_CIRCLE_RADIUS:
-            raise ValueError(f"degenerate circle: offset {offset}")
+            raise InvalidInput(f"degenerate circle: offset {offset}")
         aux = np.array([0.0, 1.0, 0.0]) if abs(axis[1]) <= 0.9 else np.array([1.0, 0.0, 0.0])
         b1 = np.cross(aux, axis)
         b1 /= np.linalg.norm(b1)
@@ -181,9 +182,9 @@ class GraphSurface:
     def __init__(self, rotation=None, antipodal: bool = False):
         R = np.eye(3) if rotation is None else np.array(rotation, dtype=float)
         if R.shape != (3, 3) or not np.isfinite(R).all():
-            raise ValueError(f"rotation must be a finite 3 x 3 matrix, got shape {R.shape}")
+            raise InvalidInput(f"rotation must be a finite 3 x 3 matrix, got shape {R.shape}")
         if np.abs(R.T @ R - np.eye(3)).max() > ROTATION_TOL or np.linalg.det(R) < 0.0:
-            raise ValueError("rotation must be orthogonal with determinant +1")
+            raise InvalidInput("rotation must be orthogonal with determinant +1")
         self.rotation = R
         self.antipodal = bool(antipodal)
         self.map_matrix = -R if self.antipodal else R
@@ -261,6 +262,13 @@ def diagonal() -> GraphSurface:
     return GraphSurface()
 
 
+def _check_lattice(m: int):
+    """Refuse a mesh lattice under MIN_MESH_LATTICE (see MeshSurface)."""
+    if m < MIN_MESH_LATTICE:
+        raise InvalidInput(f"mesh lattice {m} is smaller than its difference stencil; "
+                           f"m must be at least {MIN_MESH_LATTICE}")
+
+
 class MeshSurface:
     """Periodic m x m lattice of points of S2 x S2 over (u, v) in [0, 2pi)^2.
 
@@ -274,17 +282,15 @@ class MeshSurface:
     def __init__(self, nodes):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[0] != nodes.shape[1] or nodes.shape[2] != 6:
-            raise ValueError(f"nodes must be (m, m, 6), got {nodes.shape}")
-        if nodes.shape[0] < MIN_MESH_LATTICE:
-            raise ValueError(f"mesh lattice {nodes.shape[0]} is smaller than its difference "
-                             f"stencil; m must be at least {MIN_MESH_LATTICE}")
+            raise InvalidInput(f"nodes must be (m, m, 6), got {nodes.shape}")
+        _check_lattice(nodes.shape[0])
         if not np.isfinite(nodes).all():
-            raise ValueError("mesh nodes must be finite")
+            raise InvalidInput("mesh nodes must be finite")
         n1 = np.linalg.norm(nodes[..., :3], axis=-1)
         n2 = np.linalg.norm(nodes[..., 3:], axis=-1)
         worst = max(float(np.abs(n1 - 1.0).max()), float(np.abs(n2 - 1.0).max()))
         if worst > 1e-10:
-            raise ValueError(f"mesh node off the spheres by {worst:.3e}")
+            raise InvalidInput(f"mesh node off the spheres by {worst:.3e}")
         nodes[..., :3] /= n1[..., None]
         nodes[..., 3:] /= n2[..., None]
         self.m = nodes.shape[0]
@@ -372,13 +378,14 @@ def save_mesh(surface: MeshSurface, path):
 def load_mesh(path) -> MeshSurface:
     text = Path(path).read_text().strip().splitlines()
     if not text:
-        raise ValueError(f"empty mesh file {str(path)!r}")
+        raise InvalidInput(f"empty mesh file {str(path)!r}")
     head = text[0].split()
     if len(head) != 2 or head[0] != "mesh":
-        raise ValueError(f"bad mesh header: {text[0]!r}")
+        raise InvalidInput(f"bad mesh header: {text[0]!r}")
     m = int(head[1])
+    _check_lattice(m)
     if len(text) != 1 + m * m:
-        raise ValueError(f"expected {m * m} node rows, found {len(text) - 1}")
+        raise InvalidInput(f"expected {m * m} node rows, found {len(text) - 1}")
     nodes = np.array([[float(x) for x in line.split()] for line in text[1:]])
     return MeshSurface(nodes.reshape(m, m, 6))
 
@@ -465,8 +472,8 @@ def chart_axes(surface, chart: int, m: int):
     """
     ch = surface.charts[chart]
     if m < ch.min_grid:
-        raise ValueError(f"quadrature grid {m} leaves a Gauss-Legendre panel without a node; "
-                         f"the grid must be at least {ch.min_grid}")
+        raise InvalidInput(f"quadrature grid {m} leaves a Gauss-Legendre panel without a node; "
+                           f"the grid must be at least {ch.min_grid}")
     return (_axis_rule(ch.u_min, ch.u_max, ch.periodic_u, ch.u_panels, m),
             _axis_rule(ch.v_min, ch.v_max, ch.periodic_v, (), m))
 
@@ -487,13 +494,14 @@ def surface_quadrature(surface, m: int):
     * 'points' (n, 6): the surface points;
     * 'du', 'dv' (n, 6): the parameter partials;
     * 'area' (n,): the area element |du ^ dv| = sqrt(EG - F^2);
-    * 'degenerate' (n,): where (du, dv) span no plane (geometry.plane_area);
     * 'measure' (n,): the weighted area element w * area * dA, where dA is
       the node's cell weight from chart_axes.
 
     The (n, 6) arrays are transposes of component-major (6, n) rows, so
     x[:, k] is contiguous and the kernels, which read by component, run on
     whole rows.  A node's values do not depend on the tile it falls in.
+    A surface whose partials span no plane at some node (geometry.plane_area)
+    has no area measure there, and is refused when its tile is built.
     lagrangian_defect reads the same tiles from _quadrature_tiles: it
     integrates nothing, so a tracer wrapping this function sees quadrature
     nodes only.
@@ -504,7 +512,7 @@ def surface_quadrature(surface, m: int):
 def _quadrature_tiles(surface, m: int):
     """The generator behind surface_quadrature."""
     if m < 1:
-        raise ValueError(f"quadrature grid must be at least 1, got {m}")
+        raise InvalidInput(f"quadrature grid must be at least 1, got {m}")
     rows = max(1, QUADRATURE_TILE // m)
     for chart in range(len(surface.charts)):
         (us, wu), (vs, wv) = chart_axes(surface, chart, m)
@@ -515,13 +523,15 @@ def _quadrature_tiles(surface, m: int):
             pts = _component_rows(surface.points(chart, u, v)).T
             du, dv = (_component_rows(d).T for d in surface.partials(chart, u, v))
             area, degenerate = plane_area(du, dv)
+            if degenerate.any():
+                raise InvalidInput(f"the partials of {surface!r} span no plane at a quadrature "
+                                   f"node of chart {chart}, so it has no area measure there")
             w = surface.weights(chart, u, v)
             yield {
                 "points": pts,
                 "du": du,
                 "dv": dv,
                 "area": area,
-                "degenerate": degenerate,
                 "measure": (w * area.reshape(w.shape) * cell).reshape(-1),
             }
 
@@ -548,8 +558,8 @@ def quadrature_levels(surface, m: int | None = None):
         return (m, 2 * m)
     floor = max(ch.min_grid for ch in surface.charts)
     if m // 2 < floor:
-        raise ValueError(f"quadrature grid {m} is checked against grid {m // 2}, which leaves a "
-                         f"Gauss-Legendre panel without a node; the grid must be at least {2 * floor}")
+        raise InvalidInput(f"quadrature grid {m} is checked against grid {m // 2}, which leaves a "
+                           f"Gauss-Legendre panel without a node; the grid must be at least {2 * floor}")
     return (m // 2, m)
 
 
@@ -563,16 +573,15 @@ def lagrangian_defect(surface) -> float:
     """Max of |<J du, dv>| / |du ^ dv| over the grid nodes of every chart.
 
     The J cosine of each node, read from the raw partials and their area
-    element as the perimeter integral reads the J' cosine; nodes that
-    plane_area marks degenerate are skipped.  The grid is _default_grid's: a
-    mesh's own node lattice (where the difference stencil is exact), 64
-    nodes per direction otherwise, streamed in surface_quadrature's tiles,
-    so the working set is one tile.
+    element as the perimeter integral reads the J' cosine; a surface with a
+    degenerate node is refused by the quadrature's tiles.  The grid is
+    _default_grid's: a mesh's own node lattice (where the difference stencil
+    is exact), 64 nodes per direction otherwise, streamed in
+    surface_quadrature's tiles, so the working set is one tile.
     """
     worst = 0.0
     for block in _quadrature_tiles(surface, _default_grid(surface, None)):
-        bad = block["degenerate"]
         cosine = np.abs(structure_pairing_batch("J", block["points"], block["du"], block["dv"]))
-        cosine /= np.where(bad, 1.0, block["area"])
-        worst = max(worst, float(np.max(cosine, where=~bad, initial=0.0)))
+        cosine /= block["area"]
+        worst = max(worst, float(cosine.max()))
     return worst

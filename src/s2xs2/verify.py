@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
+from .errors import ExcessiveDiscards, InvalidInput, NotLagrangian, QuadratureNotConverged
 from .hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from .intersections import _CountingProblem, counts_product_batch
 from .rotations import VOL_G, group_matrices
@@ -50,7 +50,6 @@ DISCARD_LIMIT = 0.01
 Z_SCORE = 3.0
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
-CHAIN_DT = 0.0125         # target RK4 step of the deformation chain's flow
 ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
 CONTOUR_BATCH = 128       # samples per contour-counter call
 MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
@@ -123,9 +122,9 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     index keeps advancing), with the discard rate capped at 1%.
     """
     if not isinstance(l_surface, ProductTorusSurface):
-        raise ValueError("L must be a product torus")
+        raise InvalidInput("L must be a product torus")
     if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+        raise InvalidInput(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     analytic = isinstance(n_surface, ProductTorusSurface)
     problem = None if analytic else _CountingProblem(n_surface, l_surface, grid)
 
@@ -166,16 +165,13 @@ def _perimeter_integral(n_surface, m: int) -> float:
     """INT_N perim(semiaxes(x)) dA by composite quadrature on the chart grids.
 
     Each node's J' cosine is <J' du, dv> / |du ^ dv|, read from the raw
-    partials and the tile's area element; degenerate nodes weigh nothing.
+    partials and the tile's area element.
     """
     total = []
     for block in surface_quadrature(n_surface, m):
-        bad = block["degenerate"]
-        area = np.where(bad, 1.0, block["area"])
         per = ellipse_perimeter_batch(
-            *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], area))
-        weights = np.where(bad, 0.0, block["measure"])
-        total.append(float(np.sum(weights * per)))
+            *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], block["area"]))
+        total.append(float(np.sum(block["measure"] * per)))
     return math.fsum(total)
 
 
@@ -192,7 +188,7 @@ def rhs_theorem6(n_surface, l_surface: ProductTorusSurface, m: int | None = None
     lattice (its resolution is part of the data).
     """
     if not isinstance(l_surface, ProductTorusSurface):
-        raise ValueError("L must be a product torus")
+        raise InvalidInput("L must be a product torus")
     _require_lagrangian(n_surface)
     vol_l = volume(l_surface)
     levels = quadrature_levels(n_surface, m)
@@ -218,10 +214,8 @@ def _normal_invariant_samples(surface, m: int):
     angles = []
     weights = []
     for block in surface_quadrature(surface, m):
-        bad = block["degenerate"]
-        area = np.where(bad, 1.0, block["area"])
-        a_t, b_t = cell_angles_batch(block["points"], block["du"], block["dv"], area)
-        keep = (block["measure"] > 0.0) & ~bad
+        a_t, b_t = cell_angles_batch(block["points"], block["du"], block["dv"], block["area"])
+        keep = block["measure"] > 0.0
         angles.append(np.stack([np.pi - a_t[keep], b_t[keep]], axis=1))
         weights.append(block["measure"][keep])
     return np.concatenate(angles, axis=0), np.concatenate(weights)
@@ -339,14 +333,14 @@ def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
     Computes rho(L), then checks A >= B >= C and vol(rho(L)) >= 4 pi^2 - 1e-3,
     where A = 16 vol(rho(L)) vol(L), B is the Monte Carlo group integral of
     the intersection count of (rho(L), L), and C = 4 vol(G) = 256 pi^4.  The
-    flow takes RK4 steps of at most CHAIN_DT.  The inequality checks carry the
-    z = 3 statistical band plus QUAD_REL_TOL of C for the deterministic
+    flow takes FlowParams.for_time's default RK4 steps.  The inequality checks
+    carry the z = 3 statistical band plus QUAD_REL_TOL of C for the deterministic
     mesh-volume error, which decides the saturated (isometric) cases where the
     count variance vanishes.
     """
     t0 = time.perf_counter()
     torus = great_torus()
-    params = FlowParams.for_time(flow_time, CHAIN_DT)
+    params = FlowParams.for_time(flow_time)
     deformed = deform_surface(hamiltonian, torus, params, m=m)
     vol_l = volume(torus)
     vol_rho = volume(deformed)

@@ -387,7 +387,6 @@ def perimeter_integral_by_frames(surface, m):
     quadrature's own."""
     total = []
     for block in surface_quadrature(surface, m):
-        per, bad = perimeters_by_frames(block)
-        weights = np.where(bad, 0.0, block["measure"])
-        total.append(float(np.sum(weights * per)))
+        per, _ = perimeters_by_frames(block)
+        total.append(float(np.sum(block["measure"] * per)))
     return math.fsum(total)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import s2xs2
 from s2xs2 import cli
-from s2xs2.cli import UsageError, main, parse_surface_spec
+from s2xs2.cli import main, parse_surface_spec
+from s2xs2.errors import InvalidInput
 from s2xs2.expressions import MAX_NESTING
 from s2xs2.hamiltonian import MAX_STEPS
 from s2xs2.rotations import HAAR_CHUNK
@@ -54,7 +59,7 @@ class TestSurfaceSpecs:
     def test_bad_specs(self):
         for text in ("", "octahedron", "latitude-torus 0.5", "latitude-torus a b",
                      "mesh /nonexistent/path", "great-torus extra"):
-            with pytest.raises(UsageError):
+            with pytest.raises(InvalidInput):
                 parse_surface_spec(text)
 
 
@@ -350,6 +355,37 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "empty mesh file" in err
 
+    @pytest.mark.parametrize("command", ["volume", "verify-poincare", "verify-bounds"])
+    def test_usage_error_surface_with_no_area_measure(self, capsys, monkeypatch, tmp_path, command):
+        # every node is one point, so the partials span no plane: unrefused,
+        # volume read 0.0, verify-poincare passed with lhs = rhs = 0 and
+        # verify-bounds divided by the zero upper bound
+        path = tmp_path / "point.mesh"
+        save_mesh(MeshSurface(np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 5, 1))), path)
+        monkeypatch.setattr("s2xs2.verify.mc_expected_count",
+                            lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        argv = (("volume", f"mesh {path}") if command == "volume" else
+                (command, "--surface", f"mesh {path}", "--samples", "1000", "--seed", "1"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.startswith("error: the partials of MeshSurface(m=5) span no plane")
+
+    @pytest.mark.parametrize("argv, target, refused", [
+        (("verify-poincare", "--surface", "anti-diagonal", "--samples", "1000", "--quad-grid", "2"),
+         "s2xs2.verify.group_matrices", "quadrature grid 2 is checked against grid 1"),
+        (("verify-chain", "--hamiltonian", "0.1*z1", "--time", "1e6"),
+         "s2xs2.hamiltonian.flow_points", f"steps must be <= {MAX_STEPS}"),
+        (("verify-chain", "--hamiltonian", "1e400*z1"),
+         "s2xs2.hamiltonian.flow_points", "coefficients must be finite"),
+    ], ids=["verify-poincare-quad-grid", "verify-chain-time", "verify-chain-infinite-coefficient"])
+    def test_library_refusal_comes_before_any_sample_or_flow_step(self, capsys, monkeypatch,
+                                                                   argv, target, refused):
+        monkeypatch.setattr(target, lambda *args, **kwargs: pytest.fail(f"{target} was called"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {refused}")
+
     @pytest.mark.parametrize("m", [0, 1, 4])
     @pytest.mark.parametrize("command", ["volume", "count"])
     def test_usage_error_mesh_below_its_stencil(self, capsys, tmp_path, command, m):
@@ -581,3 +617,91 @@ def test_runs_without_scipy(argv, check):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert check(done.stdout), done.stdout
+
+
+# ---------------------------------------------------------------------------
+# the input contract over argv: every command line ends in a verdict, a report
+# or a usage error, never in a traceback or a NaN
+# ---------------------------------------------------------------------------
+
+# half of the numbers drawn are hostile: non-finite and overflowing text, a
+# hex literal, and non-ASCII digits (which int() and float() read as digits)
+NUMBERS = st.one_of(st.sampled_from(["0", "0.5", "-0.25", "1", "7", "128"]),
+                    st.sampled_from(["-3", "nan", "-inf", "inf", "1e400", "-1e400", "0x10", "１２８", "٣", "0.٥"]))
+# a circle's offset, to be in (-1, 1): a latitude torus takes two
+OFFSETS = st.one_of(st.sampled_from(["0", "0.5", "-0.25"]), NUMBERS)
+HAMILTONIAN_TEXTS = ["0.1*z1", "x1*y2 - 0.2*z1*z2", "-0.3*z1", "z1*z1*z1*z1", "q9", "(", "1e400*z1",
+                     "٣*z1"]
+
+
+@pytest.fixture(scope="module")
+def hostile_meshes(tmp_path_factory):
+    """A good mesh file and hostile ones named by their defect, in a directory of their own."""
+    root = tmp_path_factory.mktemp("hostile-meshes")
+    save_mesh(MeshSurface(lattice_points(great_torus(), 8)), root / "torus.mesh")
+    torus = (root / "torus.mesh").read_text()
+    lines = torus.splitlines()
+    texts = {
+        "one-node": "mesh 5\n" + "1 0 0 1 0 0\n" * 25,
+        "nan-node": "\n".join(lines[:5] + ["nan" + lines[5][lines[5].index(" "):]] + lines[6:]) + "\n",
+        "negative-size": "mesh -3\n",
+        "truncated": torus[:len(torus) // 2],
+        "empty": "",
+    }
+    for name, text in texts.items():
+        (root / f"{name}.mesh").write_text(text)
+    return root, [f"mesh {root / name}.mesh" for name in ["torus", *texts]]
+
+
+@st.composite
+def cli_argvs(draw, meshes, emit_path):
+    def number():
+        return draw(NUMBERS)
+
+    def option(flag):
+        return [flag, number()] if draw(st.booleans()) else []
+
+    def torus():
+        if draw(st.booleans()):
+            return "great-torus"
+        axes = f" {number()},{number()},{number()} {number()},{number()},{number()}" \
+            if draw(st.booleans()) else ""
+        return f"latitude-torus {draw(OFFSETS)} {draw(OFFSETS)}{axes}"
+
+    def surface():
+        kind = draw(st.sampled_from(["torus", "anti-diagonal", "mesh"]))
+        return torus() if kind == "torus" else draw(st.sampled_from(meshes)) if kind == "mesh" else kind
+
+    command = draw(st.sampled_from(["ellipse", "volume", "count", "verify-poincare", "verify-bounds", "flow"]))
+    if command == "ellipse":
+        return [command, number(), number()]
+    if command == "volume":
+        return [command, surface(), *option("--grid")]
+    if command == "count":
+        return [command, surface(), torus(), *option("--seed"), *option("--grid")]
+    if command.startswith("verify-"):
+        # product tori only, whose count is closed-form and cheap
+        argv = [command, "--surface", torus(), "--against", torus(), "--samples", "1000", *option("--seed")]
+        return argv + option("--quad-grid") + option("--tol-rel") if command == "verify-poincare" else argv
+    text = draw(st.sampled_from(HAMILTONIAN_TEXTS))
+    hamiltonian = ["--hamiltonian", text] if draw(st.booleans()) else [f"--hamiltonian={text}"]
+    return [command, *hamiltonian, *option("--time"), "--mesh", "64", "--steps", "16", "--emit-mesh", emit_path]
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_every_argv_ends_in_a_report_or_a_usage_error(hostile_meshes, data):
+    root, meshes = hostile_meshes
+    argv = data.draw(cli_argvs(meshes, str(root / "flowed.mesh")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)   # an escaping exception, a traceback at the command line, fails here
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        return
+    value = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    if argv[0] in ("ellipse", "volume"):
+        assert isinstance(value, float) and math.isfinite(value)
+    else:
+        assert isinstance(value, dict)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import field_batch, pushforward, random_product_point, random_tangent_vector
-from s2xs2.errors import DegreeTooHigh, StepSizeTooLarge
+from s2xs2.errors import DegreeTooHigh, InvalidInput, StepSizeTooLarge
 from s2xs2.geometry import structure_pairing_batch
 from s2xs2.hamiltonian import (
     MAX_STEPS,
@@ -132,6 +132,15 @@ class TestHamiltonianFunction:
         with pytest.raises(DegreeTooHigh):
             HamiltonianFunction({(2, 2, 0, 0, 0, 0): 1.0})
 
+    @pytest.mark.parametrize("terms", [
+        {(0, 0, 1, 0, 0, 0): math.inf},
+        {(1, 0, 0, 0, 0, 0): 1.0, (0, 0, 1, 0, 0, 1): math.nan},
+    ], ids=["inf", "nan"])
+    def test_non_finite_coefficient_is_refused(self, terms):
+        # unrefused, the flow ran every step on NaN points
+        with pytest.raises(InvalidInput, match="coefficients must be finite"):
+            HamiltonianFunction(terms)
+
     def test_zero_collapses(self):
         H = HamiltonianFunction({(1, 0, 0, 0, 0, 0): 0.0})
         assert H.terms == {}
@@ -239,7 +248,7 @@ class TestFlow:
         with pytest.raises(ValueError, match=f"<= {MAX_STEPS}"):
             FlowParams.for_time(1e6, 0.0125)  # 8e7 steps
         assert FlowParams(1000.0, MAX_STEPS).steps == MAX_STEPS
-        assert FlowParams.for_time(0.5).dt <= 0.01
+        assert FlowParams.for_time(0.5).dt <= 0.0125
 
 
 class TestDeformSurface:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import group_sample, kahler_angle, lagrangian_defect_by_frames, moved_surface, tangent_plane
 from s2xs2 import surfaces, verify
+from s2xs2.errors import InvalidInput, S2xS2Error
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.geometry import orthonormal_pairs
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
@@ -218,11 +219,24 @@ class TestMeshSurface:
         assert np.allclose(du, stencil * want_du, atol=1e-14)
         assert np.allclose(dv, stencil * want_dv, atol=1e-14)
 
-    def test_load_refuses_an_empty_lattice_with_the_floor(self, tmp_path):
-        path = tmp_path / "empty.mesh"
-        path.write_text("mesh 0\n")
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_load_refuses_a_header_below_the_floor(self, tmp_path, m):
+        # refused from the header itself, not by the count of node rows
+        # that a negative size asks for
+        path = tmp_path / "small.mesh"
+        path.write_text(f"mesh {m}\n")
         with pytest.raises(ValueError, match="m must be at least 5"):
             load_mesh(path)
+
+    def test_a_lattice_with_no_area_measure_is_refused(self):
+        # all 25 nodes are one point, so the partials vanish and span no plane
+        point = MeshSurface(np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 5, 1)))
+        for measure in (volume, lagrangian_defect):
+            with pytest.raises(InvalidInput, match="span no plane"):
+                measure(point)
+
+    def test_invalid_input_is_a_value_error_and_a_package_error(self):
+        assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, S2xS2Error)
 
     def test_rejects_non_finite_node(self):
         nodes = MeshSurface(lattice_points(great_torus(), 8)).nodes.copy()
@@ -373,9 +387,9 @@ class TestGraphQuadratureRule:
 def dense_quadrature(surface, m):
     """The whole-chart quadrature the row tiles replaced, kept as their reference.
 
-    It works on C-ordered (..., 6) copies, takes the metric terms by np.einsum
-    and the degenerate mask from orthonormal_pairs, as the quadrature did
-    before its tiles became component-major rows.
+    It works on C-ordered (..., 6) copies and takes the metric terms by
+    np.einsum, as the quadrature did before its tiles became component-major
+    rows.
     """
     for chart in range(len(surface.charts)):
         (us, wu), (vs, wv) = chart_axes(surface, chart, m)
@@ -393,7 +407,6 @@ def dense_quadrature(surface, m):
             "du": du.reshape(-1, 6),
             "dv": dv.reshape(-1, 6),
             "area": dens.reshape(-1),
-            "degenerate": orthonormal_pairs(du.reshape(-1, 6), dv.reshape(-1, 6))[2],
             "measure": (w * dens * cell).reshape(-1),
         }
 
@@ -450,7 +463,7 @@ class TestTiledQuadrature:
             monkeypatch.setattr(surfaces, "QUADRATURE_TILE", tile)
             tiles = list(surfaces.surface_quadrature(surface, m))
             assert sum(t["measure"].size for t in tiles) == len(surface.charts) * m * m
-            for key in ("points", "du", "dv", "area", "degenerate", "measure"):
+            for key in ("points", "du", "dv", "area", "measure"):
                 assert same_bits(np.concatenate([t[key] for t in tiles]),
                                  np.concatenate([r[key] for r in reference]))
             assert surfaces.volume(surface, m) == pytest.approx(vol_ref, rel=1e-14, abs=0.0)

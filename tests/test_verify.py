@@ -208,10 +208,9 @@ class TestKernelSideRoute:
         # totals part by at most one ulp (m = 64) or tie (m = 130)
         for block in surface_quadrature(anti_diagonal(), 64):
             frames, bad = perimeters_by_frames(block)
-            assert np.array_equal(bad, block["degenerate"])
-            area = np.where(bad, 1.0, block["area"])
+            assert not bad.any()
             per = ellipse_perimeter_batch(
-                *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], area))
+                *lagrangian_semiaxes_batch(block["points"], block["du"], block["dv"], block["area"]))
             assert np.all(np.abs(per - frames) <= 2 * np.spacing(frames))
         got = verify._perimeter_integral(anti_diagonal(), 64)
         assert abs(got - perimeter_integral_by_frames(anti_diagonal(), 64)) <= math.ulp(got)
