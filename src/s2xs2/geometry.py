@@ -14,8 +14,8 @@ pairing omega(a, b) = <J a, b>, computed by structure_pairing_batch("J", ...).
 A 2-plane has angle arccos(|<J a, b>| / |a ^ b|) with respect to a
 structure: 0 for complex lines, pi/2 for Lagrangian planes.  J is skew, so
 a change of basis scales <J a, b> and |a ^ b| alike, up to the sign of the
-orientation.  Only the contour counter's transversality gate orthonormalizes
-a pair (orthonormal_pairs), to compare two planes by their wedge norm.  Every
+orientation, and no kernel orthonormalizes a pair: the contour counter's
+transversality gate, too, compares two planes by plane_area alone.  Every
 kernel here broadcasts over leading axes, so a single point is a batch of
 one row.  The kernels read their inputs by component, x[..., k], so they run
 on contiguous rows when the (..., 6) arrays are views of component-major
@@ -31,49 +31,15 @@ from .errors import InvalidInput
 STRUCTURES = ("J", "J'")
 
 
-def wedge_norm(rows):
-    """||r1 ^ ... ^ rk|| for each stack of k rows in a (..., k, d) array.
-
-    The square root of the Gram determinant, clipped to [0, 1]: for two
-    orthonormal pairs it vanishes iff their spans meet and equals 1 iff they
-    are orthogonal.
-    """
-    rows = np.asarray(rows, dtype=float)
-    det = np.linalg.det(rows @ np.swapaxes(rows, -1, -2))
-    return np.sqrt(np.clip(det, 0.0, 1.0))
-
-
-def orthonormal_pairs(du, dv):
-    """Orthonormalize (du, dv) row pairs; returns (t1, t2, degenerate_mask).
-
-    A pair is degenerate where a row vanishes or the sine of their angle is
-    below 1e-12.  The inner products are _dot's, so a row gives the same
-    bits whatever the batch and the memory layout it comes in.
-    """
-    du = np.asarray(du, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    n1 = np.sqrt(_dot(du, du))
-    nv = np.sqrt(_dot(dv, dv))
-    bad = (n1 < 1e-14) | (nv < 1e-14)
-    n1s = np.where(bad, 1.0, n1)
-    t1 = du / n1s[..., None]
-    r = dv - _dot(dv, t1)[..., None] * t1
-    n2 = np.sqrt(_dot(r, r))
-    sin_angle = n2 / np.where(bad, 1.0, nv)
-    bad = bad | (sin_angle < 1e-12)
-    t2 = r / np.where(bad, 1.0, n2)[..., None]
-    return t1, t2, bad
-
-
 def plane_area(a, b):
     """Area element |a ^ b| = sqrt(EG - F^2) of (..., 6) spanning-row pairs,
     and their degenerate mask.
 
     A pair is degenerate where a row is shorter than 1e-14 or the sine of
-    their angle, |a ^ b| / (|a| |b|), is below 1e-12: the mask of
-    orthonormal_pairs, in terms of E = |a|^2, G = |b|^2 and the area.  EG - F^2
-    cancels as the square of that sine, so a sine below about 1e-8 is not
-    resolved and the mask there follows the rounding of F.
+    their angle, |a ^ b| / (|a| |b|), is below 1e-12, in terms of E = |a|^2,
+    G = |b|^2 and the area.  EG - F^2 cancels as the square of that sine, so
+    a sine below about 1e-8 is not resolved and the mask there follows the
+    rounding of F.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -115,6 +115,8 @@ class FlowParams:
     steps: int
 
     def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise InvalidInput(f"flow time must be finite, got {self.time}")
         if self.steps < MIN_STEPS:
             raise InvalidInput(f"steps must be >= {MIN_STEPS}, got {self.steps}")
         if self.steps > MAX_STEPS:
@@ -130,8 +132,12 @@ class FlowParams:
     def for_time(cls, time: float, max_dt: float = 0.0125):
         """The fewest steps, at least MIN_STEPS, of at most max_dt each; the
         default is the step of `s2xs2 flow` and of the deformation chain."""
-        steps = max(MIN_STEPS, int(math.ceil(abs(time) / max_dt))) if time else MIN_STEPS
-        return cls(time, steps)
+        if not (math.isfinite(time) and max_dt > 0.0):
+            raise InvalidInput(f"flow time must be finite and max_dt positive, got {time}, {max_dt}")
+        steps = abs(time) / max_dt
+        if steps > MAX_STEPS:
+            raise InvalidInput(f"steps must be <= {MAX_STEPS}, got {steps:.6g}; shorten the time")
+        return cls(time, max(MIN_STEPS, math.ceil(steps)))
 
 
 # The flow works on component-major (6, n) C-contiguous points S: row i holds

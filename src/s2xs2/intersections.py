@@ -13,6 +13,13 @@ contour segments, two-variable Newton refinement, ambient deduplication, and
 a transversality gate.  Every sample is counted at grid m and at grid 2m, and
 a disagreement is reported as GridUnstable rather than silently resolved.
 
+The gate reads the wedge angle |e1 ^ e2 ^ l1 ^ l2| between the tangent plane
+of N, (e1, e2) orthonormal, and that of g L, spanned by the unit tangents l1
+and l2 of the moved circles, one per factor.  With P the projection off l1
+and l2, which takes from each factor of a row its component along that
+factor's tangent, it equals |P du ^ P dv| / |du ^ dv| for the partials
+(du, dv) of N: two plane_area calls, with no orthonormal frame.
+
 Each chart is evaluated once, on its level-2m nodes; level m is every second
 node, bitwise the grid of m + 1 nodes per direction.  Both levels are counted
 in one pass: a root's owner is its sample at level m and S + its sample at
@@ -49,7 +56,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import orthonormal_pairs, wedge_norm
+from .geometry import plane_area
 from .surfaces import TWO_PI, Circle, GraphSurface, ProductTorusSurface
 
 COAXIAL_TOL = 1e-12
@@ -87,14 +94,14 @@ def _circle_pairs(cn: Circle, axes, offset):
     return gamma, np.where(parallel, -np.inf, disc), coaxial
 
 
-def _circle_tangent_rows(a1, a2, p, q):
-    """Unit tangents at the points (p, q) of the circles about the axes a1 and
-    a2, one per factor, as (k, 2, 6) rows; degenerate where p or q lies on its axis."""
-    rows = np.zeros(p.shape[:-1] + (2, 6))
-    rows[:, 0, :3] = np.cross(a1, p)
-    rows[:, 1, 3:] = np.cross(a2, q)
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    return rows / np.where(norms > 0, norms, 1.0), np.any(norms < 1e-12, axis=(1, 2))
+def _circle_tangents(a1, a2, p, q):
+    """Unit tangents (k, 3) at the points p and q of the circles about the
+    axes a1 and a2, and the mask of the points on their axis."""
+    t1, t2 = np.cross(a1, p), np.cross(a2, q)
+    n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(t2, axis=-1, keepdims=True)
+    on_axis = (n1 < 1e-12) | (n2 < 1e-12)
+    return t1 / np.where(n1 > 0, n1, 1.0), t2 / np.where(n2 > 0, n2, 1.0), on_axis[:, 0]
 
 
 def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
@@ -456,9 +463,18 @@ class _CountingProblem:
                 for st, count, trans, pts in outcomes]
 
     def _transversality(self, chart_index, U, V, pts, a1, a2):
-        """Wedge angle between the N tangent plane and the moved-L tangent plane."""
+        """Wedge angle between the N tangent plane and the moved-L tangent
+        plane, capped at 1 (module docstring); 0 where (du, dv) is degenerate
+        or a point lies on its circle's axis."""
         du, dv = self.n_surface.partials(chart_index, U, V)
-        t1, t2, bad = orthonormal_pairs(du, dv)
-        tl, degenerate = _circle_tangent_rows(a1, a2, pts[:, :3], pts[:, 3:])
-        sigma = wedge_norm(np.concatenate([np.stack([t1, t2], axis=1), tl], axis=1))
-        return np.where(degenerate | bad, 0.0, sigma)
+        t1, t2, on_axis = _circle_tangents(a1, a2, pts[:, :3], pts[:, 3:])
+        tl = np.stack([t1, t2], axis=1)                     # (k, 2, 3)
+
+        def project(w):
+            w = w.reshape(-1, 2, 3)
+            return (w - np.sum(w * tl, axis=-1, keepdims=True) * tl).reshape(-1, 6)
+
+        area, degenerate = plane_area(du, dv)
+        moved, _ = plane_area(project(du), project(dv))
+        sigma = np.minimum(moved / np.where(degenerate, 1.0, area), 1.0)
+        return np.where(degenerate | on_axis, 0.0, sigma)

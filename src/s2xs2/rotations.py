@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 _PI2 = np.pi * np.pi
 
 # Riemannian volumes in the normalization where the quotient is S2(1) x S2(1).
@@ -61,6 +63,8 @@ def quaternion_to_matrix(q, out=None):
 
 def _uniform_blocks(seed: int, start: int, count: int):
     """Four uniforms per index (one Philox block) at absolute stream positions."""
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidInput(f"seed must be a Philox key, in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=int(seed))
     bg.advance(int(start))
     return np.random.Generator(bg).random((count, 4))

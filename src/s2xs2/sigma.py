@@ -101,10 +101,11 @@ def ellipse_perimeter_batch(a, b):
     """Arc length for equal-shape arrays of semiaxes via the AGM form of the
     complete elliptic integral of the second kind.
 
-    Non-finite semiaxes raise InvalidInput, negative ones NegativeAxis.  The
-    AGM stops after the first iteration at which every gap c is at most
-    2^-53 x; the later iterations of the fixed 16 that bound it change no
-    bit of the result (the test suite keeps that loop as the reference).
+    Non-finite semiaxes, and semiaxes whose perimeter overflows, raise
+    InvalidInput; negative ones raise NegativeAxis.  The AGM stops after the
+    first iteration at which every gap c is at most 2^-53 x; the later
+    iterations of the fixed 16 that bound it change no bit of the result
+    (the test suite keeps that loop as the reference).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -132,8 +133,11 @@ def ellipse_perimeter_batch(a, b):
         if np.all(c <= AGM_SETTLED * x):
             break
     K = np.pi / (2.0 * x)
-    out = 4.0 * big * K * (1.0 - S)
-    return np.where(degenerate, 4.0 * big, out)
+    with np.errstate(over="ignore"):
+        out = np.where(degenerate, 4.0 * big, 4.0 * big * K * (1.0 - S))
+    if not np.isfinite(out).all():
+        raise InvalidInput("the perimeter overflows: semiaxes too large")
+    return out
 
 
 def _kernel_coefficients(inv):

@@ -98,9 +98,10 @@ class Circle:
         offset = float(offset)
         if not (np.isfinite(axis).all() and math.isfinite(offset)):
             raise InvalidInput(f"circle axis and offset must be finite, got {axis}, {offset}")
-        n = np.linalg.norm(axis)
-        if n < 1e-14:
-            raise InvalidInput("circle axis must be nonzero")
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(axis)
+        if not 1e-14 <= n < math.inf:
+            raise InvalidInput(f"circle axis must be nonzero and of finite norm, got {axis}")
         axis = axis / n
         if abs(offset) >= 1.0 or math.sqrt(max(0.0, 1.0 - offset * offset)) < MIN_CIRCLE_RADIUS:
             raise InvalidInput(f"degenerate circle: offset {offset}")

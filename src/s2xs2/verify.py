@@ -262,6 +262,8 @@ def verify_poincare(n_surface, l_surface, samples: int, seed: int,
     The kernel side goes first, so N meets the Lagrangian gate of
     rhs_theorem6 before the Monte Carlo run: a refused N costs no samples.
     """
+    if not (math.isfinite(rel_quad_tol) and rel_quad_tol >= 0.0):
+        raise InvalidInput(f"rel_quad_tol must be finite and >= 0, got {rel_quad_tol}")
     t0 = time.perf_counter()
     rhs = rhs_theorem6(n_surface, l_surface, m=quad_grid)
     est = mc_expected_count(n_surface, l_surface, samples, seed, grid=count_grid)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from s2xs2.geometry import orthonormal_pairs, structure_pairing_batch
+from s2xs2.geometry import _dot, structure_pairing_batch
 from s2xs2.hamiltonian import _component_major, _field, _points, flow_points
 from s2xs2.rotations import group_matrices, haar_matrices, haar_quaternions
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
@@ -105,6 +105,58 @@ def moved_surface(surface, r1, r2):
     if isinstance(surface, MeshSurface):
         return MeshSurface(act(r1, r2, surface.nodes))
     raise TypeError(f"no group action for {surface!r}")
+
+
+def orthonormal_pairs(du, dv):
+    """Orthonormalize (du, dv) row pairs; returns (t1, t2, degenerate_mask).
+
+    A pair is degenerate where a row vanishes or the sine of their angle is
+    below 1e-12: the mask plane_area gives.  The package orthonormalized
+    planes this way before every kernel took the raw spanning rows; the
+    frame routes built on it are the references for those kernels.
+    """
+    du = np.asarray(du, dtype=float)
+    dv = np.asarray(dv, dtype=float)
+    n1 = np.sqrt(_dot(du, du))
+    nv = np.sqrt(_dot(dv, dv))
+    bad = (n1 < 1e-14) | (nv < 1e-14)
+    n1s = np.where(bad, 1.0, n1)
+    t1 = du / n1s[..., None]
+    r = dv - _dot(dv, t1)[..., None] * t1
+    n2 = np.sqrt(_dot(r, r))
+    sin_angle = n2 / np.where(bad, 1.0, nv)
+    bad = bad | (sin_angle < 1e-12)
+    t2 = r / np.where(bad, 1.0, n2)[..., None]
+    return t1, t2, bad
+
+
+def wedge_norm(rows):
+    """||r1 ^ ... ^ rk|| for each stack of k rows in a (..., k, d) array.
+
+    The square root of the Gram determinant, clipped to [0, 1]: for two
+    orthonormal pairs it vanishes iff their spans meet and equals 1 iff they
+    are orthogonal.
+    """
+    rows = np.asarray(rows, dtype=float)
+    det = np.linalg.det(rows @ np.swapaxes(rows, -1, -2))
+    return np.sqrt(np.clip(det, 0.0, 1.0))
+
+
+def transversality_by_frames(n_surface, chart, u, v, a1, a2):
+    """The contour counter's transversality gate as it was before it measured
+    planes with plane_area: the wedge norm of N's orthonormalized partials
+    and the unit tangents of the circles about the axis rows a1, a2 at N's
+    points, 0 where the pair is degenerate or a point lies on its axis."""
+    pts = n_surface.points(chart, u, v)
+    du, dv = n_surface.partials(chart, u, v)
+    t1, t2, bad = orthonormal_pairs(du, dv)
+    rows = np.zeros(pts.shape[:-1] + (2, 6))
+    rows[:, 0, :3] = np.cross(a1, pts[:, :3])
+    rows[:, 1, 3:] = np.cross(a2, pts[:, 3:])
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    rows /= np.where(norms > 0, norms, 1.0)
+    sigma = wedge_norm(np.concatenate([np.stack([t1, t2], axis=1), rows], axis=1))
+    return np.where(bad | np.any(norms < 1e-12, axis=(1, 2)), 0.0, sigma)
 
 
 def kahler_angle(x, plane, structure):

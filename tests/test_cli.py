@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,16 @@ from s2xs2.errors import InvalidInput
 from s2xs2.expressions import MAX_NESTING
 from s2xs2.hamiltonian import MAX_STEPS
 from s2xs2.rotations import HAAR_CHUNK
-from s2xs2.surfaces import GraphSurface, MeshSurface, ProductTorusSurface, great_torus, lattice_points, save_mesh
+from s2xs2.surfaces import (
+    GraphSurface,
+    MeshSurface,
+    ProductTorusSurface,
+    great_torus,
+    latitude_torus,
+    lattice_points,
+    save_mesh,
+    volume,
+)
 
 from helpers import haar_stats_by_one_batch
 
@@ -333,7 +343,34 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "axis must be finite" in err
+        assert "circle axis and offset must be finite" in err
+
+    def test_usage_error_axis_norm_overflows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "volume", "latitude-torus 0 0 1e308,1e308,0 0,0,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: circle axis must be nonzero and of finite norm")
+
+    def test_axis_is_the_circle_the_api_builds(self, capsys):
+        # Circle takes an axis down to a norm of 1e-14; the CLI refused one below 1e-12
+        code, out, _ = run_cli(capsys, "volume", "latitude-torus 0 0 1e-13,0,0 0.3,-0.4,0.5")
+        assert code == 0
+        assert float(out) == volume(latitude_torus(0.0, 0.0, (1e-13, 0.0, 0.0), (0.3, -0.4, 0.5)))
+        parsed = parse_surface_spec("latitude-torus 0.2 0.1 0.3,-0.4,0.5 1e-13,2e-13,0")
+        built = latitude_torus(0.2, 0.1, (0.3, -0.4, 0.5), (1e-13, 2e-13, 0.0))
+        for got, want in ((parsed.circle1, built.circle1), (parsed.circle2, built.circle2)):
+            assert got.axis.tobytes() == want.axis.tobytes()
+
+    @pytest.mark.parametrize("a, b", [("1e308", "1e308"), ("1e308", "0")])
+    def test_usage_error_ellipse_perimeter_overflows(self, capsys, a, b):
+        # the perimeter was printed as inf with exit 0, which is not JSON,
+        # and 1e308 0 also printed overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ellipse", a, b)
+        assert (code, out) == (2, "")
+        assert err == "error: the perimeter overflows: semiaxes too large\n"
 
     def test_usage_error_non_finite_mesh_node(self, capsys, tmp_path):
         path = tmp_path / "nan.mesh"
@@ -355,16 +392,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "empty mesh file" in err
 
-    @pytest.mark.parametrize("command", ["volume", "verify-poincare", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["volume", "count", "verify-poincare", "verify-bounds"])
     def test_usage_error_surface_with_no_area_measure(self, capsys, monkeypatch, tmp_path, command):
         # every node is one point, so the partials span no plane: unrefused,
-        # volume read 0.0, verify-poincare passed with lhs = rhs = 0 and
-        # verify-bounds divided by the zero upper bound
+        # volume read 0.0, count read 0, verify-poincare passed with lhs = rhs
+        # = 0 and verify-bounds divided by the zero upper bound
         path = tmp_path / "point.mesh"
         save_mesh(MeshSurface(np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 5, 1))), path)
         monkeypatch.setattr("s2xs2.verify.mc_expected_count",
                             lambda *args, **kwargs: pytest.fail("the Monte Carlo run started"))
+        monkeypatch.setattr(cli, "group_matrices", lambda *args, **kwargs: pytest.fail("count drew its sample"))
         argv = (("volume", f"mesh {path}") if command == "volume" else
+                ("count", f"mesh {path}", "great-torus", "--seed", "1") if command == "count" else
                 (command, "--surface", f"mesh {path}", "--samples", "1000", "--seed", "1"))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -625,9 +664,10 @@ def test_runs_without_scipy(argv, check):
 # ---------------------------------------------------------------------------
 
 # half of the numbers drawn are hostile: non-finite and overflowing text, a
-# hex literal, and non-ASCII digits (which int() and float() read as digits)
+# finite number whose square or quadruple overflows, a hex literal, and non-ASCII digits (which int() and float() read as digits)
 NUMBERS = st.one_of(st.sampled_from(["0", "0.5", "-0.25", "1", "7", "128"]),
-                    st.sampled_from(["-3", "nan", "-inf", "inf", "1e400", "-1e400", "0x10", "１２８", "٣", "0.٥"]))
+                    st.sampled_from(["-3", "nan", "-inf", "inf", "1e400", "-1e400", "1e308", "0x10", "１２８", "٣",
+                                     "0.٥"]))
 # a circle's offset, to be in (-1, 1): a latitude torus takes two
 OFFSETS = st.one_of(st.sampled_from(["0", "0.5", "-0.25"]), NUMBERS)
 HAMILTONIAN_TEXTS = ["0.1*z1", "x1*y2 - 0.2*z1*z2", "-0.3*z1", "z1*z1*z1*z1", "q9", "(", "1e400*z1",

@@ -10,6 +10,7 @@ from helpers import (
     kahler_angle,
     normal_plane,
     omega_by_triple_product,
+    orthonormal_pairs,
     orthonormalize,
     plane_from_invariants,
     projector,
@@ -19,8 +20,9 @@ from helpers import (
     rotate_tangent_about_factors,
     tangent_frame,
     wedge,
+    wedge_norm,
 )
-from s2xs2.geometry import orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
+from s2xs2.geometry import plane_area, structure_pairing_batch
 
 E4 = np.eye(4)
 

@@ -250,6 +250,18 @@ class TestFlow:
         assert FlowParams(1000.0, MAX_STEPS).steps == MAX_STEPS
         assert FlowParams.for_time(0.5).dt <= 0.0125
 
+    @pytest.mark.parametrize("make, refused", [
+        (lambda: FlowParams(math.nan, 16), "flow time must be finite"),
+        (lambda: FlowParams.for_time(math.nan), "flow time must be finite"),
+        (lambda: FlowParams.for_time(math.inf), "flow time must be finite"),
+        (lambda: FlowParams.for_time(0.5, 0.0), "max_dt positive"),
+        (lambda: FlowParams.for_time(1e308), f"steps must be <= {MAX_STEPS}"),
+    ], ids=["nan-time", "for-time-nan", "for-time-inf", "for-time-zero-step", "for-time-overflowing-steps"])
+    def test_flow_params_refuse_what_the_cli_refuses(self, make, refused):
+        # accepted, or a bare ValueError, ZeroDivisionError or OverflowError from math.ceil
+        with pytest.raises(InvalidInput, match=refused):
+            make()
+
 
 class TestDeformSurface:
     def test_zero_hamiltonian_preserves_volume(self):

@@ -10,8 +10,8 @@ group samples, and one sample gives bitwise its row of a batch.
 import numpy as np
 import pytest
 
-from helpers import field_batch
-from s2xs2.geometry import orthonormal_pairs, plane_area, structure_pairing_batch, wedge_norm
+from helpers import field_batch, orthonormal_pairs
+from s2xs2.geometry import plane_area, structure_pairing_batch
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch, transversality_product_batch
 from s2xs2.rotations import group_matrices
@@ -35,13 +35,6 @@ AREA, _ = plane_area(DU, DV)
 # (1 - s)/2) from a circle to a segment, a generic pair and a zero pair
 _S = np.array([0.0, 1e-8, 0.3, 0.9, 1.0 - 1e-9, 1.0])
 SEMIAXES = (np.concatenate([(1 + _S) / 2, [0.7, 0.0]]), np.concatenate([(1 - _S) / 2, [0.2, 0.0]]))
-# each node's tangent plane against that of a product of circles through it,
-# about the axes (1, 2, 3) and (-2, 1, 0.5), as the contour counter's
-# transversality pairs them: (8, 4, 6) row stacks
-_LAT = np.cross([[1.0, 2.0, 3.0], [-2.0, 1.0, 0.5]], POINTS.reshape(8, 2, 3))
-_LAT /= np.linalg.norm(_LAT, axis=-1, keepdims=True)
-STACKS = np.concatenate([np.stack([T1, T2], axis=1), np.zeros((8, 2, 6))], axis=1)
-STACKS[:, 2, :3], STACKS[:, 3, 3:] = _LAT[:, 0], _LAT[:, 1]
 # invariant rows (theta1, theta2, tau1, tau2) that take each branch of the
 # angle kernel's rule: a generic row, the A5 near-segment at theta = pi/64,
 # a kink inside, kinks 1.9e-5 from either end, |K| >= R everywhere, R
@@ -63,7 +56,6 @@ PARAMS = FlowParams.for_time(0.5, 0.0125)
 KERNELS = {
     "structure_pairing_batch-J": (lambda x, a, b: structure_pairing_batch("J", x, a, b), (POINTS, T1, T2)),
     "structure_pairing_batch-J'": (lambda x, a, b: structure_pairing_batch("J'", x, a, b), (POINTS, T1, T2)),
-    "orthonormal_pairs": (orthonormal_pairs, (DU, DV)),
     "plane_area": (plane_area, (DU, DV)),
     "lagrangian_semiaxes_batch": (lagrangian_semiaxes_batch, (POINTS, DU, DV, AREA)),
     "cell_angles_batch": (cell_angles_batch, (POINTS, DU, DV, AREA)),
@@ -72,7 +64,6 @@ KERNELS = {
     # the scalar wrapper on one row, the batch kernel on the batch
     "sigma_general": (lambda inv: sigma_general(CellInvariants(*inv)) if inv.ndim == 1 else sigma_general_batch(inv),
                       (INVARIANTS,)),
-    "wedge_norm": (wedge_norm, (STACKS,)),
     "field_batch": (lambda x: field_batch(H, x), (POINTS,)),
     "flow_points": (lambda x: flow_points(H, x, PARAMS), (POINTS,)),
 }

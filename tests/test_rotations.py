@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from helpers import act, group_quaternions, group_sample, random_product_point, random_tangent_vector
+from s2xs2.errors import InvalidInput
 from s2xs2.rotations import (
     HAAR_CHUNK,
     VOL_G,
@@ -83,6 +84,13 @@ class TestDeterminism:
 
     def test_seeds_differ(self):
         assert not np.array_equal(haar_quaternions(1, 0, 4), haar_quaternions(2, 0, 4))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, math.nan])
+    def test_a_seed_that_is_no_philox_key_is_refused(self, seed):
+        for draw in (haar_quaternions, haar_matrices, group_matrices):
+            with pytest.raises(InvalidInput, match="Philox key"):
+                draw(seed, 0, 4)
+        assert haar_quaternions(2 ** 128 - 1, 0, 1).shape == (1, 4)
 
 
 class TestMemory:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from helpers import (
     tangent_plane,
     wedge,
 )
-from s2xs2.errors import NegativeAxis, QuadratureNotConverged
+from s2xs2.errors import InvalidInput, NegativeAxis, QuadratureNotConverged
 from s2xs2.sigma import (
     DEGENERATE_AXIS,
     CellInvariants,
@@ -196,6 +197,14 @@ class TestEllipsePerimeter:
     def test_non_finite_axis(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             ellipse_perimeter(a, b)
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1e308), (1e308, 0.0)], ids=["circle", "segment"])
+    def test_overflowing_perimeter_is_refused_without_a_warning(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="perimeter overflows"):
+                ellipse_perimeter_batch(np.array([1.0, a]), np.array([0.5, b]))
+            assert ellipse_perimeter(1e307, 1e307) == pytest.approx(2e307 * math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("family", AGM_FAMILIES)
     def test_settled_agm_equals_the_fixed_loop_bitwise(self, family):

@@ -1,15 +1,22 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from helpers import group_sample, kahler_angle, lagrangian_defect_by_frames, moved_surface, tangent_plane
+from helpers import (
+    group_sample,
+    kahler_angle,
+    lagrangian_defect_by_frames,
+    moved_surface,
+    orthonormal_pairs,
+    tangent_plane,
+)
 from s2xs2 import surfaces, verify
 from s2xs2.errors import InvalidInput, S2xS2Error
 from s2xs2.expressions import parse_hamiltonian
-from s2xs2.geometry import orthonormal_pairs
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.surfaces import (
     Circle,
@@ -72,6 +79,16 @@ class TestCircle:
     def test_non_finite_rejected(self, axis, offset):
         with pytest.raises(ValueError):
             Circle(axis, offset)
+
+    def test_axis_norm_must_lie_in_1e_14_to_inf(self):
+        # the norm of (1e308, 1e308, 0) overflows, and the axis divided by it was zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="nonzero and of finite norm"):
+                Circle([1e308, 1e308, 0.0])
+            with pytest.raises(InvalidInput, match="nonzero and of finite norm"):
+                Circle([1e-15, 0.0, 0.0])
+        assert Circle([1e-13, 0.0, 0.0]).axis.tolist() == [1.0, 0.0, 0.0]
 
     def test_points_on_constraint_plane(self):
         c = Circle([0.3, -0.4, 0.5], 0.37)

@@ -14,7 +14,7 @@ from helpers import (
     perimeters_by_frames,
 )
 from s2xs2 import verify
-from s2xs2.errors import ExcessiveDiscards, NotLagrangian, QuadratureNotConverged
+from s2xs2.errors import ExcessiveDiscards, InvalidInput, NotLagrangian, QuadratureNotConverged
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import _CountingProblem, counts_product_batch
@@ -321,6 +321,17 @@ class TestPoincareReport:
         monkeypatch.setattr(verify, "mc_expected_count", never)
         with pytest.raises(NotLagrangian, match="Lagrangian defect"):
             verify_poincare(diagonal(), great_torus(), 1000, seed=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_tolerance_is_refused_before_any_work(self, monkeypatch, tol):
+        # a nan tolerance gave a fail verdict
+        def never(*args, **kwargs):
+            raise AssertionError("the report started before its tolerance was checked")
+
+        monkeypatch.setattr(verify, "rhs_theorem6", never)
+        monkeypatch.setattr(verify, "mc_expected_count", never)
+        with pytest.raises(InvalidInput, match="rel_quad_tol must be finite and >= 0"):
+            verify_poincare(great_torus(), great_torus(), 1000, seed=1, rel_quad_tol=tol)
 
     def test_report_schema(self):
         report = verify_poincare(great_torus(), great_torus(), 1000, seed=37)
