@@ -195,18 +195,55 @@ def _cmd_volume(args) -> int:
     return 0
 
 
+def _pairwise_sum(values, lo: int, hi: int):
+    """np.add.reduce of the array values(lo, hi), bit for bit, from calls on
+    ranges of at most HAAR_CHUNK values.
+
+    numpy sums a contiguous float64 array pairwise: a range longer than its
+    block of 128 is split at half its length rounded down to a multiple of
+    8.  Splitting [lo, hi) at the same points down to HAAR_CHUNK-value leaves,
+    which np.add.reduce sums whole, adds the same numbers in the same order.
+    """
+    n = hi - lo
+    if n <= HAAR_CHUNK:
+        return np.add.reduce(values(lo, hi))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _mean_and_stderr(values, n: int):
+    """Mean and standard error of the n values that values(lo, hi) returns
+    range by range, bitwise np.mean and np.std(ddof=1) / sqrt(n) of the
+    whole array, with no temporary longer than HAAR_CHUNK."""
+    mean = _pairwise_sum(values, 0, n) / n
+
+    def squared_deviations(lo, hi):
+        d = values(lo, hi) - mean
+        d *= d
+        return d
+
+    return float(mean), math.sqrt(_pairwise_sum(squared_deviations, 0, n) / (n - 1)) / math.sqrt(n)
+
+
 def _cmd_haar_stats(args) -> int:
-    """The moments of r11 and of the trace, from a stream drawn HAAR_CHUNK
-    rotations at a time: only those two columns are kept, not the matrices."""
+    """The moments of r11, r11 ** 2 and the trace, from a stream drawn
+    HAAR_CHUNK rotations at a time: only the r11 and trace columns are kept,
+    not the matrices, and every moment is summed HAAR_CHUNK values at a time."""
     t0 = time.perf_counter()
-    r11, trace = np.empty(args.samples), np.empty(args.samples)
-    for lo in range(0, args.samples, HAAR_CHUNK):
-        mats = haar_matrices(args.seed, lo, min(HAAR_CHUNK, args.samples - lo))
+    n = args.samples
+    try:
+        r11, trace = np.empty((2, n))
+    except MemoryError:
+        raise InvalidInput(f"--samples {n} needs {16 * n} bytes for its r11 and trace columns, "
+                           f"which cannot be allocated") from None
+    for lo in range(0, n, HAAR_CHUNK):
+        mats = haar_matrices(args.seed, lo, min(HAAR_CHUNK, n - lo))
         r11[lo:lo + len(mats)] = mats[:, 0, 0]
         trace[lo:lo + len(mats)] = np.trace(mats, axis1=1, axis2=2)
-    sq = r11 ** 2
-    mean_sq = float(sq.mean())
-    se_sq = float(sq.std(ddof=1) / math.sqrt(args.samples))
+    mean_sq, se_sq = _mean_and_stderr(lambda lo, hi: r11[lo:hi] * r11[lo:hi], n)
+    mean_r11, se_r11 = _mean_and_stderr(lambda lo, hi: r11[lo:hi], n)
+    mean_trace, se_trace = _mean_and_stderr(lambda lo, hi: trace[lo:hi], n)
     tol = 3.0 * se_sq
     verdict = "pass" if abs(mean_sq - 1.0 / 3.0) <= tol else "fail"
     report = verify.VerificationReport(
@@ -219,11 +256,11 @@ def _cmd_haar_stats(args) -> int:
         runtime_ms=(time.perf_counter() - t0) * 1e3,
         seed=args.seed,
         config={
-            "samples": args.samples,
-            "mean_r11": float(r11.mean()),
-            "stderr_r11": float(r11.std(ddof=1) / math.sqrt(args.samples)),
-            "mean_trace": float(trace.mean()),
-            "stderr_trace": float(trace.std(ddof=1) / math.sqrt(args.samples)),
+            "samples": n,
+            "mean_r11": mean_r11,
+            "stderr_r11": se_r11,
+            "mean_trace": mean_trace,
+            "stderr_trace": se_trace,
         },
     )
     return _emit_report(report, args)

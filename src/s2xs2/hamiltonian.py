@@ -147,8 +147,9 @@ class FlowParams:
 # (np.cross, np.linalg.norm), so flowed points do not depend on the layout.
 
 def _component_major(X) -> np.ndarray:
-    """A (6, n) C-contiguous copy of the checked ambient points X (..., 6)."""
-    return np.ascontiguousarray(X.reshape(-1, 6).T)
+    """A (6, n) C-contiguous copy of the checked ambient points X (..., 6),
+    a copy even where the transpose is contiguous already (one point)."""
+    return X.reshape(-1, 6).T.copy()
 
 
 def _renormalize(S):
@@ -158,15 +159,16 @@ def _renormalize(S):
     return S
 
 
-def _field(H: HamiltonianFunction, S):
-    """X_H = (grad_p H x p, grad_q H x q) at component-major points S; shaped like S."""
+def _field(H: HamiltonianFunction, S, out, scratch):
+    """X_H = (grad_p H x p, grad_q H x q) at component-major points S, written
+    to out (shaped like S); scratch is one (n,) row for the second product."""
     G = H.gradient(S.T).T
-    out = np.empty_like(S)
     for k in (0, 3):
         (g0, g1, g2), (x0, x1, x2) = G[k:k + 3], S[k:k + 3]
-        out[k] = g1 * x2 - g2 * x1
-        out[k + 1] = g2 * x0 - g0 * x2
-        out[k + 2] = g0 * x1 - g1 * x0
+        for row, (a, b, c, d) in enumerate(((g1, x2, g2, x1), (g2, x0, g0, x2), (g0, x1, g1, x0)), k):
+            np.multiply(a, b, out=out[row])
+            np.multiply(c, d, out=scratch)
+            out[row] -= scratch
     return out
 
 
@@ -174,22 +176,49 @@ def flow_points(H: HamiltonianFunction, X, params: FlowParams):
     """Flow a batch of ambient points for the full window; returns (..., 6).
 
     Classical RK4 with every stage renormalized to the spheres, on one
-    component-major state; one gradient evaluation per stage.
+    component-major state; one gradient evaluation per stage.  The stages,
+    the stage points and the next state live in buffers allocated once per
+    flow, and each sum is formed in the order of its one-line form
+    S + (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4); floating-point sums and
+    products commute, so the in-place forms (2 k2 + k1, and so on) round
+    alike.
     """
     X = _points(X)
     S = _renormalize(_component_major(X))
     dt = params.dt
+    # six arrays, not one block: freeing a block six times as large would
+    # raise glibc's dynamic mmap threshold past the counter's later
+    # temporaries, which then stay in the heap and raise the peak RSS
+    k1, k2, k3, k4, stage, nxt = (np.empty_like(S) for _ in range(6))
+    scratch = np.empty(S.shape[1:])
+
+    def at(k, step):
+        """The renormalized stage point S + step * k."""
+        np.multiply(k, step, out=stage)
+        return _renormalize(np.add(stage, S, out=stage))
+
     for _ in range(params.steps):
-        k1 = _field(H, S)
-        k2 = _field(H, _renormalize(S + (0.5 * dt) * k1))
-        k3 = _field(H, _renormalize(S + (0.5 * dt) * k2))
-        k4 = _field(H, _renormalize(S + dt * k3))
-        S_next = _renormalize(S + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        d = S_next - S
-        moved = math.sqrt(float((d * d).sum(axis=0).max())) if S.size else 0.0
+        _field(H, S, k1, scratch)
+        _field(H, at(k1, 0.5 * dt), k2, scratch)
+        _field(H, at(k2, 0.5 * dt), k3, scratch)
+        _field(H, at(k3, dt), k4, scratch)
+        np.multiply(k2, 2, out=nxt)
+        nxt += k1
+        k3 *= 2
+        nxt += k3
+        nxt += k4
+        nxt *= dt / 6.0
+        nxt += S
+        _renormalize(nxt)
+        d = np.subtract(nxt, S, out=k1)
+        d *= d
+        moved = math.sqrt(float(d.sum(axis=0).max())) if S.size else 0.0
         if moved > 0.5:
             raise StepSizeTooLarge(f"step displacement {moved:.3f} > 0.5; reduce dt")
-        S = S_next
+        S, nxt = nxt, S
+    # freed before the result is copied out, so that the copy can take their
+    # place in the heap rather than pin them under it
+    del k1, k2, k3, k4, stage, nxt
     return np.ascontiguousarray(S.T).reshape(X.shape)
 
 

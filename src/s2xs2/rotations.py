@@ -10,10 +10,11 @@ bitwise row i of every batch that holds it.
 
 Rotations are built component-major: the nine entries of a batch are the
 rows of one (9, count) array, filled HAAR_CHUNK rotations at a time so that
-the temporaries of a large draw stay cache-sized.  The (count, 3, 3)
-matrices handed out are strided views of that array, so a product such as
-r @ axis runs in numpy's own loop, which adds the three products in order,
-rather than in a BLAS kernel whose rounding depends on the machine.
+the temporaries of a large draw stay cache-sized (about 1 MB whatever the
+count).  The (count, 3, 3) matrices handed out are strided views of that
+array, so a product such as r @ axis runs in numpy's own loop, which adds
+the three products in order, rather than in a BLAS kernel whose rounding
+depends on the machine.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ VOL_G = VOL_SO3 * VOL_SO3
 VOL_K = 4.0 * _PI2
 VOL_GK = 16.0 * _PI2
 
-HAAR_CHUNK = 1 << 15  # rotations per fill step; bounds the temporaries of a large draw
+HAAR_CHUNK = 1 << 13  # rotations per fill step; bounds the temporaries of a large draw
 
 
 def quaternion_to_matrix(q, out=None):

@@ -325,13 +325,21 @@ class MeshSurface:
         j1 = (j0 + 1) % m
         i0 *= m  # flat node index i*m + j
         i1 *= m
-        rows = self._rows
-        pts = (
-            rows[:, i0 + j0] * (1 - fu) * (1 - fv)
-            + rows[:, i1 + j0] * fu * (1 - fv)
-            + rows[:, i0 + j1] * (1 - fu) * fv
-            + rows[:, i1 + j1] * fu * fv
-        )
+        gu, gv = 1 - fu, 1 - fv
+        # each corner enters as (node * weight_u) * weight_v and the four are
+        # added in order, as the one-expression form rounds them; take's
+        # "clip" mode writes straight to out (the indices are in range), and
+        # term is its own array, freed when pts is returned
+        pts, term = np.empty((6,) + u.shape), np.empty((6,) + u.shape)
+        idx = np.empty_like(i0)
+        corners = ((i0, j0, gu, gv), (i1, j0, fu, gv), (i0, j1, gu, fv), (i1, j1, fu, fv))
+        for k, (i, j, wu, wv) in enumerate(corners):
+            out = term if k else pts
+            np.take(self._rows, np.add(i, j, out=idx), axis=1, out=out, mode="clip")
+            out *= wu
+            out *= wv
+            if k:
+                pts += term
         # squares summed in np.linalg.norm's order, so the bits are the (..., 6) form's
         pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
         pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])

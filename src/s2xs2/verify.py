@@ -50,7 +50,7 @@ DISCARD_LIMIT = 0.01
 Z_SCORE = 3.0
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 CHAIN_RHS = 4.0 * VOL_G  # = 256 pi^4
-ANALYTIC_CHUNK = 1 << 16  # samples per closed-form count call; caps memory for large runs
+ANALYTIC_CHUNK = 1 << 13  # samples per closed-form count call; a run holds one chunk at a time
 CONTOUR_BATCH = 128       # samples per contour-counter call
 MIN_SAMPLES = 1000        # smallest Monte Carlo run accepted
 QUAD_REL_TOL = 1e-6       # slack, relative to the bound, for the deterministic volume error
@@ -91,17 +91,18 @@ class VerificationReport:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def _mean_stderr(counts):
-    """Sample mean and standard error of an integer count array, from its histogram.
+def _mean_stderr(hist):
+    """Sample mean and standard error of integer counts, from their histogram
+    hist (hist[k] samples counted k).
 
     Both sums are exact before their one rounding, as math.fsum over the
     counts would make them: the total is an integer, and each squared
     deviation (k - mean) ** 2, rounded as a float, enters the variance sum
     as an exact dyadic fraction weighted by its frequency.
     """
-    n = counts.size
-    values, freq = np.unique(counts, return_counts=True)
-    values, freq = values.tolist(), freq.tolist()
+    values = np.flatnonzero(hist)
+    values, freq = values.tolist(), hist[values].tolist()
+    n = sum(freq)
     mean = sum(k * f for k, f in zip(values, freq)) / n
     if n > 1:
         ratios = [((k - mean) ** 2).as_integer_ratio() for k in values]
@@ -119,7 +120,9 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     Product-torus N uses the closed-form factor counts; everything else goes
     through the contour counter.  Samples flagged as coaxial, non-transversal
     or grid-unstable are discarded and replaced deterministically (the stream
-    index keeps advancing), with the discard rate capped at 1%.
+    index keeps advancing), with the discard rate capped at 1%.  The accepted
+    counts go into a running histogram chunk by chunk, so the memory of a
+    run is that of one chunk, whatever the number of samples.
     """
     if not isinstance(l_surface, ProductTorusSurface):
         raise InvalidInput("L must be a product torus")
@@ -128,7 +131,7 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
     analytic = isinstance(n_surface, ProductTorusSurface)
     problem = None if analytic else _CountingProblem(n_surface, l_surface, grid)
 
-    kept = []
+    hist = np.zeros(0, dtype=np.int64)  # hist[k]: accepted samples counted k
     accepted = 0
     discards = 0
     cursor = 0
@@ -144,14 +147,16 @@ def mc_expected_count(n_surface, l_surface: ProductTorusSurface, samples: int, s
             outcomes = problem.run_batch(r1, r2)
             counts = np.array([c for _, c, _, _ in outcomes])
             bad = np.array([status != "ok" for status, _, _, _ in outcomes])
-        kept.append(counts[~bad])
-        accepted += kept[-1].size
+        grown = np.bincount(counts[~bad], minlength=hist.size)
+        grown[:hist.size] += hist
+        hist = grown
+        accepted = int(hist.sum())
         discards += int(np.count_nonzero(bad))
         if discards > DISCARD_LIMIT * samples + 100:
             raise ExcessiveDiscards(f"{discards} discards against {samples} requested samples")
     if discards > DISCARD_LIMIT * samples:
         raise ExcessiveDiscards(f"{discards}/{samples} samples discarded")
-    mean, stderr = _mean_stderr(np.concatenate(kept))
+    mean, stderr = _mean_stderr(hist)
     return MonteCarloEstimate(mean, stderr, samples, discards)
 
 

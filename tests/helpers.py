@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from s2xs2.geometry import _dot, structure_pairing_batch
-from s2xs2.hamiltonian import _component_major, _field, _points, flow_points
+from s2xs2.hamiltonian import _component_major, _field, _points, _renormalize, flow_points
 from s2xs2.rotations import group_matrices, haar_matrices, haar_quaternions
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import (
@@ -196,7 +196,69 @@ def field_batch(H, X):
     """The Hamiltonian field X_H at ambient points X (..., 6), from the
     flow's own field on component-major rows."""
     X = _points(X)
-    return np.ascontiguousarray(_field(H, _component_major(X)).T).reshape(X.shape)
+    S = _component_major(X)
+    field = _field(H, S, np.empty_like(S), np.empty(S.shape[1:]))
+    return np.ascontiguousarray(field.T).reshape(X.shape)
+
+
+def _field_by_expressions(H, S):
+    """X_H at component-major points S, each cross-product row one numpy
+    expression with fresh temporaries."""
+    G = H.gradient(S.T).T
+    out = np.empty_like(S)
+    for k in (0, 3):
+        (g0, g1, g2), (x0, x1, x2) = G[k:k + 3], S[k:k + 3]
+        out[k] = g1 * x2 - g2 * x1
+        out[k + 1] = g2 * x0 - g0 * x2
+        out[k + 2] = g0 * x1 - g1 * x0
+    return out
+
+
+def flow_points_by_expressions(H, X, params):
+    """The component-major RK4 loop of hamiltonian.flow_points as it was
+    before its stages lived in per-flow buffers: every stage, stage point
+    and sum a fresh array.  The reference for flow_points."""
+    X = _points(X)
+    S = _renormalize(_component_major(X))
+    dt = params.dt
+    for _ in range(params.steps):
+        k1 = _field_by_expressions(H, S)
+        k2 = _field_by_expressions(H, _renormalize(S + (0.5 * dt) * k1))
+        k3 = _field_by_expressions(H, _renormalize(S + (0.5 * dt) * k2))
+        k4 = _field_by_expressions(H, _renormalize(S + dt * k3))
+        S = _renormalize(S + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.ascontiguousarray(S.T).reshape(X.shape)
+
+
+def mesh_points_by_expression(mesh, u, v):
+    """(6, ...) rows of a MeshSurface's renormalized bilinear interpolant at
+    (u, v), the four weighted corners summed as one numpy expression: the
+    reference for MeshSurface._component_points, which forms the same sum
+    in two buffers."""
+    u = np.asarray(u, dtype=float) / mesh.spacing
+    v = np.asarray(v, dtype=float) / mesh.spacing
+    u, v = np.broadcast_arrays(u, v)
+    i0 = np.floor(u).astype(int)
+    j0 = np.floor(v).astype(int)
+    fu = u - i0
+    fv = v - j0
+    m = mesh.m
+    i0 %= m
+    j0 %= m
+    i1 = (i0 + 1) % m
+    j1 = (j0 + 1) % m
+    i0 *= m
+    i1 *= m
+    rows = mesh._rows
+    pts = (
+        rows[:, i0 + j0] * (1 - fu) * (1 - fv)
+        + rows[:, i1 + j0] * fu * (1 - fv)
+        + rows[:, i0 + j1] * (1 - fu) * fv
+        + rows[:, i1 + j1] * fu * fv
+    )
+    pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
+    pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
+    return pts
 
 
 def in_cell(inv):

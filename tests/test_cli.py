@@ -91,7 +91,7 @@ class TestCommands:
         assert payload["verdict"] == "pass"
         assert abs(payload["lhs"] - 1 / 3) < 3 * payload["stderr"]
 
-    @pytest.mark.parametrize("n", [2, HAAR_CHUNK, 2 * HAAR_CHUNK + 7])
+    @pytest.mark.parametrize("n", [2, HAAR_CHUNK, 2 * HAAR_CHUNK + 7, 5 * HAAR_CHUNK + 3])
     def test_haar_stats_stream_matches_one_batch(self, capsys, n):
         code, out, _ = run_cli(capsys, "haar-stats", "--samples", str(n), "--seed", "8")
         assert code in (0, 1)
@@ -113,8 +113,45 @@ class TestCommands:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        # two (n,) columns plus the moments' temporaries; the (9, n) matrix array alone takes 72 bytes a sample
-        assert peak < 48 * n
+        # the two (n,) columns take 16 bytes a sample, and the moments are
+        # summed HAAR_CHUNK values at a time; the (9, n) matrix array alone
+        # takes 72 bytes a sample
+        assert peak < 20 * n
+
+    def test_haar_stats_refuses_columns_it_cannot_allocate(self):
+        # under a 4 GiB address-space limit the 16 GB of columns cannot be
+        # allocated, whatever the host's overcommit policy
+        n = 1_000_000_000
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                 "from s2xs2.cli import main\n"
+                 "raise SystemExit(main(sys.argv[1:]))\n")
+        src = Path(s2xs2.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child, "haar-stats", "--samples", str(n)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (f"error: --samples {n} needs {16 * n} bytes for its r11 and trace columns, "
+                               f"which cannot be allocated\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300_000), seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 12))
+    def test_pairwise_sum_is_numpy_sum_bitwise(self, n, seed, spread):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
+        ranges = []
+
+        def leaf(lo, hi):
+            ranges.append((lo, hi))
+            return values[lo:hi]
+
+        got = cli._pairwise_sum(leaf, 0, n)
+        assert float(got).hex() == float(np.add.reduce(values)).hex()
+        # the leaves tile [0, n) in order, none longer than HAAR_CHUNK
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]] and ranges[-1][1] == n
+        assert max(hi - lo for lo, hi in ranges) <= HAAR_CHUNK
 
     def test_sigma_table(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

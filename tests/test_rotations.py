@@ -103,7 +103,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert mats.shape == (count, 3, 3)
-        assert peak <= mats.nbytes + 8 * 2 ** 20
+        assert peak <= mats.nbytes + 2 * 2 ** 20
 
 
 class TestHaarMoments:

@@ -10,6 +10,7 @@ from helpers import (
     group_sample,
     kahler_angle,
     lagrangian_defect_by_frames,
+    mesh_points_by_expression,
     moved_surface,
     orthonormal_pairs,
     tangent_plane,
@@ -268,6 +269,24 @@ class TestMeshSurface:
             a = surf.points(0, i * h, j * h)
             b = great_torus().points(0, i * h, j * h)
             assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["random", "negative", "wrapping", "nodes", "broadcast", "scalar"])
+    def test_interpolant_matches_the_one_expression_bitwise(self, kind):
+        h4 = parse_hamiltonian("x1*x2 + 0.5*y1*y2*z2").polynomial()
+        mesh = deform_surface(h4, great_torus(), FlowParams.for_time(0.5), m=64)
+        rng = np.random.default_rng(5)
+        h = mesh.spacing
+        u, v = {
+            "random": lambda: rng.uniform(0.0, 2 * math.pi, (2, 37, 5)),
+            "negative": lambda: rng.uniform(-20.0, 0.0, (2, 300)),
+            "wrapping": lambda: rng.uniform(2 * math.pi - h, 4 * math.pi + h, (2, 300)),
+            "nodes": lambda: rng.integers(-64, 128, (2, 300)) * h,
+            "broadcast": lambda: (rng.uniform(-7.0, 7.0, (40, 1)), rng.uniform(-7.0, 7.0, (1, 9))),
+            "scalar": lambda: (float(rng.uniform(-7.0, 7.0)), 63 * h),
+        }[kind]()
+        got = mesh._component_points(u, v)
+        assert got.tobytes() == mesh_points_by_expression(mesh, u, v).tobytes()
+        assert got.shape == (6,) + np.broadcast_shapes(np.shape(u), np.shape(v))
 
     def test_io_roundtrip(self, tmp_path):
         surf = MeshSurface(lattice_points(latitude_torus(0.25, 0.75), 24))
