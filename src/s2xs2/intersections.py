@@ -33,20 +33,26 @@ CULL_BLOCK x CULL_BLOCK cells, and each block carries a bounding cap (unit
 centre, angular radius) of its N1 nodes and one of its N2 nodes.  Since f_i
 is linear in N_i, the cap bounds f_i over the block's nodes by an interval;
 a (sample, block) pair is evaluated only when both intervals, padded by
-CULL_MARGIN, contain zero.  The padding lies far above the rounding of the
-bound and of the node values, so a block is skipped only when every node
-value the counter would compute there has one sign for f1 or for f2, and no
-cell of it could carry the sign changes of both that a seed needs: the count
-is the one the dense grid gives.
+CULL_MARGIN, contain zero; L's offsets are fixed, so each cap's test is set
+up once as a band of <centre, a> (_band).  The padding lies far above the
+rounding of the bound and of the node values, so a block is skipped only
+when every node value the counter would compute there has one sign for f1
+or for f2, and no cell of it could carry the sign changes of both that a
+seed needs: the count is the one the dense grid gives.
 
 The culling is hierarchical.  The children of a level-m block are the
 level-2m blocks that tile it, and its super-cap holds their nodes, which
 include its own.  The level-m pairs are those whose super-caps straddle both
 circles (the second tested only where the first holds); the level-2m pairs
-are their children whose own caps do.  Pairs stay in (sample, block) order,
-so the seeds and every outcome are those of the per-block test on both
-grids.  Each Newton iteration evaluates the centre and its four
-finite-difference points in one call.
+are their children whose own caps do.  Only the level-2m pairs are
+evaluated, once per batch, and level m reads the values at their even
+nodes.  CULL_BLOCK must be even for that: each child then holds
+CULL_BLOCK / 2 whole level-m cells per side, so every level-m cell lies in
+one child, and a child left out has one sign for f1 or for f2 at every node,
+so it holds no level-m seed either.  Sorted back into (sample, block, cell,
+segment) order, the seeds of both levels, and every outcome, are those of
+the per-block test on each grid evaluated apart.  Each Newton iteration
+evaluates the centre and its four finite-difference points in one call.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ TRANSVERSALITY_MIN = 1e-8
 MIN_COUNT_GRID = 128
 CULL_BLOCK = 8            # cells per side of a culling block
 CULL_MARGIN = 1e-6        # padding of a block's value interval, far above its rounding
+BAND_ROUNDING = 1e-12     # widening of each end of a cap's band, far above its rounding
 GRAPH_COUNT_BAND = math.pi / 2 + 0.1  # per-chart seed band; the two bands cover the sphere
 
 
@@ -155,38 +162,43 @@ class _ChartGrid:
     CULL_BLOCK cells with their boundary nodes; the last block along each
     direction may be ragged, its node indices clamped to the grid and its
     missing cells masked out.  Each block carries, per factor, a bounding cap
-    of its nodes.
+    of its nodes; with keep_nodes, also the nodes, per factor component-major
+    (blocks, 3, (B+1)^2) with node (i, j) of a block at i (B+1) + j.
     """
 
-    def __init__(self, pts, u_nodes, v_nodes):
+    def __init__(self, pts, u_nodes, v_nodes, keep_nodes=True):
         m = len(u_nodes) - 1
         span = np.arange(0, m, CULL_BLOCK)[:, None] + np.arange(CULL_BLOCK + 1)
         side = np.minimum(span, m)                 # node indices along one block side
         cells = span[:, :-1] < m                   # real cells along one block side
         bu, bv = np.divmod(np.arange(len(span) ** 2), len(span))   # block row, column
-        block = pts[side[bu][:, :, None], side[bv][:, None, :]]
-        self.p1 = block[..., :3]                          # (blocks, B+1, B+1, 3)
-        self.p2 = block[..., 3:]
         self.u = u_nodes[side[bu]]                        # (blocks, B+1)
         self.v = v_nodes[side[bv]]
         self.cells = cells[bu][:, :, None] & cells[bv][:, None, :]   # (blocks, B, B)
         self.side = len(span)                             # blocks along each direction
-        self.cap1 = _cap(*_bounding_cap(self.p1))
-        self.cap2 = _cap(*_bounding_cap(self.p2))
+        index = (side[bu][:, :, None] * (m + 1) + side[bv][:, None, :]).reshape(len(bu), -1)
+        nodes = np.empty((2, len(bu), 3, index.shape[1]))
+        for k, plane in enumerate(np.moveaxis(pts, -1, 0)):   # "clip" writes straight to out
+            np.take(plane, index, out=nodes[k // 3, :, k % 3], mode="clip")
+        self.cap1, self.cap2 = map(_bounding_cap, nodes)
+        if keep_nodes:
+            self.nodes1, self.nodes2 = nodes
 
 
 class _BlockHierarchy:
     """One chart's grids at levels m and 2m, both read from one evaluation of
-    its level-2m nodes, with each level-m block's children.
+    its level-2m nodes, with each level-m block's children, culled against
+    the circles of offsets c1 and c2; only level 2m keeps its nodes.
 
     The children of a level-m block are the <= 4 level-2m blocks that tile
     its cells.  Per factor, the block's super-cap has the block's own cap
     centre and the largest, over the children, of the angle to the child's
-    centre plus the child's radius: it holds every node of the children,
-    and so every node of the block, since level-m nodes are level-2m nodes.
+    centre plus the child's radius: it holds every node of the children, and
+    so every node of the block.  Each super-cap and each level-2m cap is kept
+    as its band for its factor's offset (_band).
     """
 
-    def __init__(self, surface, chart: int, m: int):
+    def __init__(self, surface, chart: int, m: int, c1, c2):
         ch = surface.charts[chart]
         graph = isinstance(surface, GraphSurface)
         u_lo, u_hi = (0.0, GRAPH_COUNT_BAND) if graph else (ch.u_min, ch.u_max)
@@ -198,87 +210,126 @@ class _BlockHierarchy:
             pts[-1, :] = pts[0, :]
         if ch.periodic_v:
             pts[:, -1] = pts[:, 0]
-        self.coarse = coarse = _ChartGrid(pts[::2, ::2], u_nodes[::2], v_nodes[::2])
+        self.coarse = coarse = _ChartGrid(pts[::2, ::2], u_nodes[::2], v_nodes[::2], keep_nodes=False)
         self.fine = fine = _ChartGrid(pts, u_nodes, v_nodes)
         bu, bv = np.divmod(np.arange(coarse.side ** 2), coarse.side)
         cu = 2 * bu[:, None] + (0, 0, 1, 1)
         cv = 2 * bv[:, None] + (0, 1, 0, 1)
         self.real = (cu < fine.side) & (cv < fine.side)   # a ragged last block may have fewer
         self.children = np.where(self.real, cu * fine.side + cv, 0)        # (blocks, 4)
-        self.super1 = self._super_cap(coarse.cap1[0], fine.cap1)
-        self.super2 = self._super_cap(coarse.cap2[0], fine.cap2)
+        self.super1 = _band(self._super_cap(coarse.cap1[0], fine.cap1), c1)
+        self.super2 = _band(self._super_cap(coarse.cap2[0], fine.cap2), c2)
+        self.band1, self.band2 = _band(fine.cap1, c1), _band(fine.cap2, c2)
+        self.c1, self.c2 = c1, c2
 
     def _super_cap(self, centre, child_cap):
-        child_centre, cos_r, sin_r = child_cap
+        child_centre, child_radius = child_cap
         chord = np.linalg.norm(child_centre[self.children] - centre[:, None, :], axis=-1)
-        reach = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + np.arctan2(sin_r, cos_r)[self.children]
-        return _cap(centre, np.minimum(np.where(self.real, reach, 0.0).max(axis=1), math.pi))
+        reach = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + child_radius[self.children]
+        return centre, np.minimum(np.where(self.real, reach, 0.0).max(axis=1), math.pi)
 
-    def kept_blocks(self, a1, a2, c1, c2):
-        """((grid, samples, blocks) at level m, the same at level 2m): the
-        (sample, block) pairs that can hold a cell where both residuals
-        change sign, in (sample, block) order.
+    def kept_parents(self, a1, a2):
+        """(samples, blocks): the level-m pairs whose super-caps straddle both
+        circles, in (sample, block) order; the second is tested only where
+        the first holds."""
+        ks, kb = np.nonzero(_straddles(self.super1, a1))
+        keep = _straddles(self.super2, a2[ks], kb)
+        return ks[keep], kb[keep]
 
-        Level m keeps the pairs whose super-caps straddle both circles;
-        level 2m keeps the children of those pairs whose own caps do.
-        """
-        ks, kb = np.nonzero(_cap_straddles(self.super1, a1, c1))
-        keep = _cap_straddles(self.super2, a2[ks], c2, kb)
-        ks, kb = ks[keep], kb[keep]
+    def kept_blocks(self, a1, a2):
+        """(samples, blocks): the level-2m pairs that can hold a cell where
+        both residuals change sign, in (sample, block) order.  They are the
+        children of the kept level-m pairs whose own caps straddle both
+        circles."""
+        ks, kb = self.kept_parents(a1, a2)
         real = self.real[kb]
         fs = np.broadcast_to(ks[:, None], real.shape)[real]
         fb = self.children[kb][real]
-        keep = _cap_straddles(self.fine.cap1, a1[fs], c1, fb) & _cap_straddles(self.fine.cap2, a2[fs], c2, fb)
+        keep = _straddles(self.band1, a1[fs], fb) & _straddles(self.band2, a2[fs], fb)
         fs, fb = fs[keep], fb[keep]
         order = np.argsort(fs * self.fine.side ** 2 + fb)
-        return (self.coarse, ks, kb), (self.fine, fs[order], fb[order])
+        return fs[order], fb[order]
+
+    def seeds(self, a1, a2):
+        """((samples, u, v) at level m, the same at level 2m): the Newton
+        seeds of both levels, each in (sample, block, cell row, cell column,
+        segment) order, from one evaluation of the kept level-2m blocks;
+        level m's cells are those of the blocks' even nodes."""
+        fs, fb = self.kept_blocks(a1, a2)
+        grid = self.fine
+        f1 = _node_values(grid.nodes1[fb], a1[fs], self.c1)
+        f2 = _node_values(grid.nodes2[fb], a2[fs], self.c2)
+        cells, u, v = grid.cells[fb], grid.u[fb], grid.v[fb]
+        k, i, j, seeds_u, seeds_v = _seeds(f1[:, ::2, ::2], f2[:, ::2, ::2], cells[:, ::2, ::2],
+                                           u[:, ::2], v[:, ::2])
+        # level m's seeds in the order of its grid evaluated apart; the sort
+        # is stable, so each cell's segments stay in order
+        half = CULL_BLOCK // 2
+        bu, bv = np.divmod(fb[k], grid.side)
+        block = (bu // 2) * self.coarse.side + bv // 2
+        cell = ((bu % 2) * half + i) * CULL_BLOCK + (bv % 2) * half + j
+        samples = fs[k]
+        order = np.argsort((samples * self.coarse.side ** 2 + block) * CULL_BLOCK ** 2 + cell, kind="stable")
+        fine_k, _, _, fine_u, fine_v = _seeds(f1, f2, cells, u, v)
+        return (samples[order], seeds_u[order], seeds_v[order]), (fs[fine_k], fine_u, fine_v)
 
 
-def _bounding_cap(pts):
+def _bounding_cap(nodes):
     """(centre, r) of a spherical cap about each block's middle node that
-    holds every node of the block; pts is (blocks, B+1, B+1, 3).  The
-    angular radius r comes from the largest chord, which stays accurate for
-    small blocks."""
-    mid = pts.shape[1] // 2
-    centre = pts[:, mid, mid]
-    diff = pts - centre[:, None, None, :]
-    chord = np.sqrt(np.einsum("bijx,bijx->bij", diff, diff).max(axis=(1, 2)))
-    return centre, 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    holds every node of the block; nodes is (blocks, 3, (B+1)^2), and B is
+    even, so the middle node is the middle column.  The angular radius r
+    comes from the largest chord, which stays accurate for small blocks."""
+    centre = nodes[:, :, nodes.shape[2] // 2].copy()
+    square = 0.0
+    for x in range(3):
+        diff = nodes[:, x] - centre[:, x, None]
+        square = square + diff * diff
+    return centre, 2.0 * np.arcsin(np.minimum(0.5 * np.sqrt(square.max(axis=1)), 1.0))
 
 
-def _cap(centre, radius):
-    """A cap as _cap_straddles reads it: (centre, cos r, sin r)."""
-    return centre, np.cos(radius), np.sin(radius)
+def _band(cap, offset):
+    """A cap (centre, r) as _straddles reads it for the circles
+    {x : <x, a> = offset}: rows cx, cy, cz, lo, hi (5, blocks), such that the
+    cap straddles the circle of a iff d = <centre, a> lies in [lo, hi].
 
-
-def _cap_straddles(cap, axes, offset, blocks=None):
-    """Mask of the pairs of an axis row a and a block whose cap interval of
-    <x, a> holds offset: (S, blocks) over every pair, or (S,) when blocks
-    names one block per row.
-
-    With theta the angle from the cap centre to a, a node within angle r of
-    the centre has <x, a> in [cos(min(theta + r, pi)), cos(max(theta - r, 0))].
-    The interval is padded by CULL_MARGIN, well above its worst rounding
-    (sin theta = sqrt(1 - cos^2 theta) moves by up to ~6e-8 near the poles,
-    every other term by ~1e-15), so a block left out has every node value,
-    as _node_values computes it, of one sign.  Both forms take <centre, a>
-    in one order of terms, so they keep the same pairs.
+    With theta the angle from the centre to a, the cap's nodes have <x, a>
+    in [cos(min(theta + r, pi)), cos(max(theta - r, 0))].  That interval,
+    padded by M = CULL_MARGIN, holds offset iff d lies in
+    [cos(min(arccos(offset - M) + r, pi)), cos(max(arccos(offset + M) - r, 0))].
+    Each end is widened by BAND_ROUNDING, far above the rounding of d and of
+    the ends (a few ulp), so the test drops only pairs the exact test drops;
+    and M lies far above the rounding of the cap and of the node values
+    (~1e-15), so a block left out has every node value, as _node_values
+    computes it, of one sign.
     """
-    centre, cos_r, sin_r = cap
+    centre, radius = cap
+    lo = np.cos(np.minimum(np.arccos(np.clip(offset - CULL_MARGIN, -1.0, 1.0)) + radius, math.pi))
+    hi = np.cos(np.maximum(np.arccos(np.clip(offset + CULL_MARGIN, -1.0, 1.0)) - radius, 0.0))
+    return np.vstack([centre.T, lo - BAND_ROUNDING, hi + BAND_ROUNDING])
+
+
+def _straddles(band, axes, blocks=None):
+    """Mask of the pairs of an axis row a and a block whose band holds
+    <centre, a>: (S, blocks) over every pair, or (S,) when blocks names one
+    block per row.  Both forms take <centre, a> in one order of terms."""
     if blocks is None:
-        axes, centre = axes[:, None, :], centre[None, :, :]
+        axes = axes[:, :, None]
     else:
-        centre, cos_r, sin_r = centre[blocks], cos_r[blocks], sin_r[blocks]
-    d = axes[..., 0] * centre[..., 0] + axes[..., 1] * centre[..., 1] + axes[..., 2] * centre[..., 2]
-    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
-    hi = np.where(d < cos_r, d * cos_r + e * sin_r, 1.0)
-    lo = np.where(d > -cos_r, d * cos_r - e * sin_r, -1.0)
-    return (lo - CULL_MARGIN <= offset) & (offset <= hi + CULL_MARGIN)
+        band = band[:, blocks]
+    cx, cy, cz, lo, hi = band
+    d = axes[:, 0] * cx + axes[:, 1] * cy + axes[:, 2] * cz
+    return (lo <= d) & (d <= hi)
 
 
-def _node_values(pts, axes, offset):
-    """Residuals <x, a> - offset at block nodes pts (K, B+1, B+1, 3), one axis row a per block."""
-    return np.einsum("kijx,kx->kij", pts, axes) - offset
+def _node_values(nodes, axes, offset):
+    """Residuals <x, a> - offset (K, B+1, B+1) at block nodes (K, 3, (B+1)^2),
+    one axis row a per block.  The terms are added in the order np.einsum
+    adds a three-term contraction, (x0 a0 + x2 a2) + x1 a1, so the values
+    are bitwise those of the point-major einsum."""
+    x, y, z = nodes.transpose(1, 0, 2)
+    f = (x * axes[:, 0, None] + z * axes[:, 2, None]) + y * axes[:, 1, None]
+    f -= offset
+    return f.reshape(len(nodes), CULL_BLOCK + 1, CULL_BLOCK + 1)
 
 
 def _sign_change_cells(f):
@@ -326,19 +377,19 @@ def _cell_seeds(f1c, f2c, cu, cv):
     return cell, u0 + t * (eu[cell, e1] - u0), v0 + t * (ev[cell, e1] - v0)
 
 
-def _block_seeds(grid, ks, kb, a1, a2, c1, c2):
-    """(sample, u, v) of the Newton seeds in the kept (sample, block) pairs
-    ks, kb of one grid level, in pair order."""
-    f1 = _node_values(grid.p1[kb], a1[ks], c1)
-    f2 = _node_values(grid.p2[kb], a2[ks], c2)
-    k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])
+def _seeds(f1, f2, cells, u, v):
+    """(block row, cell row, cell column, u, v) of the Newton seeds in K
+    blocks, from their node values f1, f2 (K, n+1, n+1), cell mask (K, n, n)
+    and node parameters u, v (K, n+1); in (block row, cell row, cell column,
+    segment) order."""
+    k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & cells)
     corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
     cell, seeds_u, seeds_v = _cell_seeds(
         corners(f1), corners(f2),
-        np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
-        np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
+        np.stack([u[k, i + di] for di, _ in _CORNER_OFFSETS], axis=1),
+        np.stack([v[k, j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
     )
-    return ks[k[cell]], seeds_u, seeds_v
+    return k[cell], i[cell], j[cell], seeds_u, seeds_v
 
 
 def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
@@ -419,7 +470,13 @@ class _CountingProblem:
             raise InvalidInput(f"counting grid m must be >= {MIN_COUNT_GRID}, got {m}")
         self.n_surface = n_surface
         self.l_surface = l_surface
-        self.hierarchies = [_BlockHierarchy(n_surface, chart, m) for chart in range(len(n_surface.charts))]
+        c1, c2 = l_surface.circle1.offset, l_surface.circle2.offset
+        try:
+            self.hierarchies = [_BlockHierarchy(n_surface, chart, m, c1, c2)
+                                for chart in range(len(n_surface.charts))]
+        except MemoryError:
+            raise InvalidInput(f"counting grid m = {m} needs over {48 * (2 * m + 1) ** 2} bytes per chart "
+                               f"for its (2m + 1)^2 nodes, which cannot be allocated") from None
 
     def run_batch(self, r1, r2):
         """Per-sample outcomes over a batch of group samples.
@@ -437,8 +494,7 @@ class _CountingProblem:
         failed = np.zeros(2 * S, dtype=bool)
         roots = []   # each chart's converged seeds: owner, points, min(sigma_min, trans), trans
         for h in self.hierarchies:
-            levels = [_block_seeds(grid, ks, kb, a1, a2, c1, c2)
-                      for grid, ks, kb in h.kept_blocks(a1, a2, c1, c2)]
+            levels = h.seeds(a1, a2)
             sidx, U, V = map(np.concatenate, zip(*levels))
             owner = np.concatenate([levels[0][0], S + levels[1][0]])
             A1, A2 = a1[sidx], a2[sidx]

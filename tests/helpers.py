@@ -13,6 +13,14 @@ from scipy import integrate
 
 from s2xs2.geometry import _dot, structure_pairing_batch
 from s2xs2.hamiltonian import _component_major, _field, _points, _renormalize, flow_points
+from s2xs2.intersections import (
+    _CORNER_OFFSETS,
+    CULL_BLOCK,
+    CULL_MARGIN,
+    GRAPH_COUNT_BAND,
+    _cell_seeds,
+    _sign_change_cells,
+)
 from s2xs2.rotations import group_matrices, haar_matrices, haar_quaternions
 from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import (
@@ -504,3 +512,103 @@ def perimeter_integral_by_frames(surface, m):
         per, _ = perimeters_by_frames(block)
         total.append(float(np.sum(block["measure"] * per)))
     return math.fsum(total)
+
+
+def chart_node_grid(surface, chart, n):
+    """(pts (n + 1, n + 1, 6), u_nodes, v_nodes): a chart's points on n + 1
+    nodes per direction, with the periodic wrap, as the contour counter
+    evaluates them."""
+    ch = surface.charts[chart]
+    u_lo, u_hi = (0.0, GRAPH_COUNT_BAND) if isinstance(surface, GraphSurface) else (ch.u_min, ch.u_max)
+    u_nodes, v_nodes = np.linspace(u_lo, u_hi, n + 1), np.linspace(ch.v_min, ch.v_max, n + 1)
+    pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
+    if ch.periodic_u:
+        pts[-1, :] = pts[0, :]
+    if ch.periodic_v:
+        pts[:, -1] = pts[:, 0]
+    return pts, u_nodes, v_nodes
+
+
+class ReferenceChartGrid:
+    """One level's block grid as the two-pass contour counter built it: per
+    factor, point-major block nodes p1, p2 (blocks, B+1, B+1, 3) and caps
+    (centre, cos r, sin r), beside the node parameters u, v and the cell
+    mask of intersections._ChartGrid."""
+
+    def __init__(self, pts, u_nodes, v_nodes):
+        m = len(u_nodes) - 1
+        span = np.arange(0, m, CULL_BLOCK)[:, None] + np.arange(CULL_BLOCK + 1)
+        side = np.minimum(span, m)
+        cells = span[:, :-1] < m
+        bu, bv = np.divmod(np.arange(len(span) ** 2), len(span))
+        block = pts[side[bu][:, :, None], side[bv][:, None, :]]
+        self.p1 = block[..., :3]
+        self.p2 = block[..., 3:]
+        self.u = u_nodes[side[bu]]
+        self.v = v_nodes[side[bv]]
+        self.cells = cells[bu][:, :, None] & cells[bv][:, None, :]
+        self.cap1 = bounding_cap_by_sines(self.p1)
+        self.cap2 = bounding_cap_by_sines(self.p2)
+
+
+def bounding_cap_by_sines(pts):
+    """(centre, cos r, sin r) of the cap about each block's middle node that
+    holds its nodes pts (blocks, B+1, B+1, 3), r from the largest chord."""
+    mid = pts.shape[1] // 2
+    centre = pts[:, mid, mid]
+    diff = pts - centre[:, None, None, :]
+    chord = np.sqrt(np.einsum("bijx,bijx->bij", diff, diff).max(axis=(1, 2)))
+    radius = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    return centre, np.cos(radius), np.sin(radius)
+
+
+def cap_straddles_by_sines(cap, axes, offset, blocks=None):
+    """Mask of the pairs of an axis row a and a block whose cap interval of
+    <x, a>, padded by CULL_MARGIN, holds offset: (S, blocks) over every
+    pair, or (S,) when blocks names one block per row.  The interval is
+    [cos(min(theta + r, pi)), cos(max(theta - r, 0))] for theta the angle
+    from the cap centre to a, expanded by the angle-sum formulas."""
+    centre, cos_r, sin_r = cap
+    if blocks is None:
+        axes, centre = axes[:, None, :], centre[None, :, :]
+    else:
+        centre, cos_r, sin_r = centre[blocks], cos_r[blocks], sin_r[blocks]
+    d = axes[..., 0] * centre[..., 0] + axes[..., 1] * centre[..., 1] + axes[..., 2] * centre[..., 2]
+    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
+    hi = np.where(d < cos_r, d * cos_r + e * sin_r, 1.0)
+    lo = np.where(d > -cos_r, d * cos_r - e * sin_r, -1.0)
+    return (lo - CULL_MARGIN <= offset) & (offset <= hi + CULL_MARGIN)
+
+
+def node_values_by_einsum(pts, axes, offset):
+    """Residuals <x, a> - offset at point-major block nodes pts (K, B+1, B+1, 3),
+    one axis row a per block."""
+    return np.einsum("kijx,kx->kij", pts, axes) - offset
+
+
+def block_seeds_by_levels(grid, ks, kb, a1, a2, c1, c2):
+    """(sample, u, v) of the Newton seeds in the (sample, block) pairs ks, kb
+    of one ReferenceChartGrid, in pair order, from that level's own node
+    values."""
+    f1 = node_values_by_einsum(grid.p1[kb], a1[ks], c1)
+    f2 = node_values_by_einsum(grid.p2[kb], a2[ks], c2)
+    k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & grid.cells[kb])
+    corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
+    cell, seeds_u, seeds_v = _cell_seeds(
+        corners(f1), corners(f2),
+        np.stack([grid.u[kb[k], i + di] for di, _ in _CORNER_OFFSETS], axis=1),
+        np.stack([grid.v[kb[k], j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
+    )
+    return ks[k[cell]], seeds_u, seeds_v
+
+
+def two_pass_seeds(grids, a1, a2, c1, c2):
+    """Per level, (sample, u, v) of the seeds of the two-pass counter on the
+    ReferenceChartGrids of levels m and 2m: each level culled by its own
+    per-block cap test and evaluated on its own nodes."""
+    levels = []
+    for grid in grids:
+        kept = cap_straddles_by_sines(grid.cap1, a1, c1) & cap_straddles_by_sines(grid.cap2, a2, c2)
+        ks, kb = np.nonzero(kept)
+        levels.append(block_seeds_by_levels(grid, ks, kb, a1, a2, c1, c2))
+    return levels

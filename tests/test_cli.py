@@ -43,6 +43,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli_under_4_gib(*argv):
+    """The command line run in a child process whose address space is
+    limited to 4 GiB, so an allocation past it fails whatever the host's
+    overcommit policy."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+             "from s2xs2.cli import main\n"
+             "raise SystemExit(main(sys.argv[1:]))\n")
+    src = Path(s2xs2.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def normalize_runtime(text):
     return re.sub(r'"runtime_ms":[0-9.e+-]+', '"runtime_ms":0', text)
 
@@ -119,22 +134,27 @@ class TestCommands:
         assert peak < 20 * n
 
     def test_haar_stats_refuses_columns_it_cannot_allocate(self):
-        # under a 4 GiB address-space limit the 16 GB of columns cannot be
-        # allocated, whatever the host's overcommit policy
+        # the 16 GB of columns exceed the child's address-space limit
         n = 1_000_000_000
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
-                 "from s2xs2.cli import main\n"
-                 "raise SystemExit(main(sys.argv[1:]))\n")
-        src = Path(s2xs2.__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", child, "haar-stats", "--samples", str(n)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_cli_under_4_gib("haar-stats", "--samples", str(n))
         assert done.returncode == 2, done.stderr
         assert done.stdout == ""
         assert done.stderr == (f"error: --samples {n} needs {16 * n} bytes for its r11 and trace columns, "
                                f"which cannot be allocated\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "anti-diagonal", "great-torus", "--seed", "3"],
+        ["verify-poincare", "--surface", "anti-diagonal", "--samples", "1000", "--seed", "1"],
+    ], ids=["count", "verify-poincare"])
+    def test_a_counting_grid_it_cannot_allocate_is_a_usage_error(self, argv):
+        # the node grid alone takes 1.75 TiB
+        m = 100_000
+        done = run_cli_under_4_gib(*argv, "--grid", str(m))
+        need = 48 * (2 * m + 1) ** 2
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (f"error: counting grid m = {m} needs over {need} bytes per chart "
+                               f"for its (2m + 1)^2 nodes, which cannot be allocated\n")
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300_000), seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 12))

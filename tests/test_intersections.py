@@ -7,22 +7,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import moved_circle, moved_surface, transversality_by_frames
+from helpers import (
+    ReferenceChartGrid,
+    chart_node_grid,
+    moved_circle,
+    moved_surface,
+    transversality_by_frames,
+    two_pass_seeds,
+)
 from s2xs2 import intersections
 from s2xs2.expressions import parse_hamiltonian
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
     _CORNER_OFFSETS,
     _EDGES,
+    CULL_BLOCK,
     DEDUP_RADIUS,
-    GRAPH_COUNT_BAND,
+    _band,
     _BlockHierarchy,
-    _cap_straddles,
     _cell_seeds,
     _ChartGrid,
     _CountingProblem,
     _dedup,
     _node_values,
+    _straddles,
     counts_product_batch,
     transversality_product_batch,
 )
@@ -529,24 +537,39 @@ class TestDedup:
         assert _dedup(owner, points).tolist() == expected
 
 
+CULL_SURFACES = {"anti-diagonal": anti_diagonal, "latitude": lambda: latitude_torus(0.3, -0.6), "mesh": chain_mesh}
+
+
+@functools.lru_cache(maxsize=None)
+def cull_surface(kind):
+    return CULL_SURFACES[kind]()
+
+
 @functools.lru_cache(maxsize=None)
 def cull_hierarchy(kind, chart, m):
-    surface = {"anti-diagonal": anti_diagonal(), "latitude": latitude_torus(0.3, -0.6)}[kind]
-    return _BlockHierarchy(surface, chart, m)
+    """The hierarchy culled against great circles; its grids do not depend on the offsets."""
+    return _BlockHierarchy(cull_surface(kind), chart, m, 0.0, 0.0)
 
 
 def cull_grid(kind, chart, m):
     return cull_hierarchy(kind, chart, m).coarse
 
 
-def one_sign(pts, axes, offset):
-    """(K,) mask: the residual <x, a> - offset has one sign over the nodes
-    pts (K, ..., 3) of each row, a the row of axes (K, 3)."""
-    positive = np.einsum("knx,kx->kn", pts.reshape(len(pts), -1, 3), axes) - offset > 0.0
+def one_sign(nodes, axes, offset):
+    """(K,) mask: the residual <x, a> - offset has one sign over the
+    component-major nodes (K, 3, n) of each row, a the row of axes (K, 3)."""
+    positive = np.einsum("kxn,kx->kn", nodes, axes) - offset > 0.0
     return positive.all(axis=1) | ~positive.any(axis=1)
 
 
+def pair_set(samples, blocks):
+    return set(zip(samples.tolist(), blocks.tolist()))
+
+
 unit_vectors = st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(lambda v: 0.1 < np.linalg.norm(v))
+# offsets of L's circles, with tiny circles near either pole among them
+offsets = st.one_of(st.floats(-0.999, 0.999), st.floats(0.999, 1.0, exclude_max=True),
+                    st.floats(-1.0, -0.999, exclude_min=True))
 
 
 class TestBlockCulling:
@@ -554,7 +577,7 @@ class TestBlockCulling:
         for m in (128, 130):
             grid = cull_grid("latitude", 0, m)
             assert grid.cells.sum() == m * m
-            shape = grid.p1.shape[:3]
+            shape = (len(grid.u), grid.u.shape[1], grid.v.shape[1])
             nodes = set(zip(np.broadcast_to(grid.u[:, :, None], shape).ravel(),
                             np.broadcast_to(grid.v[:, None, :], shape).ravel()))
             assert len(nodes) == (m + 1) ** 2
@@ -562,7 +585,7 @@ class TestBlockCulling:
     def test_most_blocks_are_culled(self):
         grid = cull_grid("anti-diagonal", 0, 128)
         r1, _ = group_matrices(3, 0, 64)
-        kept = _cap_straddles(grid.cap1, r1 @ [0.0, 0.0, 1.0], 0.0)
+        kept = _straddles(_band(grid.cap1, 0.0), r1 @ [0.0, 0.0, 1.0])
         assert kept.mean() < 0.35
 
     @settings(max_examples=300)
@@ -573,73 +596,77 @@ class TestBlockCulling:
            at_extreme=st.booleans(), nudge=st.floats(-1e-5, 1e-5))
     def test_culled_blocks_have_one_sign(self, kind, chart, m, factor, block, axis,
                                          toward_centre, offset, at_extreme, nudge):
-        grid = cull_grid(kind, chart if kind == "anti-diagonal" else 0, m)
+        grid = cull_hierarchy(kind, chart if kind == "anti-diagonal" else 0, m).fine
         b = block % len(grid.cells)
-        pts = (grid.p1, grid.p2)[factor][b:b + 1]
-        centre, cos_r, sin_r = (grid.cap1, grid.cap2)[factor]
-        cap = (centre[b:b + 1], cos_r[b:b + 1], sin_r[b:b + 1])
+        nodes = (grid.nodes1, grid.nodes2)[factor][b:b + 1]
+        centre, radius = (grid.cap1, grid.cap2)[factor]
         # pull the axis toward the cap centre to reach the small-angle case
         a = (1.0 - toward_centre) * np.asarray(axis) / np.linalg.norm(axis) + toward_centre * centre[b]
         a = (a / np.linalg.norm(a))[None, :]
         if at_extreme:
             # an offset beside the block's extreme node value
-            values = _node_values(pts, a, 0.0)
+            values = _node_values(nodes, a, 0.0)
             offset = float(values.max() if offset > 0 else values.min()) + nudge
-        (kept,), = _cap_straddles(cap, a, offset)
+        (kept,), = _straddles(_band((centre[b:b + 1], radius[b:b + 1]), offset), a)
         if not kept:
-            positive = _node_values(pts, a, offset) > 0.0
+            positive = _node_values(nodes, a, offset) > 0.0
             assert positive.all() or not positive.any()
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["anti-diagonal", "latitude"]), chart=st.integers(0, 1),
            m=st.sampled_from([128, 130, 133]), seed=st.integers(0, 2 ** 32 - 1),
-           offsets=st.tuples(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)),
-           at_extreme=st.booleans(), block=st.integers(0, 10 ** 6), nudge=st.floats(-1e-5, 1e-5))
+           offsets=st.tuples(offsets, offsets), at_extreme=st.booleans(),
+           block=st.integers(0, 10 ** 6), nudge=st.floats(-1e-5, 1e-5))
     def test_hierarchy_drops_only_one_signed_pairs(self, kind, chart, m, seed, offsets,
                                                    at_extreme, block, nudge):
-        h = cull_hierarchy(kind, chart if kind == "anti-diagonal" else 0, m)
-        coarse, fine = h.coarse, h.fine
+        chart = chart if kind == "anti-diagonal" else 0
+        fine = cull_hierarchy(kind, chart, m).fine
         r1, r2 = group_matrices(seed, 0, 4)
         a1, a2 = r1[:, :, 2], r2[:, :, 2]
         c1, c2 = offsets
-        # the nodes of each level-m block and of its children (a missing
-        # child of a ragged block repeats the first one)
-        children = np.where(h.real, h.children, h.children[:, :1])
-        nodes1 = np.concatenate([coarse.p1.reshape(len(children), -1, 3),
-                                 fine.p1[children].reshape(len(children), -1, 3)], axis=1)
-        nodes2 = np.concatenate([coarse.p2.reshape(len(children), -1, 3),
-                                 fine.p2[children].reshape(len(children), -1, 3)], axis=1)
         if at_extreme:
-            # offsets beside the extreme node values of one block's tree for sample 0
-            b = block % len(children)
-            f1, f2 = nodes1[b] @ a1[0], nodes2[b] @ a2[0]
+            # offsets beside the extreme node values of one level-2m block for sample 0
+            b = block % len(fine.cells)
+            f1, f2 = a1[0] @ fine.nodes1[b], a2[0] @ fine.nodes2[b]
             c1 = float(f1.max() if c1 > 0 else f1.min()) + nudge
             c2 = float(f2.max() if c2 > 0 else f2.min()) + nudge
-        (_, ks, kb), (_, fs, fb) = h.kept_blocks(a1, a2, c1, c2)
+        h = _BlockHierarchy(cull_surface(kind), chart, m, c1, c2)
+        coarse, fine = h.coarse, h.fine
+        ks, kb = h.kept_parents(a1, a2)
+        fs, fb = h.kept_blocks(a1, a2)
         # the pairs the flat per-block test keeps are kept at both levels
-        for grid, s, b in ((coarse, ks, kb), (fine, fs, fb)):
-            flat = _cap_straddles(grid.cap1, a1, c1) & _cap_straddles(grid.cap2, a2, c2)
-            assert set(zip(*np.nonzero(flat))) <= set(zip(s.tolist(), b.tolist()))
+        for grid, kept in ((coarse, pair_set(ks, kb)), (fine, pair_set(fs, fb))):
+            flat = _straddles(_band(grid.cap1, c1), a1) & _straddles(_band(grid.cap2, c2), a2)
+            assert set(zip(*np.nonzero(flat))) <= kept
         # a dropped (sample, level-m block) pair has one sign for f1 or for f2
-        # over every node of the block and of its children
+        # over every node of the block's children, which hold the block's own
+        # (a missing child of a ragged block repeats the first one)
+        children = np.where(h.real, h.children, h.children[:, :1])
+        tree = lambda nodes: nodes[children].transpose(0, 2, 1, 3).reshape(len(children), 3, -1)
+        nodes1, nodes2 = tree(fine.nodes1), tree(fine.nodes2)
         dropped = np.ones((4, len(children)), dtype=bool)
         dropped[ks, kb] = False
         ds, db = np.nonzero(dropped)
         assert (one_sign(nodes1[db], a1[ds], c1) | one_sign(nodes2[db], a2[ds], c2)).all()
+        # so does a dropped (sample, level-2m block) pair over its block's nodes
+        dropped = np.ones((4, len(fine.cells)), dtype=bool)
+        dropped[fs, fb] = False
+        ds, db = np.nonzero(dropped)
+        assert (one_sign(fine.nodes1[db], a1[ds], c1) | one_sign(fine.nodes2[db], a2[ds], c2)).all()
 
 
 def direct_grid(surface, chart, m):
     """The level-m grid evaluated on its own m + 1 nodes per direction, with
     the periodic wrap, as a counter that evaluates each level apart builds it."""
-    ch = surface.charts[chart]
-    u_lo, u_hi = (0.0, GRAPH_COUNT_BAND) if isinstance(surface, GraphSurface) else (ch.u_min, ch.u_max)
-    u_nodes, v_nodes = np.linspace(u_lo, u_hi, m + 1), np.linspace(ch.v_min, ch.v_max, m + 1)
-    pts = surface.points(chart, u_nodes[:, None], v_nodes[None, :])
-    if ch.periodic_u:
-        pts[-1, :] = pts[0, :]
-    if ch.periodic_v:
-        pts[:, -1] = pts[:, 0]
-    return _ChartGrid(pts, u_nodes, v_nodes)
+    return _ChartGrid(*chart_node_grid(surface, chart, m))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_grids(kind, chart, m):
+    """The ReferenceChartGrids of levels m and 2m, from one level-2m evaluation."""
+    pts, u_nodes, v_nodes = chart_node_grid(cull_surface(kind), chart, 2 * m)
+    return (ReferenceChartGrid(pts[::2, ::2], u_nodes[::2], v_nodes[::2]),
+            ReferenceChartGrid(pts, u_nodes, v_nodes))
 
 
 ONE_GRID_SURFACES = [
@@ -654,13 +681,47 @@ class TestOneGridOnePass:
     @pytest.mark.parametrize("m", [128, 133])
     def test_level_m_nodes_are_the_even_nodes_of_level_2m(self, surface, m):
         surface = surface()
+        half = CULL_BLOCK // 2
         for chart in range(len(surface.charts)):
-            coarse = _BlockHierarchy(surface, chart, m).coarse
+            h = _BlockHierarchy(surface, chart, m, 0.0, 0.0)
+            coarse, fine = h.coarse, h.fine
             direct = direct_grid(surface, chart, m)
-            for name in ("p1", "p2", "u", "v", "cells"):
+            assert not hasattr(coarse, "nodes1") and not hasattr(coarse, "nodes2")
+            for name in ("u", "v", "cells"):
                 assert getattr(coarse, name).tobytes() == getattr(direct, name).tobytes(), name
             for got, want in zip(coarse.cap1 + coarse.cap2, direct.cap1 + direct.cap2):
                 assert got.tobytes() == want.tobytes()
+            # each real child's even nodes are the nodes of its quarter of
+            # the level-m block, and their residuals are the direct grid's
+            shape = (3, CULL_BLOCK + 1, CULL_BLOCK + 1)
+            a = np.array([0.48, -0.6, 0.64])
+            for b, (real, children) in enumerate(zip(h.real, h.children)):
+                for q in np.nonzero(real)[0]:
+                    du, dv = divmod(q, 2)
+                    quarter = np.s_[:, du * half:du * half + half + 1, dv * half:dv * half + half + 1]
+                    for got, want in ((fine.nodes1, direct.nodes1), (fine.nodes2, direct.nodes2)):
+                        even = got[children[q]].reshape(shape)[:, ::2, ::2]
+                        assert even.tobytes() == want[b].reshape(shape)[quarter].tobytes()
+                        values = _node_values(got[children[q]][None], a[None], 0.1)[:, ::2, ::2]
+                        direct_values = _node_values(want[b][None], a[None], 0.1)[(0, *quarter[1:])]
+                        assert values[0].tobytes() == direct_values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(CULL_SURFACES)), chart=st.integers(0, 1),
+           m=st.sampled_from([128, 130, 133]), seed=st.integers(0, 2 ** 32 - 1),
+           offsets=st.tuples(offsets, offsets))
+    @example(kind="anti-diagonal", chart=1, m=133, seed=1640, offsets=(0.3, -0.5))
+    @example(kind="mesh", chart=0, m=128, seed=1605, offsets=(0.0, 0.0))
+    def test_one_pass_seeds_equal_the_two_pass_reference(self, kind, chart, m, seed, offsets):
+        chart %= len(cull_surface(kind).charts)
+        c1, c2 = offsets
+        r1, r2 = group_matrices(seed, 0, 8)
+        a1, a2 = r1[:, :, 2], r2[:, :, 2]
+        h = _BlockHierarchy(cull_surface(kind), chart, m, c1, c2)
+        want = two_pass_seeds(reference_grids(kind, chart, m), a1, a2, c1, c2)
+        for got_level, want_level in zip(h.seeds(a1, a2), want):
+            for g, w in zip(got_level, want_level):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
     def test_one_grid_evaluation_per_chart(self, surface, monkeypatch):
