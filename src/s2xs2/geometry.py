@@ -31,7 +31,7 @@ from .errors import InvalidInput
 STRUCTURES = ("J", "J'")
 
 
-def plane_area(a, b):
+def plane_area(a, b, out=None):
     """Area element |a ^ b| = sqrt(EG - F^2) of (..., 6) spanning-row pairs,
     and their degenerate mask.
 
@@ -39,13 +39,14 @@ def plane_area(a, b):
     their angle, |a ^ b| / (|a| |b|), is below 1e-12, in terms of E = |a|^2,
     G = |b|^2 and the area.  EG - F^2 cancels as the square of that sine, so
     a sine below about 1e-8 is not resolved and the mask there follows the
-    rounding of F.
+    rounding of F.  The area is written to out when it is given.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     E, F, G = _dot(a, a), _dot(a, b), _dot(b, b)
-    area = np.sqrt(np.maximum(E * G - F * F, 0.0))
-    degenerate = (E < 1e-28) | (G < 1e-28) | (area < 1e-12 * np.sqrt(E * G))
+    EG = E * G
+    area = np.sqrt(np.maximum(EG - F * F, 0.0), out=out)
+    degenerate = (E < 1e-28) | (G < 1e-28) | (area < 1e-12 * np.sqrt(EG))
     return area, degenerate
 
 
@@ -75,8 +76,11 @@ def structure_pairing_batch(structure, points, a, b):
     points = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _cross_dot(points[..., :3], a[..., :3], b[..., :3], negate=False) \
-        + _cross_dot(points[..., 3:], a[..., 3:], b[..., 3:], negate=structure == "J'")
+    if not points.shape == a.shape == b.shape:   # _cross_dot works in place
+        points, a, b = np.broadcast_arrays(points, a, b)
+    pairing = _cross_dot(points[..., :3], a[..., :3], b[..., :3], negate=False)
+    pairing += _cross_dot(points[..., 3:], a[..., 3:], b[..., 3:], negate=structure == "J'")
+    return pairing
 
 
 def _cross_dot(p, a, b, negate):
@@ -84,13 +88,26 @@ def _cross_dot(p, a, b, negate):
 
     The products and the order of the sum are those of np.cross followed by
     np.sum over the last axis, which adds from +0.0, so the rows agree with
-    that form bitwise, signed zeros included, without its temporaries.
+    that form bitwise, signed zeros included, without its temporaries: each
+    term is formed in place in the array of its first product.
     """
     p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    t0 = (p1 * a2 - p2 * a1) * b[..., 0]
-    t1 = (p2 * a0 - p0 * a2) * b[..., 1]
-    t2 = (p0 * a1 - p1 * a0) * b[..., 2]
+    t0 = p1 * a2
+    t0 -= p2 * a1
+    t0 *= b[..., 0]
+    t1 = p2 * a0
+    t1 -= p0 * a2
+    t1 *= b[..., 1]
+    t2 = p0 * a1
+    t2 -= p1 * a0
+    t2 *= b[..., 2]
     if negate:
-        return 0.0 - t0 - t1 - t2
-    return 0.0 + t0 + t1 + t2
+        t0 = 0.0 - t0
+        t0 -= t1
+        t0 -= t2
+    else:
+        t0 += 0.0
+        t0 += t1
+        t0 += t2
+    return t0

@@ -105,39 +105,58 @@ def ellipse_perimeter_batch(a, b):
     InvalidInput; negative ones raise NegativeAxis.  The AGM stops after the
     first iteration at which every gap c is at most 2^-53 x; the later
     iterations of the fixed 16 that bound it change no bit of the result
-    (the test suite keeps that loop as the reference).
+    (the test suite keeps that loop as the reference).  The passes work in
+    place on the larger and smaller semiaxis, which the checks read too:
+    the ratio of the two is formed once, and the AGM starts from x = 1.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidInput("semiaxes must be finite")
-    if np.any(a < 0) or np.any(b < 0):
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    big = np.maximum(a, b).reshape(-1)
+    small = np.minimum(a, b).reshape(-1)
+    # one test passes every finite, nonnegative pair; a failure is then named
+    if not ((small >= 0.0).all() and (big < np.inf).all()):
+        if not (np.isfinite(big).all() and np.isfinite(small).all()):
+            raise InvalidInput("semiaxes must be finite")
         raise NegativeAxis("semiaxes must be nonnegative")
-    big = np.maximum(a, b)
-    small = np.minimum(a, b)
-    safe_big = np.where(big > 0, big, 1.0)
     # the AGM loses accuracy for a near-segment; the limit there is exact, and
-    # the AGM runs a circle in its place, which is settled at once
-    degenerate = small / safe_big < DEGENERATE_AXIS
-    m = np.where(degenerate, 0.0, 1.0 - (small / safe_big) ** 2)
-    x = np.ones_like(m)
-    y = np.sqrt(1.0 - m)
-    S = 0.5 * m
-    p = 1.0
+    # the AGM runs a circle (ratio 1) in its place, which is settled at once.
+    # Both semiaxes 0 give the ratio nan, which the negated test counts in.
+    with np.errstate(invalid="ignore"):
+        m = np.divide(small, big, out=small)
+    degenerate = ~(m >= DEGENERATE_AXIS)
+    np.copyto(m, 1.0, where=degenerate)
+    m *= m
+    np.subtract(1.0, m, out=m)           # m = 1 - ratio^2
+    y = np.subtract(1.0, m)
+    np.sqrt(y, out=y)
+    S = np.multiply(m, 0.5, out=m)
+    x, c, p = 1.0, np.empty_like(y), 1.0
     # quadratic convergence: 16 iterations cover the admissible range
     for _ in range(16):
-        c = 0.5 * (x - y)
-        x, y = 0.5 * (x + y), np.sqrt(x * y)
-        S += p * (c * c)
+        np.subtract(x, y, out=c)
+        c *= 0.5
+        xy = x * y
+        x += y
+        x *= 0.5
+        y = np.sqrt(xy, out=xy)
+        settled = np.all(c <= AGM_SETTLED * x)
+        c *= c
+        c *= p
+        S += c
         p *= 2.0
-        if np.all(c <= AGM_SETTLED * x):
+        if settled:
             break
-    K = np.pi / (2.0 * x)
+    # 4 big K (1 - S) with K = pi / (2 x): 2 pi / x is 4 K exactly, and
+    # (4 K) big rounds as (4 big) K does, since a factor of 4 is exact
     with np.errstate(over="ignore"):
-        out = np.where(degenerate, 4.0 * big, 4.0 * big * K * (1.0 - S))
+        out = np.divide(2.0 * np.pi, x, out=x)
+        out *= big
+        out *= np.subtract(1.0, S, out=S)
+        np.multiply(big, 4.0, out=out, where=degenerate)
     if not np.isfinite(out).all():
         raise InvalidInput("the perimeter overflows: semiaxes too large")
-    return out
+    return out.reshape(shape)
 
 
 def _kernel_coefficients(inv):
@@ -243,8 +262,9 @@ def lagrangian_semiaxes_batch(points, a, b, area):
     plane's orthogonal complement, so the semiaxes belong to the normal
     plane too.
     """
-    c = structure_pairing_batch("J'", points, a, b) / area
-    s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
+    c = np.abs(structure_pairing_batch("J'", points, a, b) / area)
+    # 1 - min(|c|, 1)^2 is never negative
+    s = np.sqrt(1.0 - np.minimum(c, 1.0) ** 2)
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
 
 

@@ -18,16 +18,22 @@ panels that end where the chart's weight stops being one polynomial.  A
 graph chart's panels cover only the support of its weight, so no node is
 spent where the weight is 0.  The grids are streamed in row tiles of about
 QUADRATURE_TILE nodes, so the working memory is set by the tile, not by the
-grid.  The models evaluate separably: given a column of u values and a row of
-v values they work out their trig and circle factors on the two axes and
-broadcast once, so a tile costs one transcendental per axis value, and each
-node gets the same value as in a whole-grid evaluation.
+grid.
+
+Each model has one evaluator, rows(chart, u, factors, part, out), which
+fills out with the component-major (6, ...) rows of the points or of one
+partial.  What depends on v alone, the model's v_factors (a graph's
+longitude factors, a torus's second circle), is its own argument, so the
+quadrature computes it once per chart and pass and a tile pays only for
+its own nodes: one product or copy per component and node.  Each node gets
+the same value as in a whole-grid evaluation.  points and partials run the
+same evaluator on fresh storage: component-major views for graphs and
+meshes, C-ordered (..., 6) arrays for tori.
 
 A tile's points and partials are component-major (6, n) rows, handed out as
 their (n, 6) transposes: each coordinate is one contiguous row, which the
-kernels read by component.  GraphSurface writes that storage directly (its
-points and partials are views of it), and so do meshes; tori evaluate
-(..., 6) arrays, which the tile copies into rows.
+kernels read by component.  They and the tile's per-node scalars are written
+into one workspace per pass, allocated for its largest tile.
 """
 
 from __future__ import annotations
@@ -48,12 +54,12 @@ RAMP_HALF_WIDTH = 0.3     # partition-of-unity ramp around the equator
 MIN_CIRCLE_RADIUS = 1e-6
 ROTATION_TOL = 1e-10      # largest entry of R^T R - I accepted for a graph's rotation
 MIN_MESH_LATTICE = 5      # smallest mesh lattice whose +-2h stencil lands on four distinct nodes
-# nodes per streamed quadrature tile.  A per-node temporary is then 64 KiB,
-# under glibc's default 128 KiB mmap threshold, and the tile fixes the order
-# of the partial sums, so every total stays bitwise what it was.  Measured on
-# a 2-vCPU x86-64 box (numpy 2.4), 2^14 ran the anti-diagonal's two
-# perimeter levels in 1.27-1.47 s against 1.42-1.61 s: a gain of about 10%
-# that would move the totals' last bits, so the tile stays.
+# nodes per streamed quadrature tile.  The tile fixes the order of the
+# partial sums, so every total stays bitwise what it was.  Its rows and
+# per-node scalars live in one workspace per pass, so a graph's or a torus's
+# tile allocates nothing over its 64 KiB per-node temporaries, which glibc
+# serves from the heap without mapping or trimming (a mesh's difference
+# stencil still takes (6, n) temporaries).
 QUADRATURE_TILE = 1 << 13
 
 
@@ -77,9 +83,10 @@ class Chart:
         return max(len(self.u_panels) - 1, 1)
 
 
-def _join(first, second):
-    """One writable (..., 6) array from two broadcastable (..., 3) factor blocks."""
-    return np.concatenate(np.broadcast_arrays(first, second), axis=-1)
+def _evaluate(surface, chart, u, v, part):
+    """One part at (u, v) as (..., 6), a view of fresh component-major rows."""
+    out = np.empty((6,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
+    return np.moveaxis(surface.rows(chart, u, surface.v_factors(chart, v, part), part, out), 0, -1)
 
 
 def _smoothstep4(t):
@@ -143,16 +150,36 @@ class ProductTorusSurface:
     def charts(self):
         return (Chart(0.0, TWO_PI, 0.0, TWO_PI, True, True),)
 
+    def v_factors(self, chart, v, part):
+        """The second circle's (3, ...) rows at v: its points, its derivatives, or 0 for du."""
+        if part == "du":
+            return 0.0
+        circle = self.circle2.points if part == "points" else self.circle2.derivatives
+        return np.moveaxis(circle(v), -1, 0)
+
+    def rows(self, chart, u, factors, part, out):
+        """Fill out with the (6, ...) rows of one part: the first circle's at u, then v_factors."""
+        first = {"points": self.circle1.points, "du": self.circle1.derivatives}.get(part)
+        out[:3] = 0.0 if first is None else np.moveaxis(first(u), -1, 0)
+        out[3:] = factors
+        return out
+
+    def _point_major(self, chart, u, v, part):
+        """One part at (u, v) as a C-ordered (..., 6) array, as torus points
+        have always been: a reduction over the last axis of a component-major
+        view would sum in another order."""
+        values = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)) + (6,))
+        self.rows(chart, u, self.v_factors(chart, v, part), part, np.moveaxis(values, -1, 0))
+        return values
+
     def points(self, chart, u, v):
-        return _join(self.circle1.points(u), self.circle2.points(v))
+        return self._point_major(chart, u, v, "points")
 
     def partials(self, chart, u, v):
-        du = _join(self.circle1.derivatives(u), np.zeros(np.shape(v) + (3,)))
-        dv = _join(np.zeros(np.shape(u) + (3,)), self.circle2.derivatives(v))
-        return du, dv
+        return self._point_major(chart, u, v, "du"), self._point_major(chart, u, v, "dv")
 
     def weights(self, chart, u, v):
-        return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return np.broadcast_to(1.0, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def __repr__(self):
         return f"ProductTorusSurface({self.circle1!r}, {self.circle2!r})"
@@ -198,47 +225,57 @@ class GraphSurface:
         c = Chart(0.0, math.pi - CAP_RADIUS, 0.0, TWO_PI, False, True, u_panels=(0.0, *ramp))
         return (c, c)
 
-    def _rows(self, chart, theta, phi, part):
-        """Component-major (6, ...) rows of the points or of one partial.
+    def v_factors(self, chart, phi, part):
+        """The longitude factors of one part: the rows (e0, e1) of the base
+        direction and the three rows of M e.
 
         On chart 0 the base point is z = sin(theta) e(phi) + cos(theta) k,
         with e = (cos phi, sin phi, 0) and k = (0, 0, 1); chart 1 flips the
-        sign of the second and third axes.  The map half is M z, so each of
-        the six components is f(theta) * a(phi) + pole(theta) * b, where a
-        and b are the components of (e, M e) and (k, M k): (f, pole) is
-        (sin, cos) for the points and (cos, -sin) for d/dtheta, and d/dphi
-        is sin(theta) * de/dphi with no pole term.  Each component costs one
+        sign of the second and third axes.  The points and d/dtheta take e,
+        d/dphi takes de/dphi.
+        """
+        sign = 1.0 if chart == 0 else -1.0
+        cp, sp = np.cos(phi), np.sin(phi)
+        e = (-sp, sign * cp) if part == "dv" else (cp, sign * sp)
+        M = self.map_matrix
+        return e, tuple(M[i, 0] * e[0] + M[i, 1] * e[1] for i in range(3))
+
+    def rows(self, chart, theta, factors, part, out):
+        """Fill out, the component-major (6, ...) rows of the points or of one partial.
+
+        The map half is M z, so each of the six components is
+        f(theta) * a(phi) + pole(theta) * b, where a and b are the components
+        of (e, M e) and (k, M k): (f, pole) is (sin, cos) for the points and
+        (cos, -sin) for d/dtheta, and d/dphi is sin(theta) * de/dphi with no
+        pole term.  a comes from v_factors, so each component costs one
         product over the grid, plus one sum where b is nonzero.
         """
         sign = 1.0 if chart == 0 else -1.0
-        st, ct = np.sin(theta), np.cos(theta)
-        cp, sp = np.cos(phi), np.sin(phi)
-        if part == "points":
-            f, pole, e = st, ct, (cp, sign * sp)
-        elif part == "du":
-            f, pole, e = ct, -st, (cp, sign * sp)
+        st = np.sin(theta)
+        if part == "dv":
+            f, pole = st, None
         else:
-            f, pole, e = st, None, (-sp, sign * cp)
-        out = np.empty((6,) + np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+            ct = np.cos(theta)
+            f, pole = (st, ct) if part == "points" else (ct, -st)
+        e, me = factors
         np.multiply(f, e[0], out=out[0, ...])
         np.multiply(f, e[1], out=out[1, ...])
         out[2, ...] = 0.0 if pole is None else sign * pole
         M = self.map_matrix
         for i in range(3):
             row = out[3 + i, ...]
-            np.multiply(f, M[i, 0] * e[0] + M[i, 1] * e[1], out=row)
+            np.multiply(f, me[i], out=row)
             if pole is not None and M[i, 2] != 0.0:
                 row += (M[i, 2] * sign) * pole
         return out
 
     def points(self, chart, u, v):
         """Points (..., 6), a view of component-major storage."""
-        return np.moveaxis(self._rows(chart, u, v, "points"), 0, -1)
+        return _evaluate(self, chart, u, v, "points")
 
     def partials(self, chart, u, v):
         """Partials (d/dtheta, d/dphi), each (..., 6), views of component-major storage."""
-        return (np.moveaxis(self._rows(chart, u, v, "du"), 0, -1),
-                np.moveaxis(self._rows(chart, u, v, "dv"), 0, -1))
+        return _evaluate(self, chart, u, v, "du"), _evaluate(self, chart, u, v, "dv")
 
     def weights(self, chart, u, v):
         # In each chart's own colatitude the blend profile is the same; the
@@ -309,8 +346,8 @@ class MeshSurface:
     def charts(self):
         return (Chart(0.0, TWO_PI, 0.0, TWO_PI, True, True),)
 
-    def _component_points(self, u, v):
-        """(6, ...) rows of the renormalized bilinear interpolant at (u, v)."""
+    def _component_points(self, u, v, out=None):
+        """(6, ...) rows of the renormalized bilinear interpolant at (u, v), in out if given."""
         u = np.asarray(u, dtype=float) / self.spacing
         v = np.asarray(v, dtype=float) / self.spacing
         u, v = np.broadcast_arrays(u, v)
@@ -328,16 +365,17 @@ class MeshSurface:
         gu, gv = 1 - fu, 1 - fv
         # each corner enters as (node * weight_u) * weight_v and the four are
         # added in order, as the one-expression form rounds them; take's
-        # "clip" mode writes straight to out (the indices are in range), and
+        # "clip" mode writes straight to dest (the indices are in range), and
         # term is its own array, freed when pts is returned
-        pts, term = np.empty((6,) + u.shape), np.empty((6,) + u.shape)
+        pts = np.empty((6,) + u.shape) if out is None else out
+        term = np.empty((6,) + u.shape)
         idx = np.empty_like(i0)
         corners = ((i0, j0, gu, gv), (i1, j0, fu, gv), (i0, j1, gu, fv), (i1, j1, fu, fv))
         for k, (i, j, wu, wv) in enumerate(corners):
-            out = term if k else pts
-            np.take(self._rows, np.add(i, j, out=idx), axis=1, out=out, mode="clip")
-            out *= wu
-            out *= wv
+            dest = term if k else pts
+            np.take(self._rows, np.add(i, j, out=idx), axis=1, out=dest, mode="clip")
+            dest *= wu
+            dest *= wv
             if k:
                 pts += term
         # squares summed in np.linalg.norm's order, so the bits are the (..., 6) form's
@@ -345,26 +383,32 @@ class MeshSurface:
         pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
         return pts
 
+    def v_factors(self, chart, v, part):
+        """The interpolant mixes u and v, so the v values are its factors."""
+        return v
+
+    def rows(self, chart, u, v, part, out):
+        """Fill out with the (6, ...) rows of the points or of one partial: the
+        interpolant, or its 5-point central difference."""
+        if part == "points":
+            return self._component_points(u, v, out)
+        h = self.spacing
+
+        def shift(k):
+            if part == "du":
+                return self._component_points(u + k * h, v)
+            return self._component_points(u, v + k * h)
+
+        return np.divide(-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2), 12 * h, out=out)
+
     def points(self, chart, u, v):
-        return np.moveaxis(self._component_points(u, v), 0, -1)
+        return _evaluate(self, chart, u, v, "points")
 
     def partials(self, chart, u, v):
-        h = self.spacing
-        u = np.asarray(u)
-        v = np.asarray(v)
-
-        def d(axis_u):
-            def shift(k):
-                if axis_u:
-                    return self._component_points(u + k * h, v)
-                return self._component_points(u, v + k * h)
-
-            return np.moveaxis((-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2)) / (12 * h), 0, -1)
-
-        return d(True), d(False)
+        return _evaluate(self, chart, u, v, "du"), _evaluate(self, chart, u, v, "dv")
 
     def weights(self, chart, u, v):
-        return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return np.broadcast_to(1.0, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def __repr__(self):
         return f"MeshSurface(m={self.m})"
@@ -487,28 +531,50 @@ def chart_axes(surface, chart: int, m: int):
             _axis_rule(ch.v_min, ch.v_max, ch.periodic_v, (), m))
 
 
-def _component_rows(x):
-    """The (6, n) component-major rows of a (..., 6) array: free for a view of
-    component-major storage, one copy otherwise."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(6, -1)
+def _read_only(x):
+    """A read-only view of x."""
+    view = x.view()
+    view.flags.writeable = False
+    return view
+
+
+class _Tile(dict):
+    """One tile of surface_quadrature.  Its 'points' are evaluated on their
+    first read, so an integral that does not read them does not pay for
+    them; until then the key is absent from the dict's own keys."""
+
+    def __init__(self, points, **rows):
+        super().__init__(rows)
+        self._points = points
+
+    def __missing__(self, key):
+        if key != "points":
+            raise KeyError(key)
+        self[key] = value = _read_only(self._points().reshape(6, -1).T)
+        return value
 
 
 def surface_quadrature(surface, m: int):
     """Yield the quadrature of each chart's m x m grid as row tiles.
 
     A tile holds whole rows (fixed u) of one chart, about QUADRATURE_TILE
-    nodes; the tiles run through each chart's rows in order.  Each is a dict
-    of flat per-node arrays:
+    nodes; the tiles run through each chart's rows in order.  Each is a
+    mapping of flat per-node arrays:
 
-    * 'points' (n, 6): the surface points;
+    * 'points' (n, 6): the surface points, evaluated when first read;
     * 'du', 'dv' (n, 6): the parameter partials;
     * 'area' (n,): the area element |du ^ dv| = sqrt(EG - F^2);
     * 'measure' (n,): the weighted area element w * area * dA, where dA is
       the node's cell weight from chart_axes.
 
-    The (n, 6) arrays are transposes of component-major (6, n) rows, so
-    x[:, k] is contiguous and the kernels, which read by component, run on
-    whole rows.  A node's values do not depend on the tile it falls in.
+    The arrays are read-only views of one workspace that the generator
+    allocates for the largest tile it yields and reuses for every tile:
+    they are valid until the next tile, so a caller that keeps a tile's
+    values copies them.  The (n, 6) arrays are transposes of component-major
+    (6, n) rows, so x[:, k] is contiguous and the kernels, which read by
+    component, run on whole rows.  A node's values do not depend on the
+    tile it falls in.  Whatever depends on one axis alone is computed once
+    per chart: the surface's v_factors along v and its weights along u.
     A surface whose partials span no plane at some node (geometry.plane_area)
     has no area measure there, and is refused when its tile is built.
     lagrangian_defect reads the same tiles from _quadrature_tiles: it
@@ -523,26 +589,36 @@ def _quadrature_tiles(surface, m: int):
     if m < 1:
         raise InvalidInput(f"quadrature grid must be at least 1, got {m}")
     rows = max(1, QUADRATURE_TILE // m)
+    size = min(rows, m) * m    # nodes of the largest tile
+    parts = ("points", "du", "dv")
+    workspace = {part: np.empty(6 * size) for part in parts}
+    area, measure = np.empty(size), np.empty(size)
     for chart in range(len(surface.charts)):
         (us, wu), (vs, wv) = chart_axes(surface, chart, m)
         v = vs[None, :]
+        factors = {part: surface.v_factors(chart, v, part) for part in parts}
+        weights = surface.weights(chart, us[:, None], v)
         for start in range(0, m, rows):
             u = us[start:start + rows, None]
-            cell = wu[start:start + rows, None] * wv
-            pts = _component_rows(surface.points(chart, u, v)).T
-            du, dv = (_component_rows(d).T for d in surface.partials(chart, u, v))
-            area, degenerate = plane_area(du, dv)
+            shape = (len(u), m)
+            n = shape[0] * m
+            out = {part: workspace[part][:6 * n].reshape(6, *shape) for part in parts}
+            du, dv = (surface.rows(chart, u, factors[part], part, out[part]).reshape(6, n).T
+                      for part in ("du", "dv"))
+            _, degenerate = plane_area(du, dv, out=area[:n])
             if degenerate.any():
                 raise InvalidInput(f"the partials of {surface!r} span no plane at a quadrature "
                                    f"node of chart {chart}, so it has no area measure there")
-            w = surface.weights(chart, u, v)
-            yield {
-                "points": pts,
-                "du": du,
-                "dv": dv,
-                "area": area,
-                "measure": (w * area.reshape(w.shape) * cell).reshape(-1),
-            }
+            tile_measure = measure[:n].reshape(shape)
+            np.multiply(weights[start:start + rows], area[:n].reshape(shape), out=tile_measure)
+            tile_measure *= wu[start:start + rows, None] * wv
+            yield _Tile(
+                functools.partial(surface.rows, chart, u, factors["points"], "points", out["points"]),
+                du=_read_only(du),
+                dv=_read_only(dv),
+                area=_read_only(area[:n]),
+                measure=_read_only(measure[:n]),
+            )
 
 
 def _default_grid(surface, m):

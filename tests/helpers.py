@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from s2xs2.errors import InvalidInput, NegativeAxis
 from s2xs2.geometry import _dot, structure_pairing_batch
 from s2xs2.hamiltonian import _component_major, _field, _points, _renormalize, flow_points
 from s2xs2.intersections import (
@@ -22,7 +23,7 @@ from s2xs2.intersections import (
     _sign_change_cells,
 )
 from s2xs2.rotations import group_matrices, haar_matrices, haar_quaternions
-from s2xs2.sigma import DEGENERATE_AXIS, _kernel_coefficients
+from s2xs2.sigma import AGM_SETTLED, DEGENERATE_AXIS, _kernel_coefficients
 from s2xs2.surfaces import (
     Circle,
     GraphSurface,
@@ -488,6 +489,74 @@ def ellipse_perimeter_fixed_agm(a, b):
     K = np.pi / (2.0 * x)
     out = 4.0 * big * K * (1.0 - S)
     return np.where(degenerate, 4.0 * big, out)
+
+
+def plane_area_reference(a, b):
+    """geometry.plane_area before it formed E G once: the reference its
+    trimmed form is checked against bit for bit."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    E, F, G = _dot(a, a), _dot(a, b), _dot(b, b)
+    area = np.sqrt(np.maximum(E * G - F * F, 0.0))
+    degenerate = (E < 1e-28) | (G < 1e-28) | (area < 1e-12 * np.sqrt(E * G))
+    return area, degenerate
+
+
+def structure_pairing_reference(structure, points, a, b):
+    """<J a, b> (or <J' a, b>) as geometry.structure_pairing_batch took it
+    before its terms were formed in place: np.cross's products, added from
+    +0.0 in np.sum's order."""
+    points, a, b = (np.asarray(x, dtype=float) for x in (points, a, b))
+
+    def cross_dot(p, a, b, negate):
+        t0 = (p[..., 1] * a[..., 2] - p[..., 2] * a[..., 1]) * b[..., 0]
+        t1 = (p[..., 2] * a[..., 0] - p[..., 0] * a[..., 2]) * b[..., 1]
+        t2 = (p[..., 0] * a[..., 1] - p[..., 1] * a[..., 0]) * b[..., 2]
+        return 0.0 - t0 - t1 - t2 if negate else 0.0 + t0 + t1 + t2
+
+    return cross_dot(points[..., :3], a[..., :3], b[..., :3], False) \
+        + cross_dot(points[..., 3:], a[..., 3:], b[..., 3:], structure == "J'")
+
+
+def lagrangian_semiaxes_reference(points, a, b, area):
+    """sigma.lagrangian_semiaxes_batch before its passes were trimmed."""
+    c = structure_pairing_reference("J'", points, a, b) / area
+    s = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(np.abs(c), 1.0) ** 2))
+    return (1.0 + s) / 2.0, (1.0 - s) / 2.0
+
+
+def ellipse_perimeter_reference(a, b):
+    """sigma.ellipse_perimeter_batch before its passes were trimmed: the ratio
+    formed twice, np.where for the safe divisor and the result, the AGM
+    started from an array of ones."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInput("semiaxes must be finite")
+    if np.any(a < 0) or np.any(b < 0):
+        raise NegativeAxis("semiaxes must be nonnegative")
+    big = np.maximum(a, b)
+    small = np.minimum(a, b)
+    safe_big = np.where(big > 0, big, 1.0)
+    degenerate = small / safe_big < DEGENERATE_AXIS
+    m = np.where(degenerate, 0.0, 1.0 - (small / safe_big) ** 2)
+    x = np.ones_like(m)
+    y = np.sqrt(1.0 - m)
+    S = 0.5 * m
+    p = 1.0
+    for _ in range(16):
+        c = 0.5 * (x - y)
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+        S += p * (c * c)
+        p *= 2.0
+        if np.all(c <= AGM_SETTLED * x):
+            break
+    K = np.pi / (2.0 * x)
+    with np.errstate(over="ignore"):
+        out = np.where(degenerate, 4.0 * big, 4.0 * big * K * (1.0 - S))
+    if not np.isfinite(out).all():
+        raise InvalidInput("the perimeter overflows: semiaxes too large")
+    return out
 
 
 def perimeters_by_frames(block):

@@ -5,12 +5,28 @@ the row-i value of the same call on a batch of rows.  That is what lets callers
 with one point, one tangent vector or one plane use the batch kernels
 directly, without scalar views on top.  The counting kernels take rows of
 group samples, and one sample gives bitwise its row of a batch.
+
+The per-node kernels of the perimeter integral (plane_area, the J and J'
+pairings, the Lagrangian semiaxes and the ellipse perimeter) work in place
+on as few passes as they can; each equals, bit for bit and refusal for
+refusal, the plainer form it replaced, kept in helpers as its reference.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import field_batch, orthonormal_pairs
+from helpers import (
+    ellipse_perimeter_reference,
+    field_batch,
+    lagrangian_semiaxes_reference,
+    orthonormal_pairs,
+    plane_area_reference,
+    structure_pairing_reference,
+)
 from s2xs2.geometry import plane_area, structure_pairing_batch
 from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface, flow_points
 from s2xs2.intersections import _CountingProblem, counts_product_batch, transversality_product_batch
@@ -121,3 +137,78 @@ def test_one_sample_is_its_row_of_the_batch(name):
     assert len(batch) == 64
     for i in range(64):
         assert sample_rows(kernel(r1[i:i + 1], r2[i:i + 1])) == [batch[i]]
+
+
+def same_outcome(kernel, reference, *args):
+    """True when both calls raise the same error type, or return the same bits
+    in the same shapes."""
+    outcomes = []
+    for fn in (kernel, reference):
+        try:
+            with np.errstate(all="ignore"):
+                result = fn(*args)
+        except Exception as error:   # the types are compared below
+            outcomes.append(type(error))
+        else:
+            parts = result if isinstance(result, tuple) else (result,)
+            outcomes.append([(np.shape(p), np.asarray(p).dtype, np.asarray(p).tobytes()) for p in parts])
+    return outcomes[0] == outcomes[1]
+
+
+finite_axis = st.floats(0.0, 1e308)
+SEMIAXIS_PAIRS = st.one_of(
+    st.tuples(finite_axis, finite_axis),
+    finite_axis.map(lambda a: (a, a)),                                        # circles
+    st.tuples(finite_axis, st.floats(0.0, 2e-8)).map(lambda t: (t[0], t[0] * t[1])),  # near-segments
+    finite_axis.map(lambda a: (a, 0.0)),                                      # segments
+    st.floats(0.0, 1.0).map(lambda s: ((1.0 + s) / 2.0, (1.0 - s) / 2.0)),   # Lagrangian normal planes
+    st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1e308, 1e308), (1e308, 0.0), (4.4e307, 4.3e307),
+                     (1.0, 1e-8), (1.0, math.nextafter(1e-8, 0.0))]),
+    st.tuples(st.floats(), st.floats()),                                      # nan, inf, negatives
+)
+
+
+@given(st.lists(SEMIAXIS_PAIRS, min_size=1, max_size=12), st.booleans())
+@example([(1.0, 0.5), (-1.0, math.nan)], False)
+@example([(1.0, 0.5), (-1.0, 2.0)], True)
+@example([(1e308, 0.9e308), (1.0, 0.0)], False)
+def test_ellipse_perimeter_matches_its_reference(pairs, swap):
+    a, b = np.array(pairs).reshape(-1, 2).T
+    if swap:
+        a, b = b, a
+    assert same_outcome(ellipse_perimeter_batch, ellipse_perimeter_reference, a, b)
+    assert same_outcome(ellipse_perimeter_batch, ellipse_perimeter_reference, a[0], b[0])
+    assert same_outcome(ellipse_perimeter_batch, ellipse_perimeter_reference, a.reshape(-1, 1), b.reshape(-1, 1))
+
+
+component = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 1e-300]))
+row = st.lists(component, min_size=6, max_size=6)
+PLANE_PAIRS = st.one_of(
+    st.tuples(row, row),
+    st.tuples(row, st.floats(-3.0, 3.0)).map(lambda t: (t[0], [t[1] * x for x in t[0]])),   # parallel
+    st.tuples(row, row, st.floats(-1e-9, 1e-9)).map(                                        # nearly parallel
+        lambda t: (t[0], [x + t[2] * y for x, y in zip(t[0], t[1])])),
+    row.map(lambda r: (r, [0.0] * 6)),                                                         # a zero row
+    st.sampled_from([([1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]), ([0.0] * 6, [0.0] * 6)]),
+)
+
+
+@given(st.lists(st.tuples(row, PLANE_PAIRS), min_size=1, max_size=12))
+@example([([0.0] * 6, ([1.0] * 6, [-1.0] * 6))])   # every term -0.0: the pairing's sum from +0.0
+def test_plane_kernels_match_their_references(rows):
+    points = np.array([x for x, _ in rows])
+    a = np.array([p for _, (p, _) in rows])
+    b = np.array([q for _, (_, q) in rows])
+    # C-ordered rows, and transposes of component-major rows as the quadrature's tiles are
+    for x, u, v in [(points, a, b), tuple(np.ascontiguousarray(y.T).T for y in (points, a, b))]:
+        assert same_outcome(plane_area, plane_area_reference, u, v)
+        assert same_outcome(plane_area, plane_area_reference, u[0], v[0])
+        assert same_outcome(lambda u, v: plane_area(u, v, out=np.empty(len(u))), plane_area_reference, u, v)
+        for structure in ("J", "J'"):
+            assert same_outcome(structure_pairing_batch, structure_pairing_reference, structure, x, u, v)
+            # one base point against every plane: the broadcast path
+            assert same_outcome(structure_pairing_batch, structure_pairing_reference, structure, x[0], u, v)
+        area, _ = plane_area_reference(u, v)
+        for scale in (area, 1.0):
+            assert same_outcome(lagrangian_semiaxes_batch, lagrangian_semiaxes_reference, x, u, v, scale)
+        assert same_outcome(lagrangian_semiaxes_batch, lagrangian_semiaxes_reference, x[0], u[0], v[0], area[0])

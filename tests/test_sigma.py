@@ -491,7 +491,7 @@ def test_complement_map_invariants_match_explicit_normal_plane(surface):
     a_l, b_l = cell_angles_batch(x_l, partner_normal[0], partner_normal[1], 1.0)
     angles, _ = _normal_invariant_samples(surface, NODE_GRID)
     # the nodes it keeps: those of positive weight, in quadrature order
-    measure = np.concatenate([b["measure"] for b in surface_quadrature(surface, NODE_GRID)])
+    measure = np.concatenate([np.array(b["measure"]) for b in surface_quadrature(surface, NODE_GRID)])
     kept = [node for node, w in zip(_grid_nodes(surface, NODE_GRID), measure) if w > 0.0]
     assert len(kept) == len(angles)
     for (a_n, b_n), node in list(zip(angles, kept))[::3]:

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -349,7 +350,7 @@ class TestGraphQuadratureRule:
     @pytest.mark.parametrize("surface", [anti_diagonal(), moved_surface(anti_diagonal(), *group_sample(12, 5))],
                              ids=["anti-diagonal", "rotated"])
     def test_every_node_weighs_and_a_level_has_two_m_squared_nodes(self, surface, m):
-        measure = np.concatenate([t["measure"] for t in surfaces.surface_quadrature(surface, m)])
+        measure = np.concatenate([np.array(t["measure"]) for t in surfaces.surface_quadrature(surface, m)])
         assert measure.size == 2 * m * m
         assert (measure > 0.0).all()
 
@@ -482,6 +483,58 @@ QUADRATURE_CASES = [
 ]
 
 
+# float.hex of each quadrature total, recorded before the tiles reused one
+# workspace per pass and took their axis factors once per chart: volume and
+# the perimeter integral on each grid, the Lagrangian defect at the default
+# grid, and the general kernel side against the great torus at m = 8.
+# Grid 133 leaves a ragged last tile; 512 spans many tiles per chart.
+QUADRATURE_PINS = {
+    "anti-diagonal": (anti_diagonal, {
+        "volume-64": "0x1.921fb54442d18p+4",
+        "perimeter-64": "0x1.3bd3cc9be45ddp+6",
+        "volume-133": "0x1.921fb54442d21p+4",
+        "perimeter-133": "0x1.3bd3cc9be45e5p+6",
+        "volume-512": "0x1.921fb54442d12p+4",
+        "perimeter-512": "0x1.3bd3cc9be45d9p+6",
+        "defect": "0x0.0p+0",
+        "kernel": "0x1.85a2e8afdfb3fp+13",
+    }),
+    "rotated-graph": (lambda: GraphSurface(group_sample(7, 3)[0], antipodal=False), {
+        "volume-130": "0x1.921fb54442d1bp+4",
+        "perimeter-130": "0x1.921fb54442d1bp+6",
+        "defect": "0x1.0000000000002p+0",
+        "kernel": "0x1.85a2e8afdfb3ep+13",
+    }),
+    "latitude-torus": (lambda: latitude_torus(0.3, -0.6), {
+        "volume-130": "0x1.e20c5240cad8ep+4",
+        "perimeter-130": "0x1.e20c5240cad8ep+6",
+        "defect": "0x0.0p+0",
+        "kernel": "0x1.2959fd527101fp+14",
+    }),
+    "flowed-mesh": (flowed_mesh, {
+        "volume-64": "0x1.3bd34c92281b7p+5",
+        "perimeter-64": "0x1.3bd34c92281b7p+7",
+        "defect": "0x1.0ec1ac892cb1fp-53",
+        "kernel": "0x1.85a24acca7802p+14",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", QUADRATURE_PINS)
+def test_quadrature_totals_keep_their_bits(name):
+    make, pins = QUADRATURE_PINS[name]
+    surface = make()
+    got = {"defect": lagrangian_defect(surface).hex(),
+           "kernel": verify.kernel_rhs_general(surface, great_torus(), m=8).hex()}
+    for key in pins:
+        quantity, _, m = key.partition("-")
+        if quantity == "volume":
+            got[key] = surfaces.volume(surface, int(m)).hex()
+        elif quantity == "perimeter":
+            got[key] = verify._perimeter_integral(surface, int(m)).hex()
+    assert got == pins
+
+
 class TestTiledQuadrature:
     # one row per tile; several rows with a ragged last tile (m = 130 and 64); one tile per chart
     TILES = [1, 3 * 130 + 7, 10 ** 9]
@@ -497,13 +550,40 @@ class TestTiledQuadrature:
             perim_ref = verify._perimeter_integral(surface, m)
         for tile in self.TILES:
             monkeypatch.setattr(surfaces, "QUADRATURE_TILE", tile)
-            tiles = list(surfaces.surface_quadrature(surface, m))
+            # a tile's arrays are valid until the next tile: keep copies
+            keys = ("points", "du", "dv", "area", "measure")
+            tiles = [{key: np.array(t[key]) for key in keys} for t in surfaces.surface_quadrature(surface, m)]
             assert sum(t["measure"].size for t in tiles) == len(surface.charts) * m * m
-            for key in ("points", "du", "dv", "area", "measure"):
+            for key in keys:
                 assert same_bits(np.concatenate([t[key] for t in tiles]),
                                  np.concatenate([r[key] for r in reference]))
             assert surfaces.volume(surface, m) == pytest.approx(vol_ref, rel=1e-14, abs=0.0)
             assert verify._perimeter_integral(surface, m) == pytest.approx(perim_ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("make, m", QUADRATURE_CASES)
+    def test_a_tile_pays_only_for_the_rows_its_integral_reads(self, monkeypatch, make, m):
+        surface = make()
+        rows = 3
+        monkeypatch.setattr(surfaces, "QUADRATURE_TILE", rows * m + 7)
+        tiles = len(surface.charts) * -(-m // rows)
+        calls = collections.Counter()
+
+        def counting(name, method):
+            def counted(*args):
+                calls[name, args[3] if name == "rows" else None] += 1
+                return method(*args)
+            return counted
+
+        for name in ("rows", "points", "weights"):
+            monkeypatch.setattr(surface, name, counting(name, getattr(surface, name)))
+        surfaces.volume(surface, m)
+        # no points; weights once per chart, the partials once per tile
+        assert calls == {("rows", "du"): tiles, ("rows", "dv"): tiles,
+                         ("weights", None): len(surface.charts)}
+        calls.clear()
+        verify._perimeter_integral(surface, m)
+        assert calls == {("rows", "points"): tiles, ("rows", "du"): tiles, ("rows", "dv"): tiles,
+                         ("weights", None): len(surface.charts)}
 
     def test_grid_below_one_is_rejected(self):
         for m in (0, -4):
@@ -562,6 +642,8 @@ class TestComponentMajorGraph:
         block = next(surfaces.surface_quadrature(surface, 64))
         for key in ("points", "du", "dv"):
             assert block[key].shape[1] == 6 and block[key].T.flags.c_contiguous
+        for key in ("points", "du", "dv", "area", "measure"):
+            assert not block[key].flags.writeable
         # the graph evaluator's own storage is component-major, so its tiles take it without a copy
         pts = anti_diagonal().points(0, np.zeros((2, 1)), np.zeros((1, 3)))
         assert pts.shape == (2, 3, 6) and np.moveaxis(pts, -1, 0).flags.c_contiguous
