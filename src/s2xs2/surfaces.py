@@ -7,9 +7,9 @@ Three concrete models are supported:
 * GraphSurface -- the graph of a sphere isometry (rotation, optionally composed
   with the antipodal map), parameterized by two polar charts with a smooth
   partition of unity;
-* MeshSurface -- a periodic lattice of points, evaluated by bilinear
-  interpolation with renormalization, differentiated by central differences;
-  its nodes are stored component-major.
+* MeshSurface -- a periodic lattice of points and of their spectral partials,
+  each read between nodes by bilinear interpolation (the points renormalized
+  to the spheres), stored component-major.
 
 Area quadrature is a product rule over chart grids: the trapezoid rule along
 periodic directions (spectrally accurate on their smooth periodic
@@ -53,13 +53,13 @@ CAP_RADIUS = 0.2          # polar cap excluded from each graph chart
 RAMP_HALF_WIDTH = 0.3     # partition-of-unity ramp around the equator
 MIN_CIRCLE_RADIUS = 1e-6
 ROTATION_TOL = 1e-10      # largest entry of R^T R - I accepted for a graph's rotation
-MIN_MESH_LATTICE = 5      # smallest mesh lattice whose +-2h stencil lands on four distinct nodes
+MIN_MESH_LATTICE = 5      # smallest mesh lattice whose partials resolve wavenumber 2 on each axis
 # nodes per streamed quadrature tile.  The tile fixes the order of the
 # partial sums, so every total stays bitwise what it was.  Its rows and
 # per-node scalars live in one workspace per pass, so a graph's or a torus's
 # tile allocates nothing over its 64 KiB per-node temporaries, which glibc
-# serves from the heap without mapping or trimming (a mesh's difference
-# stencil still takes (6, n) temporaries).
+# serves from the heap without mapping or trimming (a mesh's bilinear
+# evaluator still takes one (6, n) corner temporary).
 QUADRATURE_TILE = 1 << 13
 
 
@@ -303,18 +303,18 @@ def diagonal() -> GraphSurface:
 def _check_lattice(m: int):
     """Refuse a mesh lattice under MIN_MESH_LATTICE (see MeshSurface)."""
     if m < MIN_MESH_LATTICE:
-        raise InvalidInput(f"mesh lattice {m} is smaller than its difference stencil; "
+        raise InvalidInput(f"mesh lattice {m} is too coarse to resolve wavenumber 2 on each axis; "
                            f"m must be at least {MIN_MESH_LATTICE}")
 
 
 class MeshSurface:
     """Periodic m x m lattice of points of S2 x S2 over (u, v) in [0, 2pi)^2.
 
-    Evaluation between nodes is bilinear followed by renormalization to each
-    sphere; parameter derivatives use a 5-point central-difference stencil at
-    the lattice spacing.  A lattice under MIN_MESH_LATTICE is refused: its
-    stencil wraps onto repeated nodes (at m = 4 the +2h and -2h shifts are
-    one node), so the partials are no central difference.
+    Three lattice tables are built once: the nodes, and their u and v
+    partials by FFT, the exact derivatives of the lattice's trigonometric
+    interpolant.  One evaluator reads every part as the bilinear interpolant
+    of its table, renormalizing the points to each sphere.  A lattice under
+    MIN_MESH_LATTICE, which resolves no wavenumber 2 on an axis, is refused.
     """
 
     def __init__(self, nodes):
@@ -331,23 +331,40 @@ class MeshSurface:
             raise InvalidInput(f"mesh node off the spheres by {worst:.3e}")
         nodes[..., :3] /= n1[..., None]
         nodes[..., 3:] /= n2[..., None]
-        self.m = nodes.shape[0]
-        self.spacing = TWO_PI / self.m
-        # component-major storage: row k holds coordinate k of node (i, j) at i*m + j
-        self._rows = np.ascontiguousarray(nodes.reshape(-1, 6).T)
-        self._rows.flags.writeable = False
+        m = self.m = nodes.shape[0]
+        self.spacing = TWO_PI / m
+        # component-major tables: row k holds coordinate k of the points, or of
+        # one partial, at node (i, j) in column i*m + j
+        lattice = np.ascontiguousarray(np.moveaxis(nodes, -1, 0))
+        k = np.arange(m // 2 + 1.0)  # the wavenumbers of rfft
+        if m % 2 == 0:
+            k[-1] = 0.0           # an even lattice's Nyquist mode has no real derivative
+        # a component at a time: whole-lattice FFT temporaries, freed into
+        # glibc's heap, raised a counting run's peak RSS by about 2 MB at m = 128
+        du, dv = np.empty_like(lattice), np.empty_like(lattice)
+        for c, component in enumerate(lattice):
+            du[c] = np.fft.irfft(np.fft.rfft(component, axis=0) * (1j * k[:, None]), m, axis=0)
+            dv[c] = np.fft.irfft(np.fft.rfft(component, axis=1) * (1j * k), m, axis=1)
+        self._tables = {part: _read_only(table.reshape(6, m * m))
+                        for part, table in (("points", lattice), ("du", du), ("dv", dv))}
 
     @property
     def nodes(self):
         """The (m, m, 6) read-only view of the nodes."""
-        return self._rows.T.reshape(self.m, self.m, 6)
+        return self._tables["points"].T.reshape(self.m, self.m, 6)
 
     @property
     def charts(self):
         return (Chart(0.0, TWO_PI, 0.0, TWO_PI, True, True),)
 
-    def _component_points(self, u, v, out=None):
-        """(6, ...) rows of the renormalized bilinear interpolant at (u, v), in out if given."""
+    def v_factors(self, chart, v, part):
+        """The interpolant mixes u and v, so the v values are its factors."""
+        return v
+
+    def rows(self, chart, u, v, part, out):
+        """Fill out with the (6, ...) rows of the points or of one partial: the
+        bilinear interpolant of the part's lattice table, renormalized to the
+        spheres for the points."""
         u = np.asarray(u, dtype=float) / self.spacing
         v = np.asarray(v, dtype=float) / self.spacing
         u, v = np.broadcast_arrays(u, v)
@@ -366,40 +383,23 @@ class MeshSurface:
         # each corner enters as (node * weight_u) * weight_v and the four are
         # added in order, as the one-expression form rounds them; take's
         # "clip" mode writes straight to dest (the indices are in range), and
-        # term is its own array, freed when pts is returned
-        pts = np.empty((6,) + u.shape) if out is None else out
+        # term is its own array, freed when out is returned
+        table = self._tables[part]
         term = np.empty((6,) + u.shape)
         idx = np.empty_like(i0)
         corners = ((i0, j0, gu, gv), (i1, j0, fu, gv), (i0, j1, gu, fv), (i1, j1, fu, fv))
         for k, (i, j, wu, wv) in enumerate(corners):
-            dest = term if k else pts
-            np.take(self._rows, np.add(i, j, out=idx), axis=1, out=dest, mode="clip")
+            dest = term if k else out
+            np.take(table, np.add(i, j, out=idx), axis=1, out=dest, mode="clip")
             dest *= wu
             dest *= wv
             if k:
-                pts += term
-        # squares summed in np.linalg.norm's order, so the bits are the (..., 6) form's
-        pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
-        pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
-        return pts
-
-    def v_factors(self, chart, v, part):
-        """The interpolant mixes u and v, so the v values are its factors."""
-        return v
-
-    def rows(self, chart, u, v, part, out):
-        """Fill out with the (6, ...) rows of the points or of one partial: the
-        interpolant, or its 5-point central difference."""
+                out += term
         if part == "points":
-            return self._component_points(u, v, out)
-        h = self.spacing
-
-        def shift(k):
-            if part == "du":
-                return self._component_points(u + k * h, v)
-            return self._component_points(u, v + k * h)
-
-        return np.divide(-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2), 12 * h, out=out)
+            # squares summed in np.linalg.norm's order, so the bits are the (..., 6) form's
+            out[:3] /= np.sqrt((out[0] * out[0] + out[1] * out[1]) + out[2] * out[2])
+            out[3:] /= np.sqrt((out[3] * out[3] + out[4] * out[4]) + out[5] * out[5])
+        return out
 
     def points(self, chart, u, v):
         return _evaluate(self, chart, u, v, "points")
@@ -660,8 +660,8 @@ def lagrangian_defect(surface) -> float:
     The J cosine of each node, read from the raw partials and their area
     element as the perimeter integral reads the J' cosine; a surface with a
     degenerate node is refused by the quadrature's tiles.  The grid is
-    _default_grid's: a mesh's own node lattice (where the difference stencil
-    is exact), 64 nodes per direction otherwise, streamed in
+    _default_grid's: a mesh's own node lattice (where its partials are the
+    spectral tables), 64 nodes per direction otherwise, streamed in
     surface_quadrature's tiles, so the working set is one tile.
     """
     worst = 0.0

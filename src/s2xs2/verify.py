@@ -342,8 +342,8 @@ def verify_main_chain(hamiltonian: HamiltonianFunction, flow_time: float,
     the intersection count of (rho(L), L), and C = 4 vol(G) = 256 pi^4.  The
     flow takes FlowParams.for_time's default RK4 steps.  The inequality checks
     carry the z = 3 statistical band plus QUAD_REL_TOL of C for the deterministic
-    mesh-volume error, which decides the saturated (isometric) cases where the
-    count variance vanishes.
+    volume error, which decides where the count variance vanishes: a flow onto
+    L itself leaves a lattice on L, whose spectral partials give a = b = c.
     """
     t0 = time.perf_counter()
     torus = great_torus()

@@ -239,11 +239,11 @@ def flow_points_by_expressions(H, X, params):
     return np.ascontiguousarray(S.T).reshape(X.shape)
 
 
-def mesh_points_by_expression(mesh, u, v):
-    """(6, ...) rows of a MeshSurface's renormalized bilinear interpolant at
-    (u, v), the four weighted corners summed as one numpy expression: the
-    reference for MeshSurface._component_points, which forms the same sum
-    in two buffers."""
+def mesh_rows_by_expression(mesh, u, v, part):
+    """(6, ...) rows of a MeshSurface part's bilinear interpolant at (u, v),
+    renormalized for the points, the four weighted corners summed as one
+    numpy expression: the reference for MeshSurface.rows, which forms the
+    same sum in two buffers."""
     u = np.asarray(u, dtype=float) / mesh.spacing
     v = np.asarray(v, dtype=float) / mesh.spacing
     u, v = np.broadcast_arrays(u, v)
@@ -258,15 +258,16 @@ def mesh_points_by_expression(mesh, u, v):
     j1 = (j0 + 1) % m
     i0 *= m
     i1 *= m
-    rows = mesh._rows
+    rows = mesh._tables[part]
     pts = (
         rows[:, i0 + j0] * (1 - fu) * (1 - fv)
         + rows[:, i1 + j0] * fu * (1 - fv)
         + rows[:, i0 + j1] * (1 - fu) * fv
         + rows[:, i1 + j1] * fu * fv
     )
-    pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
-    pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
+    if part == "points":
+        pts[:3] /= np.sqrt((pts[0] * pts[0] + pts[1] * pts[1]) + pts[2] * pts[2])
+        pts[3:] /= np.sqrt((pts[3] * pts[3] + pts[4] * pts[4]) + pts[5] * pts[5])
     return pts
 
 

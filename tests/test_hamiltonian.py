@@ -285,7 +285,7 @@ class TestDeformSurface:
         rigid = deform_surface(H_HEIGHT, great_torus(), FlowParams(0.5, 40), m=128)
         frozen = deform_surface(HamiltonianFunction({}), great_torus(), FlowParams(0.5, 40), m=128)
         assert volume(rigid) == pytest.approx(FOUR_PI_SQ, rel=1e-6)
-        # identical stencil bias: rotated and frozen meshes agree far tighter
+        # both lattices lie on the great torus, whose volume their spectral partials give exactly
         assert volume(rigid) == pytest.approx(volume(frozen), rel=1e-9)
 
     def test_coupled_flow_keeps_lagrangian_and_volume_bound(self):

@@ -6,12 +6,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     group_sample,
     kahler_angle,
     lagrangian_defect_by_frames,
-    mesh_points_by_expression,
+    mesh_rows_by_expression,
     moved_surface,
     orthonormal_pairs,
     tangent_plane,
@@ -166,15 +168,22 @@ class TestVolume:
         ad = anti_diagonal()
         assert volume(moved_surface(ad, *g), 512) == pytest.approx(volume(ad, 512), rel=1e-8)
 
-    def test_mesh_volume_converges_with_order_two_or_better(self):
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_latitude_torus_lattice_has_the_torus_volume(self, m):
+        # the lattice's spectral partials are the circles' own, so the
+        # trapezoid rule on them is exact
         target = volume(latitude_torus(0.35, -0.2))
-        errs = []
-        for m in (16, 32, 64):
-            mesh = MeshSurface(lattice_points(latitude_torus(0.35, -0.2), m))
-            errs.append(abs(volume(mesh) - target))
-        order1 = math.log2(errs[0] / errs[1])
-        order2 = math.log2(errs[1] / errs[2])
-        assert order1 >= 2.0 and order2 >= 2.0
+        mesh = MeshSurface(lattice_points(latitude_torus(0.35, -0.2), m))
+        assert volume(mesh) == pytest.approx(target, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_x1x2_flow_has_the_closed_form_volume(self, m):
+        # F = 0 and sqrt(EG) = 1 + t^2 sin^2 u sin^2 v on the image of the
+        # great torus, so its volume is 4 pi^2 + pi^2 t^2; what is left is
+        # the RK4 error, about 3e-10
+        t = 0.5
+        mesh = deform_surface(parse_hamiltonian("x1*x2").polynomial(), great_torus(), FlowParams.for_time(t), m=m)
+        assert volume(mesh) == pytest.approx(FOUR_PI_SQ + math.pi ** 2 * t * t, rel=1e-9, abs=0.0)
 
 
 # surfaces on which the gate is checked against its orthonormal-frame form:
@@ -222,21 +231,31 @@ class TestMeshSurface:
             MeshSurface(nodes)
 
     @pytest.mark.parametrize("m", [1, 4])
-    def test_rejects_a_lattice_below_its_stencil(self, m):
+    def test_rejects_a_lattice_below_the_floor(self, m):
         with pytest.raises(ValueError, match="m must be at least 5"):
             MeshSurface(lattice_points(great_torus(), m))
 
-    def test_accepts_the_smallest_lattice_its_stencil_fits(self):
-        # at m = 5 the stencil's four shifts are distinct nodes, so at a node
-        # of the great torus's lattice the partials are the exact ones times
-        # the stencil's factor for a circle, (8 sin h - sin 2h) / (6h)
+    def test_smallest_lattice_has_the_analytic_partials(self):
+        # a circle is wavenumber 1 along its axis, which m = 5 resolves
         mesh = MeshSurface(lattice_points(great_torus(), 5))
-        h = 2 * math.pi / 5
-        du, dv = mesh.partials(0, h, 2 * h)
-        want_du, want_dv = great_torus().partials(0, h, 2 * h)
-        stencil = (8 * math.sin(h) - math.sin(2 * h)) / (6 * h)
-        assert np.allclose(du, stencil * want_du, atol=1e-14)
-        assert np.allclose(dv, stencil * want_dv, atol=1e-14)
+        t = np.arange(5) * (2 * math.pi / 5)
+        u, v = t[:, None], t[None, :]
+        for got, want in zip(mesh.partials(0, u, v), great_torus().partials(0, u, v)):
+            assert np.abs(got - want).max() <= 1e-14
+
+    @settings(max_examples=25)
+    @given(c1=st.floats(-0.9, 0.9), c2=st.floats(-0.9, 0.9), m=st.integers(5, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotated_latitude_torus_lattice_is_exact(self, c1, c2, m, seed):
+        torus = moved_surface(latitude_torus(c1, c2), *group_sample(seed, 0))
+        mesh = MeshSurface(lattice_points(torus, m))
+        t = np.arange(m) * (2 * math.pi / m)
+        u, v = t[:, None], t[None, :]
+        for got, want in zip(mesh.partials(0, u, v), torus.partials(0, u, v)):
+            assert np.abs(got - want).max() <= 1e-12
+        closed_form = FOUR_PI_SQ * math.sqrt(1 - c1 * c1) * math.sqrt(1 - c2 * c2)
+        assert volume(mesh) == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+        assert lagrangian_defect(mesh) <= 1e-12
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_load_refuses_a_header_below_the_floor(self, tmp_path, m):
@@ -271,8 +290,9 @@ class TestMeshSurface:
             b = great_torus().points(0, i * h, j * h)
             assert np.abs(a - b).max() < 1e-12
 
+    @pytest.mark.parametrize("part", ["points", "du", "dv"])
     @pytest.mark.parametrize("kind", ["random", "negative", "wrapping", "nodes", "broadcast", "scalar"])
-    def test_interpolant_matches_the_one_expression_bitwise(self, kind):
+    def test_interpolant_matches_the_one_expression_bitwise(self, kind, part):
         h4 = parse_hamiltonian("x1*x2 + 0.5*y1*y2*z2").polynomial()
         mesh = deform_surface(h4, great_torus(), FlowParams.for_time(0.5), m=64)
         rng = np.random.default_rng(5)
@@ -285,9 +305,8 @@ class TestMeshSurface:
             "broadcast": lambda: (rng.uniform(-7.0, 7.0, (40, 1)), rng.uniform(-7.0, 7.0, (1, 9))),
             "scalar": lambda: (float(rng.uniform(-7.0, 7.0)), 63 * h),
         }[kind]()
-        got = mesh._component_points(u, v)
-        assert got.tobytes() == mesh_points_by_expression(mesh, u, v).tobytes()
-        assert got.shape == (6,) + np.broadcast_shapes(np.shape(u), np.shape(v))
+        got = mesh.rows(0, u, v, part, np.empty((6,) + np.broadcast_shapes(np.shape(u), np.shape(v))))
+        assert got.tobytes() == mesh_rows_by_expression(mesh, u, v, part).tobytes()
 
     def test_io_roundtrip(self, tmp_path):
         surf = MeshSurface(lattice_points(latitude_torus(0.25, 0.75), 24))
@@ -486,7 +505,9 @@ QUADRATURE_CASES = [
 # float.hex of each quadrature total, recorded before the tiles reused one
 # workspace per pass and took their axis factors once per chart: volume and
 # the perimeter integral on each grid, the Lagrangian defect at the default
-# grid, and the general kernel side against the great torus at m = 8.
+# grid, and the general kernel side against the great torus at m = 8.  The
+# flowed mesh's were recorded again when its partials became spectral: its
+# flow is an isometry, and its volume is now 4 pi^2 to the bit.
 # Grid 133 leaves a ragged last tile; 512 spans many tiles per chart.
 QUADRATURE_PINS = {
     "anti-diagonal": (anti_diagonal, {
@@ -512,10 +533,10 @@ QUADRATURE_PINS = {
         "kernel": "0x1.2959fd527101fp+14",
     }),
     "flowed-mesh": (flowed_mesh, {
-        "volume-64": "0x1.3bd34c92281b7p+5",
-        "perimeter-64": "0x1.3bd34c92281b7p+7",
-        "defect": "0x1.0ec1ac892cb1fp-53",
-        "kernel": "0x1.85a24acca7802p+14",
+        "volume-64": "0x1.3bd3cc9be45dep+5",
+        "perimeter-64": "0x1.3bd3cc9be45dep+7",
+        "defect": "0x0.0p+0",
+        "kernel": "0x1.85a2e8c2907f8p+14",
     }),
 }
 
