@@ -49,10 +49,15 @@ evaluated, once per batch, and level m reads the values at their even
 nodes.  CULL_BLOCK must be even for that: each child then holds
 CULL_BLOCK / 2 whole level-m cells per side, so every level-m cell lies in
 one child, and a child left out has one sign for f1 or for f2 at every node,
-so it holds no level-m seed either.  Sorted back into (sample, block, cell,
-segment) order, the seeds of both levels, and every outcome, are those of
-the per-block test on each grid evaluated apart.  Each Newton iteration
-evaluates the centre and its four finite-difference points in one call.
+so it holds no level-m seed either.  The seeds of both levels are those of
+the per-block test on each grid evaluated apart, in the order of the kept
+level-2m blocks.
+
+Newton reads its Jacobian from the surface's own partials: each iterate
+evaluates the points and the partials once, and the partials at the roots
+go on to the transversality gate, which evaluates nothing.  A mesh's
+partials are its spectral tables, not those of the bilinear interpolant its
+residuals read, so on a mesh Newton converges linearly.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ SAME_PLANE_TOL = 1e-9
 DEDUP_RADIUS = 1e-6
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 30
-NEWTON_FD_STEP = 1e-6     # central-difference step of the Jacobian
 NEWTON_MAX_STEP = 0.5     # largest Newton step per parameter
 RESIDUAL_ACCEPT = 1e-10
 TRANSVERSALITY_MIN = 1e-8
@@ -238,40 +242,30 @@ class _BlockHierarchy:
 
     def kept_blocks(self, a1, a2):
         """(samples, blocks): the level-2m pairs that can hold a cell where
-        both residuals change sign, in (sample, block) order.  They are the
-        children of the kept level-m pairs whose own caps straddle both
-        circles."""
+        both residuals change sign, in (sample, level-m block, child) order.
+        They are the children of the kept level-m pairs whose own caps
+        straddle both circles."""
         ks, kb = self.kept_parents(a1, a2)
         real = self.real[kb]
         fs = np.broadcast_to(ks[:, None], real.shape)[real]
         fb = self.children[kb][real]
         keep = _straddles(self.band1, a1[fs], fb) & _straddles(self.band2, a2[fs], fb)
-        fs, fb = fs[keep], fb[keep]
-        order = np.argsort(fs * self.fine.side ** 2 + fb)
-        return fs[order], fb[order]
+        return fs[keep], fb[keep]
 
     def seeds(self, a1, a2):
         """((samples, u, v) at level m, the same at level 2m): the Newton
-        seeds of both levels, each in (sample, block, cell row, cell column,
-        segment) order, from one evaluation of the kept level-2m blocks;
-        level m's cells are those of the blocks' even nodes."""
+        seeds of both levels, each in the order of the kept level-2m blocks
+        and, within a block, of its cells and segments, from one evaluation
+        of those blocks; level m's cells are those of the blocks' even
+        nodes."""
         fs, fb = self.kept_blocks(a1, a2)
         grid = self.fine
         f1 = _node_values(grid.nodes1[fb], a1[fs], self.c1)
         f2 = _node_values(grid.nodes2[fb], a2[fs], self.c2)
         cells, u, v = grid.cells[fb], grid.u[fb], grid.v[fb]
-        k, i, j, seeds_u, seeds_v = _seeds(f1[:, ::2, ::2], f2[:, ::2, ::2], cells[:, ::2, ::2],
-                                           u[:, ::2], v[:, ::2])
-        # level m's seeds in the order of its grid evaluated apart; the sort
-        # is stable, so each cell's segments stay in order
-        half = CULL_BLOCK // 2
-        bu, bv = np.divmod(fb[k], grid.side)
-        block = (bu // 2) * self.coarse.side + bv // 2
-        cell = ((bu % 2) * half + i) * CULL_BLOCK + (bv % 2) * half + j
-        samples = fs[k]
-        order = np.argsort((samples * self.coarse.side ** 2 + block) * CULL_BLOCK ** 2 + cell, kind="stable")
-        fine_k, _, _, fine_u, fine_v = _seeds(f1, f2, cells, u, v)
-        return (samples[order], seeds_u[order], seeds_v[order]), (fs[fine_k], fine_u, fine_v)
+        k, seeds_u, seeds_v = _seeds(f1[:, ::2, ::2], f2[:, ::2, ::2], cells[:, ::2, ::2], u[:, ::2], v[:, ::2])
+        fine_k, fine_u, fine_v = _seeds(f1, f2, cells, u, v)
+        return (fs[k], seeds_u, seeds_v), (fs[fine_k], fine_u, fine_v)
 
 
 def _bounding_cap(nodes):
@@ -378,10 +372,9 @@ def _cell_seeds(f1c, f2c, cu, cv):
 
 
 def _seeds(f1, f2, cells, u, v):
-    """(block row, cell row, cell column, u, v) of the Newton seeds in K
-    blocks, from their node values f1, f2 (K, n+1, n+1), cell mask (K, n, n)
-    and node parameters u, v (K, n+1); in (block row, cell row, cell column,
-    segment) order."""
+    """(block row, u, v) of the Newton seeds in K blocks, from their node
+    values f1, f2 (K, n+1, n+1), cell mask (K, n, n) and node parameters
+    u, v (K, n+1); in (block row, cell row, cell column, segment) order."""
     k, i, j = np.nonzero(_sign_change_cells(f1) & _sign_change_cells(f2) & cells)
     corners = lambda f: np.stack([f[k, i + di, j + dj] for di, dj in _CORNER_OFFSETS], axis=1)
     cell, seeds_u, seeds_v = _cell_seeds(
@@ -389,14 +382,23 @@ def _seeds(f1, f2, cells, u, v):
         np.stack([u[k, i + di] for di, _ in _CORNER_OFFSETS], axis=1),
         np.stack([v[k, j + dj] for _, dj in _CORNER_OFFSETS], axis=1),
     )
-    return k[cell], i[cell], j[cell], seeds_u, seeds_v
+    return k[cell], seeds_u, seeds_v
+
+
+def _factor_pairings(x, a1, a2):
+    """(<x_1, a1>, <x_2, a2>) row by row, x_1 and x_2 the factors of x (k, 6)."""
+    return np.sum(x[:, :3] * a1, axis=-1), np.sum(x[:, 3:] * a2, axis=-1)
 
 
 def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
     """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed axes.
 
-    Returns (U, V, points, converged, jacobian_sigma_min), where points are
-    the surface points at the returned (U, V), from the final residual."""
+    f_i is linear in the factor N_i, so the Jacobian is read from the
+    surface's own partials (du, dv): j11 = <du_1, a1>, j12 = <dv_1, a1>,
+    j21 = <du_2, a2>, j22 = <dv_2, a2>.  Each iterate evaluates the points
+    and the partials once, on its active seeds.  Returns (points, du, dv,
+    converged, jacobian_sigma_min), the points and the partials at the
+    returned roots."""
     chart = surface.charts[chart_index]
 
     def clampwrap(u, v):
@@ -407,9 +409,8 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
     def residual(u, v, a1, a2):
         """(f1, f2) at (u, v) for the axis rows a1, a2, and the points they read."""
         pts = surface.points(chart_index, u, v)
-        f1 = np.sum(pts[..., :3] * a1, axis=-1) - c1
-        f2 = np.sum(pts[..., 3:] * a2, axis=-1) - c2
-        return f1, f2, pts
+        f1, f2 = _factor_pairings(pts, a1, a2)
+        return f1 - c1, f2 - c2, pts
 
     U, V = clampwrap(U, V)   # new arrays, updated in place below
     n = U.shape[0]
@@ -420,29 +421,25 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
             break
         idx = np.nonzero(active)[0]
         u, v = U[idx], V[idx]
-        # the centre and its four finite-difference points in one evaluation
-        su = np.stack([u, u + NEWTON_FD_STEP, u - NEWTON_FD_STEP, u, u])
-        sv = np.stack([v, v, v, v + NEWTON_FD_STEP, v - NEWTON_FD_STEP])
-        su[1:], sv[1:] = clampwrap(su[1:], sv[1:])
-        (f1, f1u, f1mu, f1v, f1mv), (f2, f2u, f2mu, f2v, f2mv), _ = residual(su, sv, a1[idx], a2[idx])
-        j11 = (f1u - f1mu) / (2 * NEWTON_FD_STEP)
-        j21 = (f2u - f2mu) / (2 * NEWTON_FD_STEP)
-        j12 = (f1v - f1mv) / (2 * NEWTON_FD_STEP)
-        j22 = (f2v - f2mv) / (2 * NEWTON_FD_STEP)
+        A1, A2 = a1[idx], a2[idx]
+        f1, f2, _ = residual(u, v, A1, A2)
+        du, dv = surface.partials(chart_index, u, v)
+        j11, j21 = _factor_pairings(du, A1, A2)
+        j12, j22 = _factor_pairings(dv, A1, A2)
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
-        du = np.clip((j22 * f1 - j12 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
-        dv = np.clip((-j21 * f1 + j11 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
+        step_u = np.clip((j22 * f1 - j12 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
+        step_v = np.clip((-j21 * f1 + j11 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
         t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
         root = np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))
         sig_min[idx] = np.where(singular, 0.0, np.sqrt(np.maximum(0.5 * (t - root), 0.0)))
-        U[idx], V[idx] = clampwrap(u - du, v - dv)
+        U[idx], V[idx] = clampwrap(u - step_u, v - step_v)
         done = ((np.maximum(np.abs(f1), np.abs(f2)) < NEWTON_TOL) & ~singular) | singular
         active[idx[done]] = False
     f1, f2, pts = residual(U, V, a1, a2)
     converged = np.maximum(np.abs(f1), np.abs(f2)) < RESIDUAL_ACCEPT
-    return U, V, pts, converged, sig_min
+    return (pts, *surface.partials(chart_index, U, V), converged, sig_min)
 
 
 def _dedup(owner, points):
@@ -498,8 +495,8 @@ class _CountingProblem:
             sidx, U, V = map(np.concatenate, zip(*levels))
             owner = np.concatenate([levels[0][0], S + levels[1][0]])
             A1, A2 = a1[sidx], a2[sidx]
-            U, V, pts, converged, smin = _newton_refine(self.n_surface, h.chart, U, V, A1, A2, c1, c2)
-            trans = self._transversality(h.chart, U, V, pts, A1, A2)
+            pts, du, dv, converged, smin = _newton_refine(self.n_surface, h.chart, U, V, A1, A2, c1, c2)
+            trans = self._transversality(du, dv, pts, A1, A2)
             failed[owner[~converged]] = True
             quality = np.minimum(smin, trans)
             roots.append((owner[converged], pts[converged], quality[converged], trans[converged]))
@@ -518,11 +515,11 @@ class _CountingProblem:
         return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
                 for st, count, trans, pts in outcomes]
 
-    def _transversality(self, chart_index, U, V, pts, a1, a2):
-        """Wedge angle between the N tangent plane and the moved-L tangent
-        plane, capped at 1 (module docstring); 0 where (du, dv) is degenerate
-        or a point lies on its circle's axis."""
-        du, dv = self.n_surface.partials(chart_index, U, V)
+    def _transversality(self, du, dv, pts, a1, a2):
+        """Wedge angle between the N tangent plane, spanned by the partials
+        (du, dv) at the points pts, and the moved-L tangent plane, capped at
+        1 (module docstring); 0 where (du, dv) is degenerate or a point lies
+        on its circle's axis."""
         t1, t2, on_axis = _circle_tangents(a1, a2, pts[:, :3], pts[:, 3:])
         tl = np.stack([t1, t2], axis=1)                     # (k, 2, 3)
 

@@ -26,9 +26,9 @@ partial.  What depends on v alone, the model's v_factors (a graph's
 longitude factors, a torus's second circle), is its own argument, so the
 quadrature computes it once per chart and pass and a tile pays only for
 its own nodes: one product or copy per component and node.  Each node gets
-the same value as in a whole-grid evaluation.  points and partials run the
-same evaluator on fresh storage: component-major views for graphs and
-meshes, C-ordered (..., 6) arrays for tori.
+the same value as in a whole-grid evaluation.  points and partials, defined
+once for the three models, run the same evaluator on fresh storage and hand
+out (..., 6) views of its component-major rows.
 
 A tile's points and partials are component-major (6, n) rows, handed out as
 their (n, 6) transposes: each coordinate is one contiguous row, which the
@@ -83,10 +83,20 @@ class Chart:
         return max(len(self.u_panels) - 1, 1)
 
 
-def _evaluate(surface, chart, u, v, part):
-    """One part at (u, v) as (..., 6), a view of fresh component-major rows."""
-    out = np.empty((6,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
-    return np.moveaxis(surface.rows(chart, u, surface.v_factors(chart, v, part), part, out), 0, -1)
+class _Evaluated:
+    """The points and partials of a model, read through its one evaluator
+    (module docstring) as (..., 6) views of fresh component-major rows."""
+
+    def _evaluate(self, chart, u, v, part):
+        out = np.empty((6,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return np.moveaxis(self.rows(chart, u, self.v_factors(chart, v, part), part, out), 0, -1)
+
+    def points(self, chart, u, v):
+        return self._evaluate(chart, u, v, "points")
+
+    def partials(self, chart, u, v):
+        """(d/du, d/dv)."""
+        return self._evaluate(chart, u, v, "du"), self._evaluate(chart, u, v, "dv")
 
 
 def _smoothstep4(t):
@@ -139,7 +149,7 @@ class Circle:
         return f"Circle(axis={self.axis.tolist()}, offset={self.offset})"
 
 
-class ProductTorusSurface:
+class ProductTorusSurface(_Evaluated):
     """Product of two circles, parameterized by (u, v) in [0, 2pi)^2."""
 
     def __init__(self, circle1: Circle, circle2: Circle):
@@ -164,20 +174,6 @@ class ProductTorusSurface:
         out[3:] = factors
         return out
 
-    def _point_major(self, chart, u, v, part):
-        """One part at (u, v) as a C-ordered (..., 6) array, as torus points
-        have always been: a reduction over the last axis of a component-major
-        view would sum in another order."""
-        values = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)) + (6,))
-        self.rows(chart, u, self.v_factors(chart, v, part), part, np.moveaxis(values, -1, 0))
-        return values
-
-    def points(self, chart, u, v):
-        return self._point_major(chart, u, v, "points")
-
-    def partials(self, chart, u, v):
-        return self._point_major(chart, u, v, "du"), self._point_major(chart, u, v, "dv")
-
     def weights(self, chart, u, v):
         return np.broadcast_to(1.0, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
@@ -194,7 +190,7 @@ def latitude_torus(c1: float, c2: float, axis1=(0.0, 0.0, 1.0), axis2=(0.0, 0.0,
     return ProductTorusSurface(Circle(axis1, c1), Circle(axis2, c2))
 
 
-class GraphSurface:
+class GraphSurface(_Evaluated):
     """Graph {(z, M z)} of a sphere isometry M = rotation (optionally after antipode).
 
     The rotation is a 3 x 3 matrix, the identity by default; one that is not
@@ -269,14 +265,6 @@ class GraphSurface:
                 row += (M[i, 2] * sign) * pole
         return out
 
-    def points(self, chart, u, v):
-        """Points (..., 6), a view of component-major storage."""
-        return _evaluate(self, chart, u, v, "points")
-
-    def partials(self, chart, u, v):
-        """Partials (d/dtheta, d/dphi), each (..., 6), views of component-major storage."""
-        return _evaluate(self, chart, u, v, "du"), _evaluate(self, chart, u, v, "dv")
-
     def weights(self, chart, u, v):
         # In each chart's own colatitude the blend profile is the same; the
         # two weights sum to 1 because the smoothstep satisfies s(t)+s(1-t)=1.
@@ -307,7 +295,7 @@ def _check_lattice(m: int):
                            f"m must be at least {MIN_MESH_LATTICE}")
 
 
-class MeshSurface:
+class MeshSurface(_Evaluated):
     """Periodic m x m lattice of points of S2 x S2 over (u, v) in [0, 2pi)^2.
 
     Three lattice tables are built once: the nodes, and their u and v
@@ -400,12 +388,6 @@ class MeshSurface:
             out[:3] /= np.sqrt((out[0] * out[0] + out[1] * out[1]) + out[2] * out[2])
             out[3:] /= np.sqrt((out[3] * out[3] + out[4] * out[4]) + out[5] * out[5])
         return out
-
-    def points(self, chart, u, v):
-        return _evaluate(self, chart, u, v, "points")
-
-    def partials(self, chart, u, v):
-        return _evaluate(self, chart, u, v, "du"), _evaluate(self, chart, u, v, "dv")
 
     def weights(self, chart, u, v):
         return np.broadcast_to(1.0, np.broadcast_shapes(np.shape(u), np.shape(v)))

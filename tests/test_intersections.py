@@ -219,7 +219,7 @@ class TestTransversalityGate:
             a1[:5], a2[5:10] = pts[:5, :3], -pts[5:10, 3:]
             a1 /= np.linalg.norm(a1, axis=1, keepdims=True)
             a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
-            got = problem._transversality(chart, U, V, pts, a1, a2)
+            got = problem._transversality(*surface.partials(chart, U, V), pts, a1, a2)
             want = transversality_by_frames(surface, chart, U, V, a1, a2)
             assert (got[:10] == 0.0).all() and (want[:10] == 0.0).all()
             assert np.abs(got - want).max() <= 1e-13
@@ -278,13 +278,13 @@ class TestContourCounter:
         flagged = []
 
         def refine(surface, chart_index, U, V, a1, a2, c1, c2):
-            U, V, pts, converged, smin = real(surface, chart_index, U, V, a1, a2, c1, c2)
+            pts, du, dv, converged, smin = real(surface, chart_index, U, V, a1, a2, c1, c2)
             seeds = np.nonzero((a1 == axis).all(axis=1) & converged)[0]
             if seeds.size and not flagged:   # one seed of the target, at its first chart
                 flagged.append(seeds[0])
                 converged = converged.copy()
                 converged[seeds[0]] = False
-            return U, V, pts, converged, smin
+            return pts, du, dv, converged, smin
 
         monkeypatch.setattr(intersections, "_newton_refine", refine)
         after = problem.run_batch(r1, r2)
@@ -381,30 +381,29 @@ class TestContourCounter:
 
 
 # SHA-256 of the outcome_bytes of 1024 samples of each stream, counted in
-# batches of 64.  They were recorded with per-block culling on both grids and
-# five residual calls per Newton iteration: culling and the stencil call are
-# free to change how they work, but not a bit of any outcome.  Three streams
-# hold grid-unstable samples (anti-diagonal against the latitude torus at
-# sample 275, the ragged latitude pair at 969, and the ragged two-chart grid
-# 133 at 111 and 924).  The last digest was recorded while each level still
-# evaluated its own node grid and ran its own pass.  The chain mesh's was
-# recorded again when mesh partials became spectral: every status, count and
-# root point stayed, and min_transversality moved by at most 3.3e-7.
+# batches of 64.  Culling is free to change how it works, but not a bit of
+# any outcome.  Three streams hold grid-unstable samples (anti-diagonal
+# against the latitude torus at sample 275, the ragged latitude pair at 969,
+# and the ragged two-chart grid 133 at 111 and 924).  All five were recorded
+# again when Newton took its Jacobian from the surface's own partials in
+# place of central differences: every status, count and root set stayed,
+# the roots moved by at most 6.2e-15 (9.6e-12 on the chain mesh) and
+# min_transversality by at most 1.4e-15 (7.2e-13 on the chain mesh).
 GOLDEN = [
     pytest.param(anti_diagonal, great_torus, 128, 1601, 0,
-                 "a96344e663b329b9b84f1e12469965a0ad42d55b23545d3d42797eee34d84db1",
+                 "38dd7780c05597bb229c4d74f72efabbf737c87e7c7714ebec6ca5266c282682",
                  id="anti-diagonal-great"),
     pytest.param(anti_diagonal, lambda: latitude_torus(0.3, -0.5), 128, 1627, 1,
-                 "ad38c4f4c2a7e20d9c07c74473f84250b31c21bc8a61f1d7998acd1017742774",
+                 "bad67806095cfb0b1293582050a9aadd45ba6e92972a531c256740d86f6ce7e5",
                  id="anti-diagonal-latitude"),
     pytest.param(lambda: latitude_torus(-0.35, 0.45), lambda: latitude_torus(0.15, -0.2), 130, 1604, 1,
-                 "4c8c219879bc612da599896ee93961d31a60765e3a00f4dc287d0d1abe7c3f6f",
+                 "e7de61f805b31b3a23b59062e2856588bee45cc9966b24dd9b510a3184ccfa2e",
                  id="latitude-pair-ragged-130"),
     pytest.param(chain_mesh, great_torus, 128, 1605, 0,
-                 "50cfa64eeb62073c334975ff84bd4dff3c86c5d56b84a89f68c9560d1ca04e05",
+                 "a3497bfa9d9f8a4e087b7bbd27f4d42fb2b0724bc366caa7c5fcb3ad9e5544cc",
                  id="deformed-chain-great"),
     pytest.param(anti_diagonal, lambda: latitude_torus(0.3, -0.5), 133, 1640, 2,
-                 "4669c339aa68eb0683c5d6cfb9ef339feb3c45fd59fe5184bdb76601e3e90c3a",
+                 "5a8c2766536500eb01d23bd74bbadb262c4e2189aede505f081b221fc38bb176",
                  id="anti-diagonal-latitude-ragged-133"),
 ]
 
@@ -721,8 +720,11 @@ class TestOneGridOnePass:
         a1, a2 = r1[:, :, 2], r2[:, :, 2]
         h = _BlockHierarchy(cull_surface(kind), chart, m, c1, c2)
         want = two_pass_seeds(reference_grids(kind, chart, m), a1, a2, c1, c2)
+        # the same seeds, bit for bit; the one pass keeps them in the order
+        # of its kept blocks, so both sides are compared in (sample, u, v) order
+        by_sample_u_v = lambda level: [x[np.lexsort(level[::-1])] for x in level]
         for got_level, want_level in zip(h.seeds(a1, a2), want):
-            for g, w in zip(got_level, want_level):
+            for g, w in zip(by_sample_u_v(got_level), by_sample_u_v(want_level)):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
@@ -758,3 +760,46 @@ class TestOneGridOnePass:
         after = problem.run_batch(r1, r2)
         assert calls == ["newton", "transversality"] * 2 + ["dedup"]
         assert outcome_bytes(after) == outcome_bytes(before)
+
+
+class TestNewtonOnTheEvaluator:
+    @pytest.mark.parametrize("surface", [anti_diagonal, chain_mesh], ids=["graph", "mesh"])
+    def test_one_points_and_one_partials_call_per_iterate(self, surface, monkeypatch):
+        # Newton reads its Jacobian from the surface's partials, not from
+        # offset points, and the transversality gate takes the partials of
+        # Newton's roots instead of evaluating them again
+        surface = surface()
+        problem = _CountingProblem(surface, great_torus(), 128)
+        cls, gate = type(surface), _CountingProblem._transversality
+        calls = []   # (part, chart, u, v, inside the gate)
+        inside = [False]
+
+        def recorded(part, real):
+            def wrapper(self, chart, u, v):
+                calls.append((part, chart, np.array(u), np.array(v), inside[0]))
+                return real(self, chart, u, v)
+            return wrapper
+
+        def transversality(self, *args):
+            inside[0] = True
+            try:
+                return gate(self, *args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(cls, "points", recorded("points", cls.points))
+        monkeypatch.setattr(cls, "partials", recorded("partials", cls.partials))
+        monkeypatch.setattr(_CountingProblem, "_transversality", transversality)
+        problem.run_batch(*group_matrices(24, 0, 64))
+        assert not any(in_gate for *_, in_gate in calls)
+        for chart in range(len(surface.charts)):
+            points = [(u, v) for part, c, u, v, _ in calls if part == "points" and c == chart]
+            partials = [(u, v) for part, c, u, v, _ in calls if part == "partials" and c == chart]
+            assert all(u.ndim == 1 and v.ndim == 1 for u, v in points)
+            # each iterate, then the roots: one points and one partials call at the same (u, v)
+            assert len(points) >= 2 and len(partials) == len(points)
+            for (pu, pv), (qu, qv) in zip(points, partials):
+                assert pu.tobytes() == qu.tobytes() and pv.tobytes() == qv.tobytes()
+            # the iterates take the active seeds, fewer or as many each time; the roots take all
+            sizes = [len(u) for u, _ in points]
+            assert sizes[-1] == sizes[0] > 0 and sizes[:-1] == sorted(sizes[:-1], reverse=True)
