@@ -15,18 +15,20 @@ a disagreement is reported as GridUnstable rather than silently resolved.
 
 The gate reads the wedge angle |e1 ^ e2 ^ l1 ^ l2| between the tangent plane
 of N, (e1, e2) orthonormal, and that of g L, spanned by the unit tangents l1
-and l2 of the moved circles, one per factor.  With P the projection off l1
-and l2, which takes from each factor of a row its component along that
-factor's tangent, it equals |P du ^ P dv| / |du ^ dv| for the partials
-(du, dv) of N: two plane_area calls, with no orthonormal frame.
+and l2 of the moved circles, one per factor, from the Jacobian J of (f1, f2)
+that Newton has at the roots.  The partials du_i of N_i are tangent to its
+sphere, so <du_i, a_i> = <du_i, n_i> for the in-sphere normal
+n_i = a_i - c_i x_i of the moved circle, whose length is r_i, the radius of
+L's circle.  With P the projection off l1 and l2, |P du ^ P dv| is then
+|det J| / (r1 r2), and the wedge angle is |det J| / (r1 r2 |du ^ dv|).
 
 Each chart is evaluated once, on its level-2m nodes; level m is every second
 node, bitwise the grid of m + 1 nodes per direction.  Both levels are counted
 in one pass: a root's owner is its sample at level m and S + its sample at
-level 2m, so per chart one Newton and one transversality call take both
-levels' seeds, and per batch one deduplication (a sort by owner and
-coordinates, then the greedy radius rule over each root's rank in its owner)
-and one bincount count both; the status compares the two halves.
+level 2m, so per chart one Newton call takes both levels' seeds, and per
+batch one deduplication (a sort by owner and coordinates, then the greedy
+radius rule over each root's rank in its owner) and one bincount count both;
+the status compares the two halves.
 
 The counter is output sensitive.  Each chart grid is cut into blocks of
 CULL_BLOCK x CULL_BLOCK cells, and each block carries a bounding cap (unit
@@ -41,23 +43,25 @@ or for f2, and no cell of it could carry the sign changes of both that a
 seed needs: the count is the one the dense grid gives.
 
 The culling is hierarchical.  The children of a level-m block are the
-level-2m blocks that tile it, and its super-cap holds their nodes, which
-include its own.  The level-m pairs are those whose super-caps straddle both
-circles (the second tested only where the first holds); the level-2m pairs
-are their children whose own caps do.  Only the level-2m pairs are
-evaluated, once per batch, and level m reads the values at their even
-nodes.  CULL_BLOCK must be even for that: each child then holds
-CULL_BLOCK / 2 whole level-m cells per side, so every level-m cell lies in
-one child, and a child left out has one sign for f1 or for f2 at every node,
-so it holds no level-m seed either.  The seeds of both levels are those of
-the per-block test on each grid evaluated apart, in the order of the kept
-level-2m blocks.
+level-2m blocks that tile it, and its super-cap, built from their caps,
+holds their nodes, which include its own.  The level-m pairs are those whose
+super-caps straddle both circles (the second tested only where the first
+holds); the level-2m pairs are their children whose own caps do.  A
+super-cap holds each of its children's caps, so these are the level-2m
+pairs of the flat per-block test.  Only they are evaluated, once per batch,
+and level m reads the values at their even nodes.  CULL_BLOCK must be even
+for that: each child then holds CULL_BLOCK / 2 whole level-m cells per
+side, so every level-m cell lies in one child, and a child left out has one
+sign for f1 or for f2 at every node, so it holds no level-m seed either.
+The seeds of both levels are those of the per-block test on each grid
+evaluated apart, in the order of the kept level-2m blocks.
 
 Newton reads its Jacobian from the surface's own partials: each iterate
-evaluates the points and the partials once, and the partials at the roots
-go on to the transversality gate, which evaluates nothing.  A mesh's
-partials are its spectral tables, not those of the bilinear interpolant its
-residuals read, so on a mesh Newton converges linearly.
+evaluates the points and the partials once, and one more partials call at
+the roots gives the Jacobian that the gate reads.  A mesh's partials are its
+spectral tables, not those of the bilinear interpolant its residuals read,
+so on a mesh Newton converges linearly, and its partials are tangent to the
+spheres only up to the interpolant's error.
 """
 
 from __future__ import annotations
@@ -103,16 +107,6 @@ def _circle_pairs(cn: Circle, axes, offset):
     safe = np.where(parallel, 0.0, gamma)
     disc = 1.0 - (cn.offset ** 2 + offset ** 2 - 2.0 * cn.offset * offset * safe) / (1.0 - safe ** 2)
     return gamma, np.where(parallel, -np.inf, disc), coaxial
-
-
-def _circle_tangents(a1, a2, p, q):
-    """Unit tangents (k, 3) at the points p and q of the circles about the
-    axes a1 and a2, and the mask of the points on their axis."""
-    t1, t2 = np.cross(a1, p), np.cross(a2, q)
-    n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
-    n2 = np.linalg.norm(t2, axis=-1, keepdims=True)
-    on_axis = (n1 < 1e-12) | (n2 < 1e-12)
-    return t1 / np.where(n1 > 0, n1, 1.0), t2 / np.where(n2 > 0, n2, 1.0), on_axis[:, 0]
 
 
 def counts_product_batch(n_surface: ProductTorusSurface, r1, r2,
@@ -165,12 +159,12 @@ class _ChartGrid:
     so sign bookkeeping is exact at the seam.  A block is CULL_BLOCK x
     CULL_BLOCK cells with their boundary nodes; the last block along each
     direction may be ragged, its node indices clamped to the grid and its
-    missing cells masked out.  Each block carries, per factor, a bounding cap
-    of its nodes; with keep_nodes, also the nodes, per factor component-major
-    (blocks, 3, (B+1)^2) with node (i, j) of a block at i (B+1) + j.
+    missing cells masked out.  Each block carries, per factor, its nodes,
+    component-major (blocks, 3, (B+1)^2) with node (i, j) of a block at
+    i (B+1) + j, and a bounding cap of them.
     """
 
-    def __init__(self, pts, u_nodes, v_nodes, keep_nodes=True):
+    def __init__(self, pts, u_nodes, v_nodes):
         m = len(u_nodes) - 1
         span = np.arange(0, m, CULL_BLOCK)[:, None] + np.arange(CULL_BLOCK + 1)
         side = np.minimum(span, m)                 # node indices along one block side
@@ -185,21 +179,21 @@ class _ChartGrid:
         for k, plane in enumerate(np.moveaxis(pts, -1, 0)):   # "clip" writes straight to out
             np.take(plane, index, out=nodes[k // 3, :, k % 3], mode="clip")
         self.cap1, self.cap2 = map(_bounding_cap, nodes)
-        if keep_nodes:
-            self.nodes1, self.nodes2 = nodes
+        self.nodes1, self.nodes2 = nodes
 
 
 class _BlockHierarchy:
-    """One chart's grids at levels m and 2m, both read from one evaluation of
-    its level-2m nodes, with each level-m block's children, culled against
-    the circles of offsets c1 and c2; only level 2m keeps its nodes.
+    """One chart's level-2m grid, whose even nodes are the level-m grid, with
+    each level-m block's children, culled against the circles of offsets c1
+    and c2.
 
     The children of a level-m block are the <= 4 level-2m blocks that tile
-    its cells.  Per factor, the block's super-cap has the block's own cap
-    centre and the largest, over the children, of the angle to the child's
-    centre plus the child's radius: it holds every node of the children, and
-    so every node of the block.  Each super-cap and each level-2m cap is kept
-    as its band for its factor's offset (_band).
+    its cells.  Per factor, the block's super-cap is built from its real
+    children's caps alone: its centre is the normalized sum of their
+    centres, its radius the largest, over them, of the angle to the child's
+    centre plus the child's radius.  It holds every cap of the children, so
+    every node of the block.  Each super-cap and each level-2m cap is kept as
+    its band for its factor's offset (_band).
     """
 
     def __init__(self, surface, chart: int, m: int, c1, c2):
@@ -214,22 +208,24 @@ class _BlockHierarchy:
             pts[-1, :] = pts[0, :]
         if ch.periodic_v:
             pts[:, -1] = pts[:, 0]
-        self.coarse = coarse = _ChartGrid(pts[::2, ::2], u_nodes[::2], v_nodes[::2], keep_nodes=False)
         self.fine = fine = _ChartGrid(pts, u_nodes, v_nodes)
-        bu, bv = np.divmod(np.arange(coarse.side ** 2), coarse.side)
+        side = (fine.side + 1) // 2                       # level-m blocks along each direction
+        bu, bv = np.divmod(np.arange(side ** 2), side)
         cu = 2 * bu[:, None] + (0, 0, 1, 1)
         cv = 2 * bv[:, None] + (0, 1, 0, 1)
         self.real = (cu < fine.side) & (cv < fine.side)   # a ragged last block may have fewer
         self.children = np.where(self.real, cu * fine.side + cv, 0)        # (blocks, 4)
-        self.super1 = _band(self._super_cap(coarse.cap1[0], fine.cap1), c1)
-        self.super2 = _band(self._super_cap(coarse.cap2[0], fine.cap2), c2)
+        self.super1 = _band(self._super_cap(fine.cap1), c1)
+        self.super2 = _band(self._super_cap(fine.cap2), c2)
         self.band1, self.band2 = _band(fine.cap1, c1), _band(fine.cap2, c2)
         self.c1, self.c2 = c1, c2
 
-    def _super_cap(self, centre, child_cap):
-        child_centre, child_radius = child_cap
-        chord = np.linalg.norm(child_centre[self.children] - centre[:, None, :], axis=-1)
-        reach = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + child_radius[self.children]
+    def _super_cap(self, child_cap):
+        child_centre, child_radius = child_cap[0][self.children], child_cap[1][self.children]
+        centre = np.where(self.real[:, :, None], child_centre, 0.0).sum(axis=1)
+        centre /= np.linalg.norm(centre, axis=1, keepdims=True)
+        chord = np.linalg.norm(child_centre - centre[:, None, :], axis=-1)
+        reach = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + child_radius
         return centre, np.minimum(np.where(self.real, reach, 0.0).max(axis=1), math.pi)
 
     def kept_parents(self, a1, a2):
@@ -390,15 +386,18 @@ def _factor_pairings(x, a1, a2):
     return np.sum(x[:, :3] * a1, axis=-1), np.sum(x[:, 3:] * a2, axis=-1)
 
 
-def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
-    """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed axes.
+def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2, r1r2):
+    """Vectorized damped Newton on (f1, f2) = 0 for seed arrays with per-seed
+    axes, L's offsets c1, c2 and the product r1r2 of its circles' radii.
 
-    f_i is linear in the factor N_i, so the Jacobian is read from the
+    f_i is linear in the factor N_i, so the Jacobian J is read from the
     surface's own partials (du, dv): j11 = <du_1, a1>, j12 = <dv_1, a1>,
     j21 = <du_2, a2>, j22 = <dv_2, a2>.  Each iterate evaluates the points
-    and the partials once, on its active seeds.  Returns (points, du, dv,
-    converged, jacobian_sigma_min), the points and the partials at the
-    returned roots."""
+    and the partials once, on its active seeds, and J is evaluated once more
+    at the returned roots.  Returns (points, converged, quality, trans) at
+    the roots: trans is the wedge angle |det J| / (r1r2 |du ^ dv|), capped
+    at 1 and 0 where (du, dv) is degenerate (module docstring), and quality
+    the smaller of trans and J's least singular value."""
     chart = surface.charts[chart_index]
 
     def clampwrap(u, v):
@@ -412,10 +411,15 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
         f1, f2 = _factor_pairings(pts, a1, a2)
         return f1 - c1, f2 - c2, pts
 
+    def jacobian(u, v, a1, a2):
+        """(j11, j12, j21, j22, det) at (u, v) for the axis rows a1, a2, and the partials they read."""
+        du, dv = surface.partials(chart_index, u, v)
+        j11, j21 = _factor_pairings(du, a1, a2)
+        j12, j22 = _factor_pairings(dv, a1, a2)
+        return (j11, j12, j21, j22, j11 * j22 - j12 * j21), du, dv
+
     U, V = clampwrap(U, V)   # new arrays, updated in place below
-    n = U.shape[0]
-    active = np.ones(n, dtype=bool)
-    sig_min = np.zeros(n)
+    active = np.ones(U.shape[0], dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
@@ -423,23 +427,22 @@ def _newton_refine(surface, chart_index, U, V, a1, a2, c1, c2):
         u, v = U[idx], V[idx]
         A1, A2 = a1[idx], a2[idx]
         f1, f2, _ = residual(u, v, A1, A2)
-        du, dv = surface.partials(chart_index, u, v)
-        j11, j21 = _factor_pairings(du, A1, A2)
-        j12, j22 = _factor_pairings(dv, A1, A2)
-        det = j11 * j22 - j12 * j21
+        (j11, j12, j21, j22, det), _, _ = jacobian(u, v, A1, A2)
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
         step_u = np.clip((j22 * f1 - j12 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
         step_v = np.clip((-j21 * f1 + j11 * f2) / det, -NEWTON_MAX_STEP, NEWTON_MAX_STEP)
-        t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-        root = np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))
-        sig_min[idx] = np.where(singular, 0.0, np.sqrt(np.maximum(0.5 * (t - root), 0.0)))
         U[idx], V[idx] = clampwrap(u - step_u, v - step_v)
         done = ((np.maximum(np.abs(f1), np.abs(f2)) < NEWTON_TOL) & ~singular) | singular
         active[idx[done]] = False
     f1, f2, pts = residual(U, V, a1, a2)
     converged = np.maximum(np.abs(f1), np.abs(f2)) < RESIDUAL_ACCEPT
-    return (pts, *surface.partials(chart_index, U, V), converged, sig_min)
+    (j11, j12, j21, j22, det), du, dv = jacobian(U, V, a1, a2)
+    t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+    sig_min = np.sqrt(np.maximum(0.5 * (t - np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))), 0.0))
+    area, degenerate = plane_area(du, dv)
+    trans = np.where(degenerate, 0.0, np.minimum(np.abs(det) / (r1r2 * np.where(degenerate, 1.0, area)), 1.0))
+    return pts, converged, np.minimum(sig_min, trans), trans
 
 
 def _dedup(owner, points):
@@ -485,20 +488,18 @@ class _CountingProblem:
         status is 'ok'.
         """
         S = r1.shape[0]
-        a1 = r1 @ self.l_surface.circle1.axis
-        a2 = r2 @ self.l_surface.circle2.axis
-        c1, c2 = self.l_surface.circle1.offset, self.l_surface.circle2.offset
+        circle1, circle2 = self.l_surface.circle1, self.l_surface.circle2
+        a1, a2 = r1 @ circle1.axis, r2 @ circle2.axis
+        c1, c2, r1r2 = circle1.offset, circle2.offset, circle1.radius * circle2.radius
         failed = np.zeros(2 * S, dtype=bool)
         roots = []   # each chart's converged seeds: owner, points, min(sigma_min, trans), trans
         for h in self.hierarchies:
             levels = h.seeds(a1, a2)
             sidx, U, V = map(np.concatenate, zip(*levels))
             owner = np.concatenate([levels[0][0], S + levels[1][0]])
-            A1, A2 = a1[sidx], a2[sidx]
-            pts, du, dv, converged, smin = _newton_refine(self.n_surface, h.chart, U, V, A1, A2, c1, c2)
-            trans = self._transversality(du, dv, pts, A1, A2)
+            pts, converged, quality, trans = _newton_refine(self.n_surface, h.chart, U, V,
+                                                            a1[sidx], a2[sidx], c1, c2, r1r2)
             failed[owner[~converged]] = True
-            quality = np.minimum(smin, trans)
             roots.append((owner[converged], pts[converged], quality[converged], trans[converged]))
         owner, points, quality, trans = map(np.concatenate, zip(*roots))
         keep = _dedup(owner, points)
@@ -514,20 +515,3 @@ class _CountingProblem:
         outcomes = zip(status.tolist(), count[S:].tolist(), min_trans[S:].tolist(), groups)
         return [(st, count, trans, list(pts)) if st == "ok" else (st, 0, 0.0, [])
                 for st, count, trans, pts in outcomes]
-
-    def _transversality(self, du, dv, pts, a1, a2):
-        """Wedge angle between the N tangent plane, spanned by the partials
-        (du, dv) at the points pts, and the moved-L tangent plane, capped at
-        1 (module docstring); 0 where (du, dv) is degenerate or a point lies
-        on its circle's axis."""
-        t1, t2, on_axis = _circle_tangents(a1, a2, pts[:, :3], pts[:, 3:])
-        tl = np.stack([t1, t2], axis=1)                     # (k, 2, 3)
-
-        def project(w):
-            w = w.reshape(-1, 2, 3)
-            return (w - np.sum(w * tl, axis=-1, keepdims=True) * tl).reshape(-1, 6)
-
-        area, degenerate = plane_area(du, dv)
-        moved, _ = plane_area(project(du), project(dv))
-        sigma = np.minimum(moved / np.where(degenerate, 1.0, area), 1.0)
-        return np.where(degenerate | on_axis, 0.0, sigma)

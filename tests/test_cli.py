@@ -667,7 +667,7 @@ PINNED_REPORTS = [
      '"name":"haar-moments","rhs":0.3333333333333333,"runtime_ms":0,"seed":21,"stderr":0.0009445630643691263,'
      '"tolerance":0.002833689193107379,"verdict":"pass"}'),
     (("count", "anti-diagonal", "great-torus", "--seed", "7"), 0,
-     '{"count":2,"l":"great-torus","min_transversality":0.33398877893572493,"n":"anti-diagonal",'
+     '{"count":2,"l":"great-torus","min_transversality":0.3339887789357249,"n":"anti-diagonal",'
      '"seed":7}'),
 ]
 

@@ -21,12 +21,10 @@ from s2xs2.hamiltonian import FlowParams, HamiltonianFunction, deform_surface
 from s2xs2.intersections import (
     _CORNER_OFFSETS,
     _EDGES,
-    CULL_BLOCK,
     DEDUP_RADIUS,
     _band,
     _BlockHierarchy,
     _cell_seeds,
-    _ChartGrid,
     _CountingProblem,
     _dedup,
     _node_values,
@@ -202,27 +200,42 @@ class TestProductProduct:
                 assert trans[k] == pytest.approx(min_trans, abs=1e-8)
 
 
+def axes_through(points, circle, rng):
+    """Unit axes a = c x + r t, t a random unit tangent of the sphere at each
+    row x of points (k, 3), so that x lies on the circle {<y, a> = c} of the
+    offset c and radius r of circle."""
+    t = np.cross(points, rng.normal(size=points.shape))
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    return circle.offset * points + circle.radius * t
+
+
 class TestTransversalityGate:
-    @pytest.mark.parametrize("n_surface", [anti_diagonal, chain_mesh], ids=["anti-diagonal", "chain-mesh"])
-    def test_gate_is_the_wedge_norm_of_the_orthonormal_frames(self, n_surface):
-        # the gate against the route it replaced, at random chart points and
-        # random unit axes; the first rows put the point on an axis, where
-        # both routes give 0
-        surface = n_surface()
-        problem = _CountingProblem(surface, great_torus(), 128)
+    # the spectral partials of the chain mesh have radial parts up to 2.3e-4
+    # of their length between the lattice nodes, which the Jacobian ignores
+    # and the frames keep: 8.4e-5 measured
+    @pytest.mark.parametrize("n_surface, bound", [
+        pytest.param(anti_diagonal, 1e-13, id="anti-diagonal"),
+        pytest.param(lambda: latitude_torus(0.5, 0.5, (0.0, 0.6, 0.8), (1.0, 0.0, 0.0)), 1e-13, id="tilted-torus"),
+        pytest.param(chain_mesh, 1e-4, id="chain-mesh"),
+    ])
+    def test_gate_is_the_wedge_norm_of_the_orthonormal_frames(self, n_surface, bound, monkeypatch):
+        # the gate read from Newton's Jacobian against the route it replaced,
+        # at random chart points x with axes that put x on both moved circles
+        # of L; with no iterate, Newton's roots are the seeds themselves
+        surface, l_surface = n_surface(), latitude_torus(0.3, -0.5)
+        c1, c2 = l_surface.circle1, l_surface.circle2
+        monkeypatch.setattr(intersections, "NEWTON_MAX_ITER", 0)
         rng = np.random.default_rng(2200)
         for chart, ch in enumerate(surface.charts):
             U = rng.uniform(ch.u_min, ch.u_max, 1000)
             V = rng.uniform(ch.v_min, ch.v_max, 1000)
             pts = surface.points(chart, U, V)
-            a1, a2 = rng.normal(size=(2, 1000, 3))
-            a1[:5], a2[5:10] = pts[:5, :3], -pts[5:10, 3:]
-            a1 /= np.linalg.norm(a1, axis=1, keepdims=True)
-            a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
-            got = problem._transversality(*surface.partials(chart, U, V), pts, a1, a2)
+            a1, a2 = axes_through(pts[:, :3], c1, rng), axes_through(pts[:, 3:], c2, rng)
+            _, converged, _, got = intersections._newton_refine(
+                surface, chart, U, V, a1, a2, c1.offset, c2.offset, c1.radius * c2.radius)
             want = transversality_by_frames(surface, chart, U, V, a1, a2)
-            assert (got[:10] == 0.0).all() and (want[:10] == 0.0).all()
-            assert np.abs(got - want).max() <= 1e-13
+            assert converged.all() and (want > 0.0).all()
+            assert np.abs(got - want).max() <= bound
 
     @pytest.mark.parametrize("n_surface", [anti_diagonal, chain_mesh], ids=["anti-diagonal", "chain-mesh"])
     def test_no_lapack_determinant_reaches_a_count(self, n_surface, monkeypatch):
@@ -277,14 +290,14 @@ class TestContourCounter:
         real = intersections._newton_refine
         flagged = []
 
-        def refine(surface, chart_index, U, V, a1, a2, c1, c2):
-            pts, du, dv, converged, smin = real(surface, chart_index, U, V, a1, a2, c1, c2)
+        def refine(surface, chart_index, U, V, a1, *args):
+            pts, converged, quality, trans = real(surface, chart_index, U, V, a1, *args)
             seeds = np.nonzero((a1 == axis).all(axis=1) & converged)[0]
             if seeds.size and not flagged:   # one seed of the target, at its first chart
                 flagged.append(seeds[0])
                 converged = converged.copy()
                 converged[seeds[0]] = False
-            return pts, du, dv, converged, smin
+            return pts, converged, quality, trans
 
         monkeypatch.setattr(intersections, "_newton_refine", refine)
         after = problem.run_batch(r1, r2)
@@ -322,6 +335,19 @@ class TestContourCounter:
         assert len(counts) >= 0.99 * 512
         assert all(count % 2 == 0 and count >= 4 for count in counts)
         assert max(counts) > 4
+
+    def test_graph_counts_against_a_latitude_torus_are_even(self):
+        # L bounds a solid torus, so [L] = 0 in H2(S2 x S2; Z/2) and every
+        # transversal count is even: a root lost or kept twice where the
+        # graph's two chart bands overlap, or by the dedup, makes one odd
+        problem = _CountingProblem(anti_diagonal(), latitude_torus(0.3, -0.5), 128)
+        r1, r2 = group_matrices(3, 0, 4096)
+        counts = [count for start in range(0, 4096, 128)
+                  for status, count, _, _ in problem.run_batch(r1[start:start + 128], r2[start:start + 128])
+                  if status == "ok"]
+        assert len(counts) >= 0.99 * 4096
+        assert all(count % 2 == 0 for count in counts)
+        assert max(counts) > 0
 
     def test_contour_agrees_with_analytic_on_product_tori(self):
         n = latitude_torus(0.4, -0.3)
@@ -385,25 +411,25 @@ class TestContourCounter:
 # any outcome.  Three streams hold grid-unstable samples (anti-diagonal
 # against the latitude torus at sample 275, the ragged latitude pair at 969,
 # and the ragged two-chart grid 133 at 111 and 924).  All five were recorded
-# again when Newton took its Jacobian from the surface's own partials in
-# place of central differences: every status, count and root set stayed,
-# the roots moved by at most 6.2e-15 (9.6e-12 on the chain mesh) and
-# min_transversality by at most 1.4e-15 (7.2e-13 on the chain mesh).
+# again when the transversality gate came to read Newton's Jacobian at the
+# roots: every status, count and root stayed bit for bit, and
+# min_transversality moved by at most 1.0e-15 (1.3e-7 on the chain mesh,
+# whose spectral partials are not exactly tangent to the spheres).
 GOLDEN = [
     pytest.param(anti_diagonal, great_torus, 128, 1601, 0,
-                 "38dd7780c05597bb229c4d74f72efabbf737c87e7c7714ebec6ca5266c282682",
+                 "3350da0647b1fb9ccc21513bd59c4b7476b333aaf76ea22bf1ccc74756205b73",
                  id="anti-diagonal-great"),
     pytest.param(anti_diagonal, lambda: latitude_torus(0.3, -0.5), 128, 1627, 1,
-                 "bad67806095cfb0b1293582050a9aadd45ba6e92972a531c256740d86f6ce7e5",
+                 "00904264f42c5f1695f6adecd6bf56143b7186a5edc0510e6b8d2f82b6526032",
                  id="anti-diagonal-latitude"),
     pytest.param(lambda: latitude_torus(-0.35, 0.45), lambda: latitude_torus(0.15, -0.2), 130, 1604, 1,
-                 "e7de61f805b31b3a23b59062e2856588bee45cc9966b24dd9b510a3184ccfa2e",
+                 "49be4882cca24c15b7d57e4f2a7de2c5a9ca927fc9321e836a32bee77b8b8546",
                  id="latitude-pair-ragged-130"),
     pytest.param(chain_mesh, great_torus, 128, 1605, 0,
-                 "a3497bfa9d9f8a4e087b7bbd27f4d42fb2b0724bc366caa7c5fcb3ad9e5544cc",
+                 "fc76d3d499c64cc12491a25c777d7eeb0fe904912d5341fe750298a8acd2364b",
                  id="deformed-chain-great"),
     pytest.param(anti_diagonal, lambda: latitude_torus(0.3, -0.5), 133, 1640, 2,
-                 "5a8c2766536500eb01d23bd74bbadb262c4e2189aede505f081b221fc38bb176",
+                 "48730f19523d91c93f3d7c77184da1f043722f08edcaa2e582ed6e83a7cc6264",
                  id="anti-diagonal-latitude-ragged-133"),
 ]
 
@@ -552,19 +578,11 @@ def cull_hierarchy(kind, chart, m):
     return _BlockHierarchy(cull_surface(kind), chart, m, 0.0, 0.0)
 
 
-def cull_grid(kind, chart, m):
-    return cull_hierarchy(kind, chart, m).coarse
-
-
 def one_sign(nodes, axes, offset):
     """(K,) mask: the residual <x, a> - offset has one sign over the
     component-major nodes (K, 3, n) of each row, a the row of axes (K, 3)."""
     positive = np.einsum("kxn,kx->kn", nodes, axes) - offset > 0.0
     return positive.all(axis=1) | ~positive.any(axis=1)
-
-
-def pair_set(samples, blocks):
-    return set(zip(samples.tolist(), blocks.tolist()))
 
 
 unit_vectors = st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(lambda v: 0.1 < np.linalg.norm(v))
@@ -575,18 +593,21 @@ offsets = st.one_of(st.floats(-0.999, 0.999), st.floats(0.999, 1.0, exclude_max=
 
 class TestBlockCulling:
     def test_blocks_tile_the_grid(self):
-        for m in (128, 130):
-            grid = cull_grid("latitude", 0, m)
-            assert grid.cells.sum() == m * m
+        for m in (128, 130, 133):
+            h = cull_hierarchy("latitude", 0, m)
+            grid = h.fine
+            assert grid.cells.sum() == 4 * m * m
             shape = (len(grid.u), grid.u.shape[1], grid.v.shape[1])
             nodes = set(zip(np.broadcast_to(grid.u[:, :, None], shape).ravel(),
                             np.broadcast_to(grid.v[:, None, :], shape).ravel()))
-            assert len(nodes) == (m + 1) ** 2
+            assert len(nodes) == (2 * m + 1) ** 2
+            # every level-2m block is the child of one level-m block
+            assert sorted(h.children[h.real].tolist()) == list(range(len(grid.cells)))
 
     def test_most_blocks_are_culled(self):
-        grid = cull_grid("anti-diagonal", 0, 128)
+        h = cull_hierarchy("anti-diagonal", 0, 128)
         r1, _ = group_matrices(3, 0, 64)
-        kept = _straddles(_band(grid.cap1, 0.0), r1 @ [0.0, 0.0, 1.0])
+        kept = _straddles(h.super1, r1 @ [0.0, 0.0, 1.0])
         assert kept.mean() < 0.35
 
     @settings(max_examples=300)
@@ -632,13 +653,12 @@ class TestBlockCulling:
             c1 = float(f1.max() if c1 > 0 else f1.min()) + nudge
             c2 = float(f2.max() if c2 > 0 else f2.min()) + nudge
         h = _BlockHierarchy(cull_surface(kind), chart, m, c1, c2)
-        coarse, fine = h.coarse, h.fine
+        fine = h.fine
         ks, kb = h.kept_parents(a1, a2)
         fs, fb = h.kept_blocks(a1, a2)
-        # the pairs the flat per-block test keeps are kept at both levels
-        for grid, kept in ((coarse, pair_set(ks, kb)), (fine, pair_set(fs, fb))):
-            flat = _straddles(_band(grid.cap1, c1), a1) & _straddles(_band(grid.cap2, c2), a2)
-            assert set(zip(*np.nonzero(flat))) <= kept
+        # the pairs the flat per-block test keeps at level 2m are kept
+        flat = _straddles(h.band1, a1) & _straddles(h.band2, a2)
+        assert set(zip(*np.nonzero(flat))) <= set(zip(fs.tolist(), fb.tolist()))
         # a dropped (sample, level-m block) pair has one sign for f1 or for f2
         # over every node of the block's children, which hold the block's own
         # (a missing child of a ragged block repeats the first one)
@@ -654,12 +674,6 @@ class TestBlockCulling:
         dropped[fs, fb] = False
         ds, db = np.nonzero(dropped)
         assert (one_sign(fine.nodes1[db], a1[ds], c1) | one_sign(fine.nodes2[db], a2[ds], c2)).all()
-
-
-def direct_grid(surface, chart, m):
-    """The level-m grid evaluated on its own m + 1 nodes per direction, with
-    the periodic wrap, as a counter that evaluates each level apart builds it."""
-    return _ChartGrid(*chart_node_grid(surface, chart, m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -680,32 +694,35 @@ ONE_GRID_SURFACES = [
 class TestOneGridOnePass:
     @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
     @pytest.mark.parametrize("m", [128, 133])
-    def test_level_m_nodes_are_the_even_nodes_of_level_2m(self, surface, m):
+    def test_super_caps_hold_their_childrens_nodes(self, surface, m):
         surface = surface()
-        half = CULL_BLOCK // 2
         for chart in range(len(surface.charts)):
             h = _BlockHierarchy(surface, chart, m, 0.0, 0.0)
-            coarse, fine = h.coarse, h.fine
-            direct = direct_grid(surface, chart, m)
-            assert not hasattr(coarse, "nodes1") and not hasattr(coarse, "nodes2")
-            for name in ("u", "v", "cells"):
-                assert getattr(coarse, name).tobytes() == getattr(direct, name).tobytes(), name
-            for got, want in zip(coarse.cap1 + coarse.cap2, direct.cap1 + direct.cap2):
-                assert got.tobytes() == want.tobytes()
-            # each real child's even nodes are the nodes of its quarter of
-            # the level-m block, and their residuals are the direct grid's
-            shape = (3, CULL_BLOCK + 1, CULL_BLOCK + 1)
-            a = np.array([0.48, -0.6, 0.64])
-            for b, (real, children) in enumerate(zip(h.real, h.children)):
-                for q in np.nonzero(real)[0]:
-                    du, dv = divmod(q, 2)
-                    quarter = np.s_[:, du * half:du * half + half + 1, dv * half:dv * half + half + 1]
-                    for got, want in ((fine.nodes1, direct.nodes1), (fine.nodes2, direct.nodes2)):
-                        even = got[children[q]].reshape(shape)[:, ::2, ::2]
-                        assert even.tobytes() == want[b].reshape(shape)[quarter].tobytes()
-                        values = _node_values(got[children[q]][None], a[None], 0.1)[:, ::2, ::2]
-                        direct_values = _node_values(want[b][None], a[None], 0.1)[(0, *quarter[1:])]
-                        assert values[0].tobytes() == direct_values.tobytes()
+            # each block's children's nodes (blocks, 4, 3, n); a missing child
+            # of a ragged block repeats the first one
+            children = np.where(h.real, h.children, h.children[:, :1])
+            for cap, nodes in ((h.fine.cap1, h.fine.nodes1), (h.fine.cap2, h.fine.nodes2)):
+                centre, radius = h._super_cap(cap)
+                chord = np.linalg.norm(nodes[children] - centre[:, None, :, None], axis=2)
+                angle = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+                assert (angle.max(axis=(1, 2)) <= radius + 1e-12).all()
+
+    @pytest.mark.parametrize("surface", ONE_GRID_SURFACES)
+    @pytest.mark.parametrize("m", [128, 133])
+    def test_kept_blocks_are_the_flat_level_2m_test(self, surface, m):
+        # the level-m pass drops no level-2m pair the per-block test keeps,
+        # and the kept pairs come in (sample, level-m block, child) order
+        surface = surface()
+        r1, r2 = group_matrices(91, 0, 64)
+        a1, a2 = r1[:, :, 2], r2[:, :, 2]
+        for chart in range(len(surface.charts)):
+            h = _BlockHierarchy(surface, chart, m, 0.3, -0.5)
+            flat = _straddles(h.band1, a1) & _straddles(h.band2, a2)
+            order = h.children[h.real]   # the level-2m blocks by level-m block, then child
+            ks, kb = np.nonzero(flat[:, order])
+            fs, fb = h.kept_blocks(a1, a2)
+            assert 0 < len(fs) < 0.5 * flat.size
+            assert fs.tobytes() == ks.tobytes() and fb.tobytes() == order[kb].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(sorted(CULL_SURFACES)), chart=st.integers(0, 1),
@@ -741,7 +758,7 @@ class TestOneGridOnePass:
         _CountingProblem(surface, great_torus(), 128)
         assert calls == list(range(len(surface.charts)))
 
-    def test_one_newton_transversality_and_dedup_call_per_pass(self, monkeypatch):
+    def test_one_newton_and_one_dedup_call_per_pass(self, monkeypatch):
         problem = _CountingProblem(anti_diagonal(), latitude_torus(0.3, -0.5), 128)
         r1, r2 = group_matrices(1627, 0, 64)
         before = problem.run_batch(r1, r2)
@@ -755,10 +772,8 @@ class TestOneGridOnePass:
 
         monkeypatch.setattr(intersections, "_newton_refine", counted("newton", intersections._newton_refine))
         monkeypatch.setattr(intersections, "_dedup", counted("dedup", intersections._dedup))
-        monkeypatch.setattr(_CountingProblem, "_transversality",
-                            counted("transversality", _CountingProblem._transversality))
         after = problem.run_batch(r1, r2)
-        assert calls == ["newton", "transversality"] * 2 + ["dedup"]
+        assert calls == ["newton"] * 2 + ["dedup"]
         assert outcome_bytes(after) == outcome_bytes(before)
 
 
@@ -766,35 +781,24 @@ class TestNewtonOnTheEvaluator:
     @pytest.mark.parametrize("surface", [anti_diagonal, chain_mesh], ids=["graph", "mesh"])
     def test_one_points_and_one_partials_call_per_iterate(self, surface, monkeypatch):
         # Newton reads its Jacobian from the surface's partials, not from
-        # offset points, and the transversality gate takes the partials of
-        # Newton's roots instead of evaluating them again
+        # offset points, and the gate reads the Jacobian at the roots
         surface = surface()
         problem = _CountingProblem(surface, great_torus(), 128)
-        cls, gate = type(surface), _CountingProblem._transversality
-        calls = []   # (part, chart, u, v, inside the gate)
-        inside = [False]
+        cls = type(surface)
+        calls = []   # (part, chart, u, v)
 
         def recorded(part, real):
             def wrapper(self, chart, u, v):
-                calls.append((part, chart, np.array(u), np.array(v), inside[0]))
+                calls.append((part, chart, np.array(u), np.array(v)))
                 return real(self, chart, u, v)
             return wrapper
 
-        def transversality(self, *args):
-            inside[0] = True
-            try:
-                return gate(self, *args)
-            finally:
-                inside[0] = False
-
         monkeypatch.setattr(cls, "points", recorded("points", cls.points))
         monkeypatch.setattr(cls, "partials", recorded("partials", cls.partials))
-        monkeypatch.setattr(_CountingProblem, "_transversality", transversality)
         problem.run_batch(*group_matrices(24, 0, 64))
-        assert not any(in_gate for *_, in_gate in calls)
         for chart in range(len(surface.charts)):
-            points = [(u, v) for part, c, u, v, _ in calls if part == "points" and c == chart]
-            partials = [(u, v) for part, c, u, v, _ in calls if part == "partials" and c == chart]
+            points = [(u, v) for part, c, u, v in calls if part == "points" and c == chart]
+            partials = [(u, v) for part, c, u, v in calls if part == "partials" and c == chart]
             assert all(u.ndim == 1 and v.ndim == 1 for u, v in points)
             # each iterate, then the roots: one points and one partials call at the same (u, v)
             assert len(points) >= 2 and len(partials) == len(points)
